@@ -17,7 +17,6 @@ import (
 
 	"rankfair"
 	"rankfair/internal/core"
-	"rankfair/internal/count"
 	"rankfair/internal/divergence"
 	"rankfair/internal/exp"
 	"rankfair/internal/explain"
@@ -353,87 +352,6 @@ func BenchmarkLatticeParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexedSearch is the PR 4 rank-space search series: the same
-// GLOBALBOUNDS/PROPBOUNDS workloads run on the two match-set engines, at
-// 1/2/4/8 workers.
-//
-//   - lists: the materialized row-list engine (pre-PR behavior) — every
-//     full build scans the dataset to seed root match lists and
-//     partitions two lists per node below.
-//   - index-cold: the rank-space engine building its posting-list index
-//     inside the search (a fresh Input nobody indexed before).
-//   - index-warm: the rank-space engine over a pre-built index (the
-//     cached-Analyst serving case) — root nodes alias posting lists, so
-//     the search starts with zero setup scans.
-//   - bitmap-warm: the rank-space engine over the same pre-built index
-//     with bitmap counting forced — step-time re-materialization runs
-//     word-wise AND + popcount over the index's roaring-style bitmaps
-//     wherever every bound value has one.
-//
-// The light workload (high threshold, narrow k range) isolates the setup
-// scans the warm index deletes; the sweep workloads show the halved
-// partition traffic on deep lattices. All engines return byte-identical
-// results (TestQuickStrategyIndexMatchesLists), so only wall clock and
-// allocations differ.
-func BenchmarkIndexedSearch(b *testing.B) {
-	ctx := context.Background()
-	german := benchInput(b, "german", benchAttrs)
-	ix := count.Build(german.Rows, german.Space, german.Ranking)
-	gp := core.GlobalParams{MinSize: 10, KMin: 10, KMax: 49, Lower: core.StaircaseBounds(10, 49, 10, 10, 10)}
-	pp := core.PropParams{MinSize: 10, KMin: 10, KMax: 49, Alpha: 0.8}
-	lightParams := core.PropParams{MinSize: 200, KMin: 10, KMax: 12, Alpha: 0.8}
-	engines := []struct {
-		name     string
-		strategy core.Strategy
-		ix       *count.Index
-	}{
-		{"lists", core.StrategyLists, nil},
-		{"index-cold", core.StrategyIndex, nil},
-		{"index-warm", core.StrategyIndex, ix},
-		{"bitmap-warm", core.StrategyBitmap, ix},
-	}
-	for _, eng := range engines {
-		in := *german
-		in.Strategy = eng.strategy
-		in.Index = eng.ix
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("global/%s/workers=%d", eng.name, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.GlobalBoundsCtx(ctx, &in, gp, w); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("prop/%s/workers=%d", eng.name, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.PropBoundsCtx(ctx, &in, pp, w); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-		b.Run(fmt.Sprintf("light-prop/%s", eng.name), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.PropBoundsCtx(ctx, &in, lightParams, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		// The snapshot-dominated workload (PR 5 satellite): a wide k range
-		// at τs=10 makes the per-k Res recomputation — sortNodesInterned +
-		// the mask-prefiltered markDominated — the dominant cost, so this
-		// series tracks the snapshot path itself rather than the tree walk.
-		b.Run(fmt.Sprintf("prop-wide/%s", eng.name), func(b *testing.B) {
-			wide := core.PropParams{MinSize: 10, KMin: 10, KMax: 200, Alpha: 0.8}
-			for i := 0; i < b.N; i++ {
-				if _, err := core.PropBoundsCtx(ctx, &in, wide, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkExtensionParallelBaseline measures the per-k fan-out of the
 // ITERTD baseline across workers.
 func BenchmarkExtensionParallelBaseline(b *testing.B) {
@@ -448,7 +366,7 @@ func BenchmarkExtensionParallelBaseline(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.IterTDGlobalParallel(in, params, 0); err != nil {
+			if _, err := core.IterTDGlobalCtx(context.Background(), in, params, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

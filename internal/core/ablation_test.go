@@ -4,7 +4,7 @@ package core
 // DESIGN.md §4:
 //
 //  1. match-list partitioning — Algorithm 1 computes children sizes by
-//     splitting the parent's matching-row lists instead of rescanning the
+//     splitting the parent's match list instead of rescanning the
 //     dataset per pattern (scanTopDownSearch below is the textbook
 //     re-scanning variant);
 //  2. incremental search — GLOBALBOUNDS/PROPBOUNDS vs re-running Algorithm

@@ -1,0 +1,91 @@
+package core_test
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"rankfair/internal/core"
+	"rankfair/internal/count"
+	"rankfair/internal/synth"
+)
+
+// BenchmarkIndexedSearch is the rank-space search series: the same
+// GLOBALBOUNDS/PROPBOUNDS workloads over synthetic german (1000 rows, 8
+// attributes), at 1/2/4/8 workers, from three starting conditions:
+//
+//   - index-cold: the search builds its posting-list index itself (a
+//     fresh Input nobody indexed before).
+//   - index-warm: a pre-built index (the cached-Analyst serving case) —
+//     root nodes alias posting lists, so the search starts with zero
+//     setup scans.
+//   - bitmap-warm: the same pre-built index with bitmap counting forced —
+//     step-time re-materialization runs word-wise AND + popcount over the
+//     index's roaring-style bitmaps wherever every bound value has one.
+//
+// The light workload (high threshold, narrow k range) isolates setup
+// cost; the sweep workloads measure the lattice walk itself. Every arm
+// returns byte-identical results (TestQuickMatchArmsAgree), so only wall
+// clock and allocations differ.
+func BenchmarkIndexedSearch(b *testing.B) {
+	ctx := context.Background()
+	german, err := synth.GermanCredit(1000, 3).InputAttrs(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix := count.Build(german.Rows, german.Space, german.Ranking)
+	gp := core.GlobalParams{MinSize: 10, KMin: 10, KMax: 49, Lower: core.StaircaseBounds(10, 49, 10, 10, 10)}
+	pp := core.PropParams{MinSize: 10, KMin: 10, KMax: 49, Alpha: 0.8}
+	lightParams := core.PropParams{MinSize: 200, KMin: 10, KMax: 12, Alpha: 0.8}
+	engines := []struct {
+		name    string
+		ix      *count.Index
+		bitmaps bool
+	}{
+		{"index-cold", nil, false},
+		{"index-warm", ix, false},
+		{"bitmap-warm", ix, true},
+	}
+	for _, eng := range engines {
+		in := *german
+		in.Index = eng.ix
+		if eng.bitmaps {
+			core.ForceBitmaps(&in)
+		}
+		for _, w := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("global/%s/workers=%d", eng.name, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := core.GlobalBoundsCtx(ctx, &in, gp, w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("prop/%s/workers=%d", eng.name, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := core.PropBoundsCtx(ctx, &in, pp, w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("light-prop/%s", eng.name), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.PropBoundsCtx(ctx, &in, lightParams, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		// The snapshot-dominated workload: a wide k range at τs=10 makes
+		// the per-k Res recomputation — sortNodesInterned + the
+		// mask-prefiltered markDominated — the dominant cost, so this
+		// series tracks the snapshot path rather than the tree walk.
+		b.Run(fmt.Sprintf("prop-wide/%s", eng.name), func(b *testing.B) {
+			wide := core.PropParams{MinSize: 10, KMin: 10, KMax: 200, Alpha: 0.8}
+			for i := 0; i < b.N; i++ {
+				if _, err := core.PropBoundsCtx(ctx, &in, wide, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

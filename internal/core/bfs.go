@@ -163,66 +163,25 @@ type bfs struct {
 	head  int
 	ring  bfsRing
 	pats  patArena
-	// Counting-sort scratch: counts and cursors for the all-rows partition
-	// and (lists engine) the top-k partition.
-	cntA, curA []int32
-	cntT, curT []int32
+	// Counting-sort scratch: per-value counts and scatter cursors.
+	cnt, cur []int32
 }
 
 var bfsPool = sync.Pool{New: func() any { return new(bfs) }}
 
 // newBFS acquires a pooled traversal and seeds the root frontier — the
 // search-tree children of the empty pattern, in the same (attribute,
-// value) order as rootUnits. The rank-space engine aliases posting lists
-// (no ring traffic at all); the lists engine aliases the cached
-// k-independent row partition and ring-allocates only the per-k top-k
-// buckets. Root entries carry freeSeq 0: nothing precedes them.
-func (e *engine) newBFS(k int) *bfs {
+// value) order as rootUnits — aliasing the posting lists, so the root
+// costs no ring traffic at all. Root entries carry freeSeq 0: nothing
+// precedes them.
+func (e *engine) newBFS() *bfs {
 	q := bfsPool.Get().(*bfs)
 	q.eng = e
-	space := e.in.Space
-	n := space.NumAttrs()
-	empty := pattern.Empty(n)
-	if e.ix != nil {
-		for a := 0; a < n; a++ {
-			for v := 0; v < space.Cards[a]; v++ {
-				q.queue = append(q.queue, bfsUnit{pp: empty, a: int32(a), v: int32(v),
-					m: matchSet{all: e.ix.Postings(a, int32(v))}})
-			}
-		}
-		return q
-	}
-	e.ensureRootAll()
-	if k > len(e.in.Ranking) {
-		k = len(e.in.Ranking)
-	}
-	top := q.ring.alloc(k)
-	for i := 0; i < k; i++ {
-		top[i] = int32(e.in.Ranking[i])
-	}
-	rows := e.in.Rows
-	for a := 0; a < n; a++ {
-		card := space.Cards[a]
-		counts := countBuf(&q.cntT, card)
-		for _, ri := range top {
-			counts[rows[ri][a]]++
-		}
-		flat := q.ring.alloc(len(top))
-		cur := cursorBuf(&q.curT, card)
-		off := int32(0)
+	empty := pattern.Empty(e.in.Space.NumAttrs())
+	for a, card := range e.in.Space.Cards {
 		for v := 0; v < card; v++ {
-			cur[v] = off
-			off += counts[v]
-		}
-		for _, ri := range top {
-			v := rows[ri][a]
-			flat[cur[v]] = ri
-			cur[v]++
-		}
-		for v := 0; v < card; v++ {
-			end := cur[v]
 			q.queue = append(q.queue, bfsUnit{pp: empty, a: int32(a), v: int32(v),
-				m: matchSet{all: e.rootAll[a][v], top: flat[end-counts[v] : end : end]}})
+				m: matchSet{all: e.ix.Postings(a, int32(v))}})
 		}
 	}
 	return q
@@ -266,70 +225,29 @@ func (q *bfs) expand(u *bfsUnit, p pattern.Pattern) {
 	space := e.in.Space
 	n := space.NumAttrs()
 	batch := q.ring.allocSeq
+	rowAt := e.rowAt
 	for a := int(u.a) + 1; a < n; a++ {
 		card := space.Cards[a]
-		cntA := countBuf(&q.cntA, card)
-		if e.ix != nil {
-			rowAt := e.rowAt
-			for _, r := range u.m.all {
-				cntA[rowAt[r][a]]++
-			}
-			flat := q.ring.alloc(len(u.m.all))
-			cur := cursorBuf(&q.curA, card)
-			off := int32(0)
-			for v := 0; v < card; v++ {
-				cur[v] = off
-				off += cntA[v]
-			}
-			for _, r := range u.m.all {
-				v := rowAt[r][a]
-				flat[cur[v]] = r
-				cur[v]++
-			}
-			for v := 0; v < card; v++ {
-				end := cur[v]
-				q.queue = append(q.queue, bfsUnit{pp: p, a: int32(a), v: int32(v),
-					m: matchSet{all: flat[end-cntA[v] : end : end]}, freeSeq: batch})
-			}
-			continue
+		cnt := countBuf(&q.cnt, card)
+		for _, r := range u.m.all {
+			cnt[rowAt[r][a]]++
 		}
-		rows := e.in.Rows
-		for _, ri := range u.m.all {
-			cntA[rows[ri][a]]++
-		}
-		allFlat := q.ring.alloc(len(u.m.all))
-		curA := cursorBuf(&q.curA, card)
+		flat := q.ring.alloc(len(u.m.all))
+		cur := cursorBuf(&q.cur, card)
 		off := int32(0)
 		for v := 0; v < card; v++ {
-			curA[v] = off
-			off += cntA[v]
+			cur[v] = off
+			off += cnt[v]
 		}
-		for _, ri := range u.m.all {
-			v := rows[ri][a]
-			allFlat[curA[v]] = ri
-			curA[v]++
-		}
-		cntT := countBuf(&q.cntT, card)
-		for _, ri := range u.m.top {
-			cntT[rows[ri][a]]++
-		}
-		topFlat := q.ring.alloc(len(u.m.top))
-		curT := cursorBuf(&q.curT, card)
-		off = 0
-		for v := 0; v < card; v++ {
-			curT[v] = off
-			off += cntT[v]
-		}
-		for _, ri := range u.m.top {
-			v := rows[ri][a]
-			topFlat[curT[v]] = ri
-			curT[v]++
+		for _, r := range u.m.all {
+			v := rowAt[r][a]
+			flat[cur[v]] = r
+			cur[v]++
 		}
 		for v := 0; v < card; v++ {
-			endA, endT := curA[v], curT[v]
+			end := cur[v]
 			q.queue = append(q.queue, bfsUnit{pp: p, a: int32(a), v: int32(v),
-				m:       matchSet{all: allFlat[endA-cntA[v] : endA : endA], top: topFlat[endT-cntT[v] : endT : endT]},
-				freeSeq: batch})
+				m: matchSet{all: flat[end-cnt[v] : end : end]}, freeSeq: batch})
 		}
 	}
 }

@@ -46,14 +46,11 @@ type Input struct {
 	Ranking []int
 	// Index is an optional pre-built rank index over (Rows, Space, Ranking).
 	// When attached — the Analyst threads its lazily built counting engine
-	// here — the rank-space search strategy starts with zero setup scans;
-	// the caller is responsible for the index actually describing this
-	// input (only the row count is validated).
+	// here — the lattice search starts with zero setup scans; when nil,
+	// every search builds its own index first. The caller is responsible
+	// for the index actually describing this input (only the row count is
+	// validated).
 	Index *count.Index
-	// Strategy selects the match-set engine of the lattice search; see the
-	// Strategy constants. The default StrategyAuto applies a cost model.
-	// Results are byte-identical across strategies.
-	Strategy Strategy
 	// DisableStats turns off the per-run SearchStats accounting: searches
 	// leave Result.Search nil and skip every counter increment. Groups and
 	// Stats are byte-identical either way (TestStatsInvariance guards
@@ -61,6 +58,12 @@ type Input struct {
 	// want the last fraction of a percent back. Set it before sharing the
 	// input across goroutines, like every other Input field.
 	DisableStats bool
+
+	// bitmaps pins the intersection arm of step-time re-materialization;
+	// the zero value leaves the choice to the per-node cost model. Only
+	// package tests set it, to hold the slice and bitmap arms to identical
+	// results.
+	bitmaps bitmapMode
 
 	// validated memoizes a successful Validate: repeated searches over one
 	// input (the Analyst serving path runs many audits against one dataset)
@@ -213,9 +216,9 @@ type Result struct {
 	// Stats accumulates work accounting across the whole run.
 	Stats Stats
 	// Search carries the run's observability counters (expansion/pruning
-	// breakdown, engine shortcuts, strategy, fan-out width). Nil when the
-	// input sets DisableStats. Unlike Stats it is engine-dependent by
-	// design and excluded from cross-engine equivalence comparisons.
+	// breakdown, engine shortcuts, fan-out width). Nil when the input sets
+	// DisableStats. Unlike Stats it records engine internals, so it is
+	// excluded from equivalence comparisons.
 	Search *SearchStats
 }
 

@@ -84,27 +84,22 @@ func IterTDExposureCtx(ctx context.Context, in *Input, params ExposureParams, wo
 	}
 	nf := float64(len(in.Rows))
 
-	// weightOf[row] is the exposure of the row's position (0 beyond k; the
-	// prefix sum gives E(k)). Both are read-only under the fan-out, as is
-	// the engine with its per-rank weight view.
-	weightOf := make([]float64, len(in.Rows))
+	// wByRank[r] is the exposure of rank position r and its prefix sum
+	// gives E(k). Both are read-only under the fan-out, as is the engine.
 	wByRank := make([]float64, params.KMax)
 	totalExposure := make([]float64, params.KMax+1)
 	for i := 0; i < params.KMax; i++ {
-		w := PositionExposure(i + 1)
-		weightOf[in.Ranking[i]] = w
-		wByRank[i] = w
-		totalExposure[i+1] = totalExposure[i] + w
+		wByRank[i] = PositionExposure(i + 1)
+		totalExposure[i+1] = totalExposure[i] + wByRank[i]
 	}
 	eng := newEngine(in)
-	eng.weightByRow = weightOf
 	eng.weightByRank = wByRank
 
 	return runPerK(ctx, eng, params.KMin, params.KMax, workers, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
 		st.FullSearches++
 		ek := totalExposure[k]
 		filt := newSubsetFilter()
-		q := eng.newBFS(k)
+		q := eng.newBFS()
 		defer q.close()
 		for q.more() {
 			if cn.stopped() {

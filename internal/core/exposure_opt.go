@@ -47,20 +47,13 @@ func ExposureBoundsCtx(ctx context.Context, in *Input, params ExposureParams, wo
 			func(nd *enode) pattern.Pattern { return nd.p },
 			func(nd *enode) *string { return &nd.key }),
 		buckets:  make([][]*enode, params.KMax+2),
-		weightOf: make([]float64, len(in.Rows)),
 		totalExp: make([]float64, params.KMax+1),
 	}
 	wByRank := make([]float64, params.KMax)
 	for i := 0; i < params.KMax; i++ {
-		w := PositionExposure(i + 1)
-		st.weightOf[in.Ranking[i]] = w
-		wByRank[i] = w
-		st.totalExp[i+1] = st.totalExp[i] + w
+		wByRank[i] = PositionExposure(i + 1)
+		st.totalExp[i+1] = st.totalExp[i] + wByRank[i]
 	}
-	// Wire the weights into the engine under both addressings: by row for
-	// the lists engine, by rank position for the rank-space engine. Both
-	// sum in ascending rank order, so exposures are bit-identical.
-	st.eng.weightByRow = st.weightOf
 	st.eng.weightByRank = wByRank
 	st.search = st.eng.newSearchStats(st.workers)
 	res.Search = st.search
@@ -123,7 +116,6 @@ type exposureState struct {
 	// incrementally (see domFrontier).
 	front    *domFrontier[enode]
 	buckets  [][]*enode
-	weightOf []float64
 	totalExp []float64
 
 	res  []Pattern
@@ -194,7 +186,7 @@ func (s *exposureState) merge(sk *esink) {
 // the build was abandoned because the context was canceled.
 func (s *exposureState) fullBuild(k int) bool {
 	s.stats.FullSearches++
-	units := s.eng.rootUnits(k)
+	units := s.eng.rootUnits()
 	sinks := make([]esink, len(units))
 	children := make([]*enode, len(units))
 	fanOut(s.workers, len(units), func(i int) {
@@ -279,7 +271,7 @@ func (s *exposureState) buildChildrenInto(parent *enode, m matchSet, k int, sk *
 // was abandoned because the context was canceled.
 func (s *exposureState) step(k int) bool {
 	newRow := s.in.Rows[s.in.Ranking[k-1]]
-	w := s.weightOf[s.in.Ranking[k-1]]
+	w := s.eng.weightByRank[k-1]
 
 	ser := &esink{cn: canceler{ctx: s.ctx}}
 	var freed []*enode
@@ -360,7 +352,7 @@ func (s *exposureState) step(k int) bool {
 			sk.sr.ss = &sk.search
 		}
 		mk := sk.sr.mark()
-		m := sk.sr.materialize(nd.p, k)
+		m := sk.sr.materialize(nd.p)
 		s.expandWithInto(nd, m, k, sk)
 		sk.sr.release(mk)
 	})

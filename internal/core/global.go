@@ -122,10 +122,10 @@ func GlobalBoundsCtx(ctx context.Context, in *Input, params GlobalParams, worker
 // fullBuild runs a complete top-down search at k, building the persistent
 // node tree (the paper's TopDownSearch with DRes maintenance). The root's
 // subtrees are independent, so they build on the worker pool, each into its
-// own sink; the merge walks the sinks in subtree order. On the rank-space
-// engine the root units alias the counting index's posting lists, so a
-// warm index starts the build with zero dataset scans. It reports false
-// when the build was abandoned because the context was canceled.
+// own sink; the merge walks the sinks in subtree order. The root units
+// alias the counting index's posting lists, so a warm index starts the
+// build with zero dataset scans. It reports false when the build was
+// abandoned because the context was canceled.
 func (s *globalState) fullBuild(k int) bool {
 	s.stats.FullSearches++
 	s.roots = nil
@@ -136,7 +136,7 @@ func (s *globalState) fullBuild(k int) bool {
 		func(nd *gnode) *string { return &nd.key })
 
 	L := s.params.lowerAt(k)
-	units := s.eng.rootUnits(k)
+	units := s.eng.rootUnits()
 	sinks := make([]gsink, len(units))
 	children := make([]*gnode, len(units))
 	fanOut(s.workers, len(units), func(i int) {
@@ -299,9 +299,8 @@ func (s *globalState) step(k int) (changed, ok bool) {
 }
 
 // expandInto resumes the top-down search below a node whose count rose to
-// the bound: the node's match set is re-materialized — a galloping
-// posting-list intersection on the rank-space engine, dataset scans on the
-// lists engine — and its subtree explored from there.
+// the bound: the node's match set is re-materialized by a posting-list
+// intersection and its subtree explored from there.
 func (s *globalState) expandInto(nd *gnode, k, L int, sk *gsink) {
 	if nd.expanded {
 		return
@@ -309,7 +308,7 @@ func (s *globalState) expandInto(nd *gnode, k, L int, sk *gsink) {
 	nd.expanded = true
 	sk.sr.ss.expanded()
 	mk := sk.sr.mark()
-	m := sk.sr.materialize(nd.p, k)
+	m := sk.sr.materialize(nd.p)
 	s.expandWithInto(nd, m, k, L, sk)
 	sk.sr.release(mk)
 }
@@ -367,38 +366,4 @@ func (s *globalState) normalize() bool {
 // the frontier's maintained order.
 func (s *globalState) snapshot() []Pattern {
 	return s.front.emit()
-}
-
-// matchingRows returns the indices of rows matching p. If base is non-nil
-// only those indices are considered.
-func matchingRows(rows [][]int32, p pattern.Pattern, base []int32) []int32 {
-	var out []int32
-	if base == nil {
-		for i, r := range rows {
-			if p.Matches(r) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, ri := range base {
-		if p.Matches(rows[ri]) {
-			out = append(out, ri)
-		}
-	}
-	return out
-}
-
-// matchingTopK returns the indices of top-k rows matching p.
-func matchingTopK(rows [][]int32, ranking []int, p pattern.Pattern, k int) []int32 {
-	if k > len(ranking) {
-		k = len(ranking)
-	}
-	var out []int32
-	for _, ri := range ranking[:k] {
-		if p.Matches(rows[ri]) {
-			out = append(out, int32(ri))
-		}
-	}
-	return out
 }

@@ -10,59 +10,31 @@ import (
 // This file is the match-set engine behind every lattice search in the
 // package. All detection algorithms share one traversal structure — examine
 // a node, read s_D(p) and its top-k count (or exposure), descend — and
-// differ only in how a node's match set is represented. Two strategies
-// implement that representation behind a common interface, so the
-// traversals are written once and are byte-identical across strategies:
+// every one of them needs only those two counts per pattern. The engine
+// works in rank space over the shared count.Index: a node's match set is
+// the ascending list of *rank positions* matching its pattern — the
+// intersection of its bound attributes' posting lists. s_D(p) is the list
+// length, the count at any k is one binary search (count.PrefixCount), root
+// nodes alias the posting lists outright (a warm index starts a search with
+// zero setup scans), and step-time re-materialization is a posting-list
+// intersection instead of a dataset scan. Child generation partitions one
+// list, and the partitions live in per-worker scratch arenas instead of
+// per-node allocations.
 //
-//   - StrategyLists (the original implementation) carries two materialized
-//     row-index lists per node, matchAll and matchTop; children are built
-//     by partitioning both lists per attribute, and every full build first
-//     scans the dataset to seed the root lists.
-//
-//   - StrategyIndex works in rank space over the shared count.Index: a
-//     node's match set is the ascending list of *rank positions* matching
-//     its pattern — the intersection of its bound attributes' posting
-//     lists. s_D(p) is the list length, the count at any k is one binary
-//     search (count.PrefixCount), root nodes alias the posting lists
-//     outright (a warm index starts a search with zero setup scans), and
-//     step-time re-materialization is a galloping posting-list
-//     intersection instead of a dataset scan. Child generation partitions
-//     one list instead of two, and the partitions live in per-worker
-//     scratch arenas instead of per-node allocations.
+// Each re-materialization picks its intersection arm per node: the
+// galloping slice merge for short lists, word-wise bitmap AND + popcount
+// once the shortest list reaches bitmapPassMin and every bound value has a
+// bitmap. The arms return identical rank lists; only tests force one.
 
-// Strategy selects the match-set representation of the lattice search.
-// Both strategies return byte-identical results (same groups, same order,
-// same Stats); only the wall clock and allocation profile differ, which is
-// why the knob is absent from every cache key.
-type Strategy int
-
-const (
-	// StrategyAuto lets the cost model below pick the engine.
-	StrategyAuto Strategy = iota
-	// StrategyLists forces the materialized row-list engine. It is the
-	// differential baseline for the rank-space path and the better choice
-	// on tiny inputs, where the index build cannot amortize.
-	StrategyLists
-	// StrategyIndex forces the rank-space posting-list engine, building an
-	// index first when Input.Index is nil. Intersections stay pure slice
-	// walks — this is the differential baseline for the bitmap path.
-	StrategyIndex
-	// StrategyBitmap forces the rank-space engine with bitmap counting:
-	// step-time re-materialization runs word-wise AND + popcount over the
-	// index's roaring-style bitmaps whenever every bound value has one,
-	// falling back to the galloping slice walk only below the bitmap
-	// build cut. StrategyAuto picks between postings and bitmaps per node
-	// by list length instead of forcing either.
-	StrategyBitmap
-)
-
-// bitmapMode is the engine's resolved bitmap policy.
+// bitmapMode is the per-node intersection policy. The zero value is the
+// automatic cost model; the forcing modes exist for package tests, which
+// set Input.bitmaps to pin one arm of a differential.
 type bitmapMode uint8
 
 const (
-	bmOff   bitmapMode = iota // pure slice intersections (lists/index)
-	bmAuto                    // per-node cost model (auto)
-	bmForce                   // bitmaps whenever representable (bitmap)
+	bmAuto  bitmapMode = iota // per-node cost model
+	bmOff                     // pure slice intersections
+	bmForce                   // bitmaps whenever representable
 )
 
 // bitmapPassMin is the auto cost-model cut for one intersection pass: the
@@ -71,41 +43,10 @@ const (
 // word AND + popcount pass wins even counting the materialization scatter.
 const bitmapPassMin = 1024
 
-// useIndex resolves StrategyAuto with a small cost model. The rank-space
-// engine saves the O(n·attrs) root scans of every full build, halves the
-// partition traffic below the root, and turns step-time re-materialization
-// into posting-list intersections — but must first build the index, itself
-// one O(n·attrs) pass, when none is attached. A pre-built index makes the
-// engine free to start, so it always wins; otherwise the build only
-// amortizes on inputs large enough (the savings scale with rows) and
-// lattices deep enough (the savings scale with explored nodes).
-func (in *Input) useIndex() bool {
-	switch in.Strategy {
-	case StrategyLists:
-		return false
-	case StrategyIndex, StrategyBitmap:
-		return true
-	}
-	if in.Index != nil {
-		return true
-	}
-	n := len(in.Rows)
-	if n < 1024 {
-		return false // tiny input: the index build outweighs the savings
-	}
-	if in.Space.NumAttrs() <= 2 && n < 8192 {
-		return false // flat lattice: the root scans are most of the search
-	}
-	return true
-}
-
-// matchSet is one node's match representation. On the lists engine, all
-// holds the matching row indices in D and top the matching rows among the
-// top-k (in ranking order); on the rank-space engine, all holds the
-// ascending rank positions matching the pattern and top is nil.
+// matchSet is one node's match representation: all holds the ascending
+// rank positions matching the pattern.
 type matchSet struct {
 	all []int32
-	top []int32
 }
 
 // unit pairs a search-tree pattern with its match set: a frontier element
@@ -116,166 +57,77 @@ type unit struct {
 	m matchSet
 }
 
-// engine binds one search run to its match-set strategy. It is read-only
-// during the search and shared by every worker; the mutable scratch lives
-// in per-worker searchers.
+// engine binds one search run to its rank index. It is read-only during
+// the search and shared by every worker; the mutable scratch lives in
+// per-worker searchers.
 type engine struct {
 	in *Input
-	ix *count.Index // nil → materialized-list engine
-	// rowAt is ix.RowsByRank(): the rank-major row view the rank-space
-	// partition reads attribute values through.
+	ix *count.Index
+	// rowAt is ix.RowsByRank(): the rank-major row view the partitions
+	// read attribute values through.
 	rowAt [][]int32
-	// weightByRow / weightByRank are set by the exposure searches:
-	// position-exposure weights addressed by row index (lists engine) and
-	// by rank position (rank-space engine). Both sum in ascending rank
-	// order, so the float results are bit-identical across engines.
-	weightByRow  []float64
+	// weightByRank is set by the exposure searches: the position-exposure
+	// weight of each rank position, summed in ascending rank order.
 	weightByRank []float64
 	// statsOff mirrors Input.DisableStats at engine construction:
 	// newSearchStats returns nil under it, which disarms every nil-checked
 	// counter increment downstream.
 	statsOff bool
-	// bm is the resolved bitmap policy; meaningful only on the rank-space
-	// engine (ix != nil).
-	bm bitmapMode
-	// rootAll caches the lists engine's k-independent root partition: the
-	// full dataset bucketed per (attribute, value), which every full build
-	// used to recompute even when only the bound changed (the GLOBALBOUNDS
-	// staircase performs one build per bound increase, the per-k baselines
-	// one per k). The rank-space engine gets this for free by aliasing
-	// posting lists; the Once makes the lazy fill safe under the per-k
-	// baselines' concurrent rootUnits calls. Only the top-k buckets remain
-	// per-call work.
-	rootAllOnce sync.Once
-	rootAll     [][][]int32 // [attr][value] → matching row indices
+	bm       bitmapMode
 }
 
-// newEngine resolves the input's strategy and builds the index when the
-// rank-space engine needs one and none is attached.
+// newEngine binds a search to the input's attached index, building one
+// when none is attached.
 func newEngine(in *Input) *engine {
-	if !in.useIndex() {
-		return &engine{in: in, statsOff: in.DisableStats}
-	}
 	ix := in.Index
 	if ix == nil {
 		ix = count.Build(in.Rows, in.Space, in.Ranking)
 	}
-	bm := bmOff
-	switch in.Strategy {
-	case StrategyBitmap:
-		bm = bmForce
-	case StrategyAuto:
-		bm = bmAuto
-	}
-	return &engine{in: in, ix: ix, rowAt: ix.RowsByRank(), statsOff: in.DisableStats, bm: bm}
-}
-
-// strategyName labels the resolved match-set strategy for SearchStats.
-// Auto resolving to the rank-space engine reports "index" regardless of
-// its per-node bitmap picks — the name identifies the match-set
-// representation contract, and per-pass bitmap usage is visible in the
-// BitmapPasses/SlicePasses counters instead.
-func (e *engine) strategyName() string {
-	if e.ix == nil {
-		return "lists"
-	}
-	if e.in.Strategy == StrategyBitmap {
-		return "bitmap"
-	}
-	return "index"
+	return &engine{in: in, ix: ix, rowAt: ix.RowsByRank(), statsOff: in.DisableStats, bm: in.bitmaps}
 }
 
 // newSearchStats returns the run's SearchStats accumulator stamped with
-// the resolved strategy and fan-out width, or nil when the input disabled
-// stats — the nil pointer is what turns every increment into a no-op.
+// the engine name and fan-out width, or nil when the input disabled stats —
+// the nil pointer is what turns every increment into a no-op.
 func (e *engine) newSearchStats(workers int) *SearchStats {
 	if e.statsOff {
 		return nil
 	}
-	return &SearchStats{Strategy: e.strategyName(), Workers: workers}
+	return &SearchStats{Strategy: "index", Workers: workers}
 }
 
-// topCount returns the node's size in the top-k: a slice length on the
-// lists engine, one binary search on the rank-space engine.
+// topCount returns the node's size in the top-k: one binary search.
 func (e *engine) topCount(m matchSet, k int) int {
-	if e.ix != nil {
-		return count.PrefixCount(m.all, k)
-	}
-	return len(m.top)
+	return count.PrefixCount(m.all, k)
 }
 
-// exposureOf returns the node's exposure in the top-k. Both branches sum
-// the same weights in ascending rank order.
+// exposureOf returns the node's exposure in the top-k, summing the weights
+// in ascending rank order.
 func (e *engine) exposureOf(m matchSet, k int) float64 {
 	total := 0.0
-	if e.ix != nil {
-		cut := count.PrefixCount(m.all, k)
-		for _, r := range m.all[:cut] {
-			total += e.weightByRank[r]
-		}
-		return total
-	}
-	for _, ri := range m.top {
-		total += e.weightByRow[ri]
+	for _, r := range m.all[:count.PrefixCount(m.all, k)] {
+		total += e.weightByRank[r]
 	}
 	return total
 }
 
 // rootUnits returns the search-tree children of the empty pattern — the
-// starting frontier of every full build. The rank-space engine aliases the
-// posting lists (zero scans, zero allocations beyond the unit headers);
-// the lists engine seeds and partitions the full row and top-k lists.
-func (e *engine) rootUnits(k int) []unit {
+// starting frontier of every full build — aliasing the posting lists (zero
+// scans, zero allocations beyond the unit headers).
+func (e *engine) rootUnits() []unit {
 	space := e.in.Space
-	n := space.NumAttrs()
-	if e.ix != nil {
-		total := 0
-		for _, card := range space.Cards {
-			total += card
-		}
-		units := make([]unit, 0, total)
-		empty := pattern.Empty(n)
-		for a := 0; a < n; a++ {
-			for v := 0; v < space.Cards[a]; v++ {
-				units = append(units, unit{p: empty.With(a, int32(v)), m: matchSet{all: e.ix.Postings(a, int32(v))}})
-			}
-		}
-		return units
+	total := 0
+	for _, card := range space.Cards {
+		total += card
 	}
-	e.ensureRootAll()
-	if k > len(e.in.Ranking) {
-		k = len(e.in.Ranking)
-	}
-	top := make([]int32, k)
-	for i := 0; i < k; i++ {
-		top[i] = int32(e.in.Ranking[i])
-	}
-	var units []unit
-	empty := pattern.Empty(n)
-	for a := 0; a < n; a++ {
-		card := space.Cards[a]
-		topBuckets := partitionByValue(e.in.Rows, top, a, card)
+	units := make([]unit, 0, total)
+	empty := pattern.Empty(space.NumAttrs())
+	for a, card := range space.Cards {
 		for v := 0; v < card; v++ {
-			units = append(units, unit{p: empty.With(a, int32(v)), m: matchSet{all: e.rootAll[a][v], top: topBuckets[v]}})
+			units = append(units, unit{p: empty.With(a, int32(v)), m: matchSet{all: e.ix.Postings(a, int32(v))}})
 		}
 	}
 	return units
-}
-
-// ensureRootAll lazily fills the cached k-independent root partition
-// (safe under the per-k baselines' concurrent seeding).
-func (e *engine) ensureRootAll() {
-	e.rootAllOnce.Do(func() {
-		n := e.in.Space.NumAttrs()
-		all := make([]int32, len(e.in.Rows))
-		for i := range all {
-			all[i] = int32(i)
-		}
-		e.rootAll = make([][][]int32, n)
-		for a := 0; a < n; a++ {
-			e.rootAll[a] = partitionByValue(e.in.Rows, all, a, e.in.Space.Cards[a])
-		}
-	})
 }
 
 // searcher is an engine handle plus per-worker scratch. The incremental
@@ -297,56 +149,31 @@ func (e *engine) acquire() searcher {
 
 func (sr searcher) close() { putScratch(sr.scr) }
 
-// parts is one attribute's partition of a node's match set: child v's
-// match set is the offs[v]:offs[v+1] window of the flat block(s).
-type parts struct {
-	allFlat, allOffs []int32
-	topFlat, topOffs []int32
-}
-
-func (pt parts) at(v int) matchSet {
-	m := matchSet{all: pt.allFlat[pt.allOffs[v]:pt.allOffs[v+1]]}
-	if pt.topOffs != nil {
-		m.top = pt.topFlat[pt.topOffs[v]:pt.topOffs[v+1]]
-	}
-	return m
-}
-
-// childStats is one attribute's per-value child statistics. On the
-// rank-space engine the sizes, counts and exposures come from count-only
-// passes over the parent's rank list — s_D per value from the full list,
-// the top-k quantities from its length-≤k prefix — and the actual child
-// rank lists are scattered lazily, only when the search descends into at
-// least one child. Fully pruned or all-frontier levels (the common case
-// under a size threshold) never materialize a single child list. The lists
-// engine has no count-only shortcut — materializing both row lists is how
-// it knows the counts at all — so it partitions eagerly as before.
+// childStats is one attribute's per-value child statistics. The sizes,
+// counts and exposures come from count-only passes over the parent's rank
+// list — s_D per value from the full list, the top-k quantities from its
+// length-≤k prefix — and the actual child rank lists are scattered lazily,
+// only when the search descends into at least one child. Fully pruned or
+// all-frontier levels (the common case under a size threshold) never
+// materialize a single child list.
 type childStats struct {
-	sr         searcher
-	m          matchSet
-	a, card, k int
-	// Rank-space per-value tallies (arena-backed).
+	sr      searcher
+	m       matchSet
+	a, card int
+	// Per-value tallies (arena-backed).
 	sD   []int32
 	cnt  []int32
 	wsum []float64
-	// Materialized partitions: eager on the lists engine, scattered on the
-	// first at() call on the rank-space engine.
-	prt       parts
-	scattered bool
+	// Child rank lists, scattered on the first at() call: child v's match
+	// set is the offs[v]:offs[v+1] window of flat.
+	flat, offs []int32
 }
 
 // childStats computes the per-value statistics of splitting m at attribute
 // a. wantExposure additionally accumulates per-value exposure over the
 // top-k prefix (exposure searches only).
 func (sr searcher) childStats(m matchSet, a, card, k int, wantExposure bool) childStats {
-	cs := childStats{sr: sr, m: m, a: a, card: card, k: k}
-	if sr.ix == nil {
-		allFlat, allOffs := sr.part(m.all, a, card, false)
-		topFlat, topOffs := sr.part(m.top, a, card, false)
-		cs.prt = parts{allFlat: allFlat, allOffs: allOffs, topFlat: topFlat, topOffs: topOffs}
-		cs.scattered = true
-		return cs
-	}
+	cs := childStats{sr: sr, m: m, a: a, card: card}
 	sr.ss.countOnlyPass()
 	rowAt := sr.rowAt
 	cs.sD = sr.scr.ints.allocZero(card)
@@ -372,39 +199,19 @@ func (sr searcher) childStats(m matchSet, a, card, k int, wantExposure bool) chi
 }
 
 // size returns s_D of child v.
-func (cs *childStats) size(v int) int {
-	if cs.sD != nil {
-		return int(cs.sD[v])
-	}
-	return int(cs.prt.allOffs[v+1] - cs.prt.allOffs[v])
-}
+func (cs *childStats) size(v int) int { return int(cs.sD[v]) }
 
 // count returns the top-k count of child v.
-func (cs *childStats) count(v int) int {
-	if cs.cnt != nil {
-		return int(cs.cnt[v])
-	}
-	return int(cs.prt.topOffs[v+1] - cs.prt.topOffs[v])
-}
+func (cs *childStats) count(v int) int { return int(cs.cnt[v]) }
 
-// exposure returns the top-k exposure of child v. Both engines accumulate
-// the same weights in ascending rank order, so results are bit-identical.
-func (cs *childStats) exposure(v int) float64 {
-	if cs.wsum != nil {
-		return cs.wsum[v]
-	}
-	total := 0.0
-	for _, ri := range cs.prt.at(v).top {
-		total += cs.sr.weightByRow[ri]
-	}
-	return total
-}
+// exposure returns the top-k exposure of child v.
+func (cs *childStats) exposure(v int) float64 { return cs.wsum[v] }
 
 // at returns child v's match set, scattering the parent into all child
-// lists on first use (rank-space engine); the scatter reuses the already
-// computed per-value sizes as offsets.
+// lists on first use; the scatter reuses the already computed per-value
+// sizes as offsets.
 func (cs *childStats) at(v int) matchSet {
-	if !cs.scattered {
+	if cs.offs == nil {
 		cs.sr.ss.lazyScatter()
 		offs := cs.sr.scr.ints.alloc(cs.card + 1)
 		off := int32(0)
@@ -422,53 +229,9 @@ func (cs *childStats) at(v int) matchSet {
 			flat[cur[val]] = r
 			cur[val]++
 		}
-		cs.prt = parts{allFlat: flat, allOffs: offs}
-		cs.scattered = true
+		cs.flat, cs.offs = flat, offs
 	}
-	return cs.prt.at(v)
-}
-
-// part is the lists engine's counting-sort partition: count values, carve
-// offsets and a flat block out of the arena, scatter.
-func (sr searcher) part(idxs []int32, a, card int, byRank bool) (flat, offs []int32) {
-	counts := sr.scr.counts(card)
-	if byRank {
-		rowAt := sr.rowAt
-		for _, r := range idxs {
-			counts[rowAt[r][a]]++
-		}
-	} else {
-		rows := sr.in.Rows
-		for _, ri := range idxs {
-			counts[rows[ri][a]]++
-		}
-	}
-	offs = sr.scr.ints.alloc(card + 1)
-	off := int32(0)
-	for v := 0; v < card; v++ {
-		offs[v] = off
-		off += counts[v]
-	}
-	offs[card] = off
-	flat = sr.scr.ints.alloc(len(idxs))
-	cur := sr.scr.cursors(card)
-	copy(cur, offs[:card])
-	if byRank {
-		rowAt := sr.rowAt
-		for _, r := range idxs {
-			v := rowAt[r][a]
-			flat[cur[v]] = r
-			cur[v]++
-		}
-	} else {
-		rows := sr.in.Rows
-		for _, ri := range idxs {
-			v := rows[ri][a]
-			flat[cur[v]] = ri
-			cur[v]++
-		}
-	}
-	return flat, offs
+	return matchSet{all: cs.flat[cs.offs[v]:cs.offs[v+1]]}
 }
 
 // mark/release bracket a node's arena allocations; release at subtree exit
@@ -485,18 +248,11 @@ func (sr searcher) release(mk arenaMark) {
 type arenaMark struct{ i, f arenaPos }
 
 // materialize rebuilds a node's match set from scratch — the step-time
-// re-derivation when an unexplored frontier node resumes its subtree. The
-// lists engine scans the dataset and the top-k prefix; the rank-space
-// engine intersects the pattern's bound posting lists with galloping
-// search, shortest pair first, into the worker's arena (the caller's
-// mark/release owns the result's lifetime).
-func (sr searcher) materialize(p pattern.Pattern, k int) matchSet {
-	if sr.ix == nil {
-		return matchSet{
-			all: matchingRows(sr.in.Rows, p, nil),
-			top: matchingTopK(sr.in.Rows, sr.in.Ranking, p, k),
-		}
-	}
+// re-derivation when an unexplored frontier node resumes its subtree. It
+// intersects the pattern's bound posting lists, shortest pair first, into
+// the worker's arena (the caller's mark/release owns the result's
+// lifetime).
+func (sr searcher) materialize(p pattern.Pattern) matchSet {
 	lists := sr.scr.lists[:0]
 	bms := sr.scr.bms[:0]
 	for a, v := range p {
@@ -567,7 +323,7 @@ func (sr searcher) useBitmaps(lists [][]int32, bms []*count.Bitmap) bool {
 // intersectBitmaps runs the pattern's intersection as a word-wise AND
 // chain over the pre-sorted bitmaps and materializes the surviving ranks
 // into the worker's arena. Every pairwise AND counts as one posting
-// intersection (so the totals stay comparable across engines) plus one
+// intersection (so the totals stay comparable across arms) plus one
 // bitmap pass.
 func (sr searcher) intersectBitmaps(bms []*count.Bitmap) []int32 {
 	sr.ss.intersection()
@@ -585,27 +341,14 @@ func (sr searcher) intersectBitmaps(bms []*count.Bitmap) []int32 {
 	return acc.AppendRanks(sr.scr.ints.alloc(n)[:0:n])
 }
 
-// scratch is the per-worker allocation pool: counting-sort scratch, the
-// partition arenas, and a reusable posting-list header slice.
+// scratch is the per-worker allocation pool: scatter cursors, the
+// partition arenas, and reusable posting-list and bitmap header slices.
 type scratch struct {
-	cnt    []int32
 	cur    []int32
 	lists  [][]int32
 	bms    []*count.Bitmap
 	ints   arena[int32]
 	floats arena[float64]
-}
-
-// counts returns a zeroed count buffer of the given width.
-func (s *scratch) counts(card int) []int32 {
-	if cap(s.cnt) < card {
-		s.cnt = make([]int32, card)
-	}
-	s.cnt = s.cnt[:card]
-	for i := range s.cnt {
-		s.cnt[i] = 0
-	}
-	return s.cnt
 }
 
 // cursors returns an uninitialized cursor buffer of the given width.

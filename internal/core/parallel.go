@@ -12,8 +12,7 @@ import (
 // Two independent axes of parallelism coexist in this package:
 //
 //   - Across k: the per-k searches of the ITERTD baselines are independent,
-//     so runPerK fans the k values out over workers (the historical
-//     IterTD*Parallel entry points).
+//     so runPerK fans the k values out over workers.
 //   - Inside one search: the incremental algorithms are inherently
 //     sequential in k (each step consumes the previous frontier), but the
 //     subtrees below the root of one build — and the resumed subtrees of
@@ -82,8 +81,7 @@ func runPerK(ctx context.Context, eng *engine, kMin, kMax, workers int, body fun
 	res := &Result{KMin: kMin, KMax: kMax, Groups: make([][]Pattern, span)}
 	statsPer := make([]Stats, workers)
 	var searchPer []SearchStats
-	if eng != nil && !eng.statsOff {
-		res.Search = eng.newSearchStats(workers)
+	if res.Search = eng.newSearchStats(workers); res.Search != nil {
 		searchPer = make([]SearchStats, workers)
 	}
 	var next atomic.Int64
@@ -225,17 +223,4 @@ func markDominatedWitness(ctx context.Context, ps []pattern.Pattern, workers int
 		start = end
 	}
 	return wit, false
-}
-
-// IterTDGlobalParallel is IterTDGlobal with the per-k searches fanned out
-// over workers goroutines (<= 0 means GOMAXPROCS). Results are identical to
-// the sequential baseline; Stats are summed across workers.
-func IterTDGlobalParallel(in *Input, params GlobalParams, workers int) (*Result, error) {
-	return IterTDGlobalCtx(context.Background(), in, params, workers)
-}
-
-// IterTDPropParallel is IterTDProp with the per-k searches fanned out over
-// workers goroutines (<= 0 means GOMAXPROCS).
-func IterTDPropParallel(in *Input, params PropParams, workers int) (*Result, error) {
-	return IterTDPropCtx(context.Background(), in, params, workers)
 }

@@ -189,13 +189,12 @@ func (s *propState) merge(sk *psink) {
 // fullBuild runs the complete top-down search at kMin, materializing the
 // explored tree, the biased frontier, and the schedule K. The root's
 // subtrees build independently on the worker pool; sink merge order is the
-// subtree order, matching the serial traversal. On the rank-space engine
-// the root units alias the counting index's posting lists (zero setup
-// scans on a warm index). It reports false when the build was abandoned
+// subtree order, matching the serial traversal. The root units alias the
+// counting index's posting lists (zero setup scans on a warm index). It reports false when the build was abandoned
 // because the context was canceled.
 func (s *propState) fullBuild(k int) bool {
 	s.stats.FullSearches++
-	units := s.eng.rootUnits(k)
+	units := s.eng.rootUnits()
 	sinks := make([]psink, len(units))
 	children := make([]*pnode, len(units))
 	fanOut(s.workers, len(units), func(i int) {
@@ -374,7 +373,7 @@ func (s *propState) step(k int) bool {
 			sk.sr.ss = &sk.search
 		}
 		mk := sk.sr.mark()
-		m := sk.sr.materialize(nd.p, k)
+		m := sk.sr.materialize(nd.p)
 		s.expandWithInto(nd, m, k, sk)
 		sk.sr.release(mk)
 	})

@@ -4,13 +4,13 @@ import "rankfair/internal/pattern"
 
 // SearchStats records per-run observability counters of the lattice
 // search: how much of the lattice was expanded versus pruned and by which
-// rule, how often the rank-space engine's count-only and lazy-scatter
-// shortcuts fired, which match-set strategy the cost model picked and how
-// wide the fan-out ran. Unlike Stats — whose NodesExamined/FullSearches
-// are part of the byte-identity contract across engines and worker counts
-// — SearchStats is engine-dependent by design (posting-list intersections
-// only exist on the rank-space engine) and lives in a separate Result
-// field, excluded from every equivalence comparison.
+// rule, how often the engine's count-only and lazy-scatter shortcuts
+// fired, which intersection arm each re-materialization took and how wide
+// the fan-out ran. Unlike Stats — whose NodesExamined/FullSearches are
+// part of the byte-identity contract across intersection arms and worker
+// counts — SearchStats records engine internals (a forced arm shifts the
+// bitmap/slice split) and lives in a separate Result field, excluded from
+// every equivalence comparison.
 //
 // Accumulation is contention-free: every fan-out worker counts into its
 // sink's local SearchStats (one plain increment behind a nil check, no
@@ -18,8 +18,9 @@ import "rankfair/internal/pattern"
 // sink-merge points. All counter sums are order-independent, so totals are
 // identical for every worker count.
 type SearchStats struct {
-	// Strategy is the match-set engine the run used: "lists", "index" or
-	// "bitmap".
+	// Strategy names the match-set engine: always "index", the rank-space
+	// engine. Audit documents persisted by older releases may also carry
+	// "lists" or "bitmap".
 	Strategy string
 	// Workers is the fan-out width the run was clamped to.
 	Workers int
@@ -37,15 +38,15 @@ type SearchStats struct {
 	// several k values counts each time).
 	PrunedDominated int64
 	// PostingIntersections counts pairwise posting-list intersections
-	// performed by step-time re-materialization (rank-space engine only).
+	// performed by step-time re-materialization.
 	PostingIntersections int64
 	// CountOnlyPasses counts child-statistics computations served by
 	// count-only tallies over the parent's rank list without
-	// materializing any child list (rank-space engine only).
+	// materializing any child list.
 	CountOnlyPasses int64
 	// LazyScatters counts the count-only passes that later had to
 	// scatter the parent's rank list after all, because the search
-	// descended into at least one child (rank-space engine only).
+	// descended into at least one child.
 	LazyScatters int64
 	// BitmapPasses counts the pairwise intersections carried by word-wise
 	// bitmap AND + popcount; SlicePasses counts the ones carried by the

@@ -14,7 +14,8 @@ import (
 
 // strategyInput builds a random dataset + ranking, mirroring the
 // equivalence-suite generator but available inside the package so the
-// strategy tests can force engines and reuse the cancellation harness.
+// arm tests can force intersection arms and reuse the cancellation
+// harness.
 func strategyInput(rng *rand.Rand) *Input {
 	nAttrs := 2 + rng.Intn(4) // 2..5
 	cards := make([]int, nAttrs)
@@ -40,7 +41,7 @@ func strategyInput(rng *rand.Rand) *Input {
 }
 
 // strategyEntryPoints drives every detection entry point over one input
-// with randomized parameters, so the two match-set engines can be compared
+// with randomized parameters, so the intersection arms can be compared
 // wholesale.
 func strategyEntryPoints(in *Input, rng *rand.Rand) map[string]func(ctx context.Context, workers int) (*Result, error) {
 	n := len(in.Rows)
@@ -96,62 +97,84 @@ func strategyEntryPoints(in *Input, rng *rand.Rand) map[string]func(ctx context.
 	}
 }
 
-// withStrategy returns a shallow copy of in forced onto one engine. The
-// rank-space copy alternates between building its own index and reusing a
-// pre-built one, covering both the cold and warm entry conditions.
-func withStrategy(in *Input, s Strategy, ix *count.Index) *Input {
+// matchArms are the intersection arms of step-time re-materialization:
+// the per-node cost model and the two arms it chooses between, forced.
+var matchArms = []struct {
+	name string
+	bm   bitmapMode
+}{{"auto", bmAuto}, {"slices", bmOff}, {"bitmaps", bmForce}}
+
+// armIndexes returns the index conditions a search can start from: none
+// attached (the search builds its own), a pre-built index, and an index
+// derived by count.Index.Extend from a prefix of the rows — the streaming
+// append path.
+func armIndexes(in *Input) []struct {
+	name string
+	ix   *count.Index
+} {
+	m := len(in.Rows) * 2 / 3
+	var prefixRanking []int
+	for _, ri := range in.Ranking {
+		if ri < m {
+			prefixRanking = append(prefixRanking, ri)
+		}
+	}
+	extended := count.Build(in.Rows[:m], in.Space, prefixRanking).Extend(in.Rows, in.Space, in.Ranking)
+	return []struct {
+		name string
+		ix   *count.Index
+	}{
+		{"cold", nil},
+		{"warm", count.Build(in.Rows, in.Space, in.Ranking)},
+		{"extended", extended},
+	}
+}
+
+// withArm returns a shallow copy of in pinned to one intersection arm over
+// the given index.
+func withArm(in *Input, bm bitmapMode, ix *count.Index) *Input {
 	cp := *in
-	cp.Strategy = s
+	cp.bitmaps = bm
 	cp.Index = ix
 	return &cp
 }
 
-// TestQuickStrategyIndexMatchesLists is the tentpole differential: for
-// every entry point, the rank-space engine (cold and warm index, serial
-// and fanned out) returns Groups and Stats byte-identical to the
-// materialized-list engine.
-func TestQuickStrategyIndexMatchesLists(t *testing.T) {
+// TestQuickMatchArmsAgree is the engine's arm differential: for every
+// entry point, the slice-forced, bitmap-forced and auto arms over cold,
+// warm and extended indexes, serial and fanned out, return Groups and
+// Stats byte-identical to the serial auto run over a cold index. The
+// brute-force oracles of the equivalence suites pin that reference run.
+func TestQuickMatchArmsAgree(t *testing.T) {
 	ctx := context.Background()
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		base := strategyInput(rng)
-		prebuilt := count.Build(base.Rows, base.Space, base.Ranking)
-		variants := []struct {
-			name string
-			in   *Input
-		}{
-			{"index-cold", withStrategy(base, StrategyIndex, nil)},
-			{"index-warm", withStrategy(base, StrategyIndex, prebuilt)},
-			{"auto-warm", withStrategy(base, StrategyAuto, prebuilt)},
-			{"bitmap-cold", withStrategy(base, StrategyBitmap, nil)},
-			{"bitmap-warm", withStrategy(base, StrategyBitmap, prebuilt)},
-		}
-		// One parameter draw shared by the lists run and every variant.
-		prng := rand.New(rand.NewSource(seed + 1))
-		lists := strategyEntryPoints(withStrategy(base, StrategyLists, nil), prng)
-		for _, vr := range variants {
-			vrng := rand.New(rand.NewSource(seed + 1))
-			runs := strategyEntryPoints(vr.in, vrng)
-			for name, run := range runs {
-				want, err := lists[name](ctx, 1)
-				if err != nil {
-					t.Logf("seed %d %s lists: %v", seed, name, err)
-					return false
-				}
-				for _, workers := range []int{1, 3} {
-					got, err := run(ctx, workers)
+		// One parameter draw shared by the reference run and every variant.
+		ref := strategyEntryPoints(base, rand.New(rand.NewSource(seed+1)))
+		for _, idx := range armIndexes(base) {
+			for _, arm := range matchArms {
+				runs := strategyEntryPoints(withArm(base, arm.bm, idx.ix), rand.New(rand.NewSource(seed+1)))
+				for name, run := range runs {
+					want, err := ref[name](ctx, 1)
 					if err != nil {
-						t.Logf("seed %d %s %s workers=%d: %v", seed, name, vr.name, workers, err)
+						t.Logf("seed %d %s reference: %v", seed, name, err)
 						return false
 					}
-					if !reflect.DeepEqual(want.Groups, got.Groups) {
-						t.Logf("seed %d %s %s workers=%d: groups diverge from lists engine", seed, name, vr.name, workers)
-						return false
-					}
-					if want.Stats != got.Stats {
-						t.Logf("seed %d %s %s workers=%d: stats diverge: lists %+v index %+v",
-							seed, name, vr.name, workers, want.Stats, got.Stats)
-						return false
+					for _, workers := range []int{1, 3} {
+						got, err := run(ctx, workers)
+						if err != nil {
+							t.Logf("seed %d %s %s/%s workers=%d: %v", seed, name, arm.name, idx.name, workers, err)
+							return false
+						}
+						if !reflect.DeepEqual(want.Groups, got.Groups) {
+							t.Logf("seed %d %s %s/%s workers=%d: groups diverge from the reference", seed, name, arm.name, idx.name, workers)
+							return false
+						}
+						if want.Stats != got.Stats {
+							t.Logf("seed %d %s %s/%s workers=%d: stats diverge: reference %+v got %+v",
+								seed, name, arm.name, idx.name, workers, want.Stats, got.Stats)
+							return false
+						}
 					}
 				}
 			}
@@ -163,71 +186,39 @@ func TestQuickStrategyIndexMatchesLists(t *testing.T) {
 	}
 }
 
-// TestStrategyCanceledRunsAgree drives both engines into the same
-// deterministic cancellation (a poll-budget context, serial workers) and
-// asserts they abandon the search at the same point: both report a
-// CanceledError carrying the same partial-work count.
+// TestStrategyCanceledRunsAgree drives every arm over every index
+// condition into the same deterministic cancellation (a poll-budget
+// context, serial workers) and asserts they abandon the search at the
+// same point: each reports a CanceledError carrying the same partial-work
+// count.
 func TestStrategyCanceledRunsAgree(t *testing.T) {
 	base := denseCancelInput(12, 1500)
-	listsIn := withStrategy(base, StrategyLists, nil)
-	indexIn := withStrategy(base, StrategyIndex, nil)
-	bitmapIn := withStrategy(base, StrategyBitmap, nil)
-	listsRuns := strategyEntryPoints(listsIn, rand.New(rand.NewSource(31)))
-	bitmapRuns := strategyEntryPoints(bitmapIn, rand.New(rand.NewSource(31)))
-	for name, indexRun := range strategyEntryPoints(indexIn, rand.New(rand.NewSource(31))) {
-		listsRun := listsRuns[name]
-		bitmapRun := bitmapRuns[name]
+	indexes := armIndexes(base)
+	for name := range strategyEntryPoints(base, rand.New(rand.NewSource(31))) {
 		for _, budget := range []int64{1, 5} {
-			lres, lerr := listsRun(newBudgetCtx(budget), 1)
-			ires, ierr := indexRun(newBudgetCtx(budget), 1)
-			bres, berr := bitmapRun(newBudgetCtx(budget), 1)
-			if lres != nil || ires != nil || bres != nil {
-				t.Errorf("%s budget=%d: canceled run returned a result (lists=%v index=%v bitmap=%v)",
-					name, budget, lres != nil, ires != nil, bres != nil)
-				continue
-			}
-			var lc, ic, bc *CanceledError
-			if !errors.As(lerr, &lc) || !errors.As(ierr, &ic) || !errors.As(berr, &bc) {
-				t.Errorf("%s budget=%d: want CanceledError on every engine, got lists=%v index=%v bitmap=%v",
-					name, budget, lerr, ierr, berr)
-				continue
-			}
-			if lc.NodesExamined != ic.NodesExamined || lc.NodesExamined != bc.NodesExamined {
-				t.Errorf("%s budget=%d: partial work diverges: lists examined %d nodes, index %d, bitmap %d",
-					name, budget, lc.NodesExamined, ic.NodesExamined, bc.NodesExamined)
+			want := int64(-1)
+			for _, idx := range indexes {
+				for _, arm := range matchArms {
+					run := strategyEntryPoints(withArm(base, arm.bm, idx.ix), rand.New(rand.NewSource(31)))[name]
+					res, err := run(newBudgetCtx(budget), 1)
+					if res != nil {
+						t.Errorf("%s budget=%d %s/%s: canceled run returned a result", name, budget, arm.name, idx.name)
+						continue
+					}
+					var ce *CanceledError
+					if !errors.As(err, &ce) {
+						t.Errorf("%s budget=%d %s/%s: want CanceledError, got %v", name, budget, arm.name, idx.name, err)
+						continue
+					}
+					if want < 0 {
+						want = ce.NodesExamined
+					} else if ce.NodesExamined != want {
+						t.Errorf("%s budget=%d %s/%s: examined %d nodes before the halt, first arm %d",
+							name, budget, arm.name, idx.name, ce.NodesExamined, want)
+					}
+				}
 			}
 		}
-	}
-}
-
-// TestAutoStrategyCostModel pins the cost model's contract: tiny inputs
-// stay on the lists engine, an attached index always selects rank space,
-// and the explicit knobs override everything.
-func TestAutoStrategyCostModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	tiny := strategyInput(rng)
-	if tiny.useIndex() {
-		t.Errorf("auto strategy picked the index engine for %d rows", len(tiny.Rows))
-	}
-	warm := withStrategy(tiny, StrategyAuto, count.Build(tiny.Rows, tiny.Space, tiny.Ranking))
-	if !warm.useIndex() {
-		t.Error("auto strategy ignored a pre-built index")
-	}
-	big := denseCancelInput(8, 4096)
-	if !big.useIndex() {
-		t.Errorf("auto strategy picked the lists engine for %d rows x %d attrs", len(big.Rows), big.Space.NumAttrs())
-	}
-	forced := withStrategy(tiny, StrategyIndex, nil)
-	if !forced.useIndex() {
-		t.Error("StrategyIndex not honored")
-	}
-	forcedLists := withStrategy(big, StrategyLists, nil)
-	if forcedLists.useIndex() {
-		t.Error("StrategyLists not honored")
-	}
-	forcedBitmap := withStrategy(tiny, StrategyBitmap, nil)
-	if !forcedBitmap.useIndex() {
-		t.Error("StrategyBitmap not honored")
 	}
 }
 

@@ -43,7 +43,7 @@ func (m propMeasure) biased(sD, cnt, k int) bool {
 func topDownSearch(cn *canceler, eng *engine, minSize, k int, meas measure, stats *Stats, ss *SearchStats) (res, dres []pattern.Pattern) {
 	stats.FullSearches++
 
-	q := eng.newBFS(k)
+	q := eng.newBFS()
 	defer q.close()
 	filt := newSubsetFilter()
 
@@ -75,26 +75,6 @@ func topDownSearch(cn *canceler, eng *engine, minSize, k int, meas measure, stat
 		q.expand(&u, q.pat(&u))
 	}
 	return filt.res, dres
-}
-
-// partitionByValue splits idxs by the value of attribute attr.
-func partitionByValue(rows [][]int32, idxs []int32, attr, card int) [][]int32 {
-	counts := make([]int, card)
-	for _, ri := range idxs {
-		counts[rows[ri][attr]]++
-	}
-	flat := make([]int32, len(idxs))
-	buckets := make([][]int32, card)
-	off := 0
-	for v := 0; v < card; v++ {
-		buckets[v] = flat[off : off : off+counts[v]]
-		off += counts[v]
-	}
-	for _, ri := range idxs {
-		v := rows[ri][attr]
-		buckets[v] = append(buckets[v], ri)
-	}
-	return buckets
 }
 
 // attrMask folds a pattern's bound-attribute set into a 64-bit mask (bit

@@ -136,7 +136,7 @@ func IterTDPropUpperCtx(ctx context.Context, in *Input, params PropUpperParams, 
 func collectExceeding(cn *canceler, eng *engine, minSize, k int, stats *Stats, ss *SearchStats, classify func(sD, cnt int) (candidate, descend bool)) []Pattern {
 	stats.FullSearches++
 	var cands []Pattern
-	q := eng.newBFS(k)
+	q := eng.newBFS()
 	defer q.close()
 	for q.more() {
 		if cn.stopped() {

@@ -116,7 +116,7 @@ func (s *upperState) fullBuild(k int) bool {
 	s.maximal = make(map[*unode]struct{})
 
 	u := s.upperAt(k)
-	units := s.eng.rootUnits(k)
+	units := s.eng.rootUnits()
 	sinks := make([]usink, len(units))
 	children := make([]*unode, len(units))
 	fanOut(s.workers, len(units), func(i int) {
@@ -291,7 +291,7 @@ func (s *upperState) step(k int) (changed, ok bool) {
 			sk.sr.ss = &sk.search
 		}
 		mk := sk.sr.mark()
-		m := sk.sr.materialize(nd.p, k)
+		m := sk.sr.materialize(nd.p)
 		nd.children = append(nd.children, s.expandWithInto(nd, m, k, u, sk)...)
 		sk.sr.release(mk)
 	})

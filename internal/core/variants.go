@@ -74,7 +74,7 @@ func IterTDGlobalLowerMostSpecificCtx(ctx context.Context, in *Input, params Glo
 		substantial := make(map[string]bool)
 		var below []Pattern
 		st.FullSearches++
-		q := eng.newBFS(k)
+		q := eng.newBFS()
 		defer q.close()
 		for q.more() {
 			if cn.stopped() {

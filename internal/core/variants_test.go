@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -210,7 +211,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 3, runtime.GOMAXPROCS(0) + 2} {
-		par, err := core.IterTDGlobalParallel(in, gp, workers)
+		par, err := core.IterTDGlobalCtx(context.Background(), in, gp, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +229,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parP, err := core.IterTDPropParallel(in, pp, 4)
+	parP, err := core.IterTDPropCtx(context.Background(), in, pp, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +239,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 	}
 	// Validation errors propagate.
-	if _, err := core.IterTDGlobalParallel(in, core.GlobalParams{KMin: 0, KMax: 1}, 2); err == nil {
+	if _, err := core.IterTDGlobalCtx(context.Background(), in, core.GlobalParams{KMin: 0, KMax: 1}, 2); err == nil {
 		t.Error("invalid params should fail")
 	}
-	if _, err := core.IterTDPropParallel(in, core.PropParams{KMin: 1, KMax: 1, Alpha: -1}, 2); err == nil {
+	if _, err := core.IterTDPropCtx(context.Background(), in, core.PropParams{KMin: 1, KMax: 1, Alpha: -1}, 2); err == nil {
 		t.Error("invalid params should fail")
 	}
 }

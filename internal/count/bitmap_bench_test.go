@@ -13,8 +13,8 @@ var (
 )
 
 // BenchmarkBitmapIntersect is the dense-intersection microbench behind the
-// bitmap strategy's cost model: the same two posting lists intersected by
-// the galloping slice merge (IntersectInto, the lists/index engines' pass)
+// lattice search's per-node cost model: the same two posting lists
+// intersected by the galloping slice merge (IntersectInto, the slice arm)
 // and by the word-wise AND + popcount bitmap kernels, across densities.
 // stride=2 is the dense regime the bitmapPassMin cut targets; stride=32
 // approaches the sparse crossover where the slice walk stays competitive.

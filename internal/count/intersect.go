@@ -7,10 +7,10 @@ import (
 )
 
 // This file holds the posting-list intersection primitives behind the
-// rank-space lattice search (internal/core StrategyIndex): a pattern's
-// match set is the intersection of its bound attributes' posting lists,
-// all ascending rank lists, so set algebra over sorted int32 slices is the
-// entire per-node workload of that engine.
+// rank-space lattice search in internal/core: a pattern's match set is the
+// intersection of its bound attributes' posting lists, all ascending rank
+// lists, so set algebra over sorted int32 slices is the entire per-node
+// workload of that engine.
 
 // gallopRatio is the length ratio between the two input lists beyond which
 // IntersectInto abandons the linear merge for galloping search: probing the

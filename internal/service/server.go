@@ -81,8 +81,7 @@ type obsState struct {
 	otlpFailures   *obs.CounterVec // by signal: traces, metrics
 	otlpQueueDepth *obs.Gauge
 
-	searchRuns          *obs.CounterVec // by counting strategy: lists, index, bitmap
-	searchStrategy      *obs.CounterVec // resolved strategy selections, same labels
+	searchRuns          *obs.CounterVec // by engine (SearchStats.Strategy, always "index")
 	searchExpanded      *obs.Counter
 	searchPruned        *obs.CounterVec // by reason: size, bound, dominated
 	searchIntersections *obs.Counter
@@ -168,7 +167,6 @@ func newObsState(s *Service, traceEntries int) *obsState {
 	o.queueWait = r.NewHistogram("rankfaird_job_queue_wait_seconds", "Time audit jobs spend queued before a worker picks them up.", nil)
 	o.runLatency = r.NewHistogram("rankfaird_job_run_seconds", "Audit job run time, queue wait excluded.", nil)
 	o.searchRuns = r.NewCounterVec("rankfaird_search_total", "Lattice searches computed (cache misses), by counting strategy.", "strategy")
-	o.searchStrategy = r.NewCounterVec("rankfaird_search_strategy_total", "Match-set strategy selections resolved for computed searches (explicit overrides and cost-model picks), by strategy.", "strategy")
 	o.searchExpanded = r.NewCounter("rankfaird_search_nodes_expanded_total", "Lattice nodes expanded across all searches.")
 	o.searchPruned = r.NewCounterVec("rankfaird_search_pruned_total", "Lattice nodes pruned without expansion, by reason.", "reason")
 	o.searchIntersections = r.NewCounter("rankfaird_search_posting_intersections_total", "Posting-list intersections materialized during searches.")

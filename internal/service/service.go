@@ -702,7 +702,6 @@ func (s *Service) recordSearch(st *rankfair.SearchStatsJSON) {
 	}
 	o := s.obs
 	o.searchRuns.With(st.Strategy).Inc()
-	o.searchStrategy.With(st.Strategy).Inc()
 	o.searchExpanded.Add(st.NodesExpanded)
 	o.searchPruned.With("size").Add(st.PrunedSize)
 	o.searchPruned.With("bound").Add(st.PrunedBound)

@@ -144,9 +144,8 @@ type Analyst struct {
 
 // index returns the analyst's counting index, building it on first use and
 // threading it into the algorithm-level input: every detection run after
-// this point starts its lattice search in rank space over the posting
-// lists with zero setup scans (core.StrategyAuto always prefers an
-// attached index). Callers reach the input only through methods that call
+// this point starts its lattice search over the posting lists with zero
+// setup scans. Callers reach the input only through methods that call
 // index() first, so the write is safely published by the Once.
 func (a *Analyst) index() *count.Index {
 	a.idxOnce.Do(func() {
@@ -264,7 +263,6 @@ func (a *Analyst) Append(table *Dataset, ranker Ranker) (*Analyst, error) {
 		Space:        a.in.Space,
 		Ranking:      newRanking,
 		Index:        idx,
-		Strategy:     a.in.Strategy,
 		DisableStats: a.in.DisableStats,
 	}
 	if err := in.ValidateAppend(a.in); err != nil {

@@ -172,9 +172,9 @@ type ReportJSON struct {
 }
 
 // SearchStatsJSON is the serialized form of core.SearchStats plus optional
-// phase timings. Unlike NodesExamined/FullSearches these counters are
-// engine-dependent by design, so equivalence comparisons across engines
-// must strip the "stats" key before diffing documents. SearchStats.Workers
+// phase timings. Unlike NodesExamined/FullSearches these counters record
+// engine internals, so equivalence comparisons must strip the "stats" key
+// before diffing documents. SearchStats.Workers
 // is deliberately NOT serialized: every counter here is identical for
 // every worker count, and keeping the document fan-out-independent is what
 // lets audits differing only in Workers share one cache entry (the same

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"rankfair"
-	"rankfair/internal/core"
 	"rankfair/internal/synth"
 )
 
@@ -54,8 +53,8 @@ func streamAuditParams(kMin, kMax int) []rankfair.AuditParams {
 
 // TestAppendDifferential is the tentpole guarantee of the streaming
 // subsystem: append-then-audit must be byte-identical to
-// fresh-upload-then-audit for every measure, on both match-set engines,
-// serial and parallel.
+// fresh-upload-then-audit for every measure, serial and parallel. The
+// appended analyst searches an Extend-ed index, the fresh one a built one.
 func TestAppendDifferential(t *testing.T) {
 	bundle := synth.GermanCredit(440, 17)
 	baseCSV, fullCSV, batch := splitCSV(t, bundle.Table, 400)
@@ -87,18 +86,12 @@ func TestAppendDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	strategies := []struct {
-		name string
-		s    core.Strategy
-	}{{"lists", core.StrategyLists}, {"index", core.StrategyIndex}, {"bitmap", core.StrategyBitmap}}
-	for _, strat := range strategies {
+	for _, label := range engineLabels {
 		for _, workers := range []int{1, 4} {
 			for _, params := range streamAuditParams(10, 49) {
 				params.Workers = workers
-				name := fmt.Sprintf("%s/%s/workers=%d", params.Measure, strat.name, workers)
+				name := fmt.Sprintf("%s/%s/workers=%d", params.Measure, label, workers)
 				t.Run(name, func(t *testing.T) {
-					appAnalyst.Input().Strategy = strat.s
-					freshAnalyst.Input().Strategy = strat.s
 					got := detectJSON(t, appAnalyst, params)
 					want := detectJSON(t, freshAnalyst, params)
 					if got != want {

@@ -155,7 +155,7 @@ func TestErrorEnvelopeReportConflicts(t *testing.T) {
 	params := rankfair.AuditParams{Measure: rankfair.MeasureProp, MinSize: 1, KMin: 1, KMax: 2, Alpha: 0.8}
 
 	// A job parked on its context: running until canceled.
-	parked, err := svc.Jobs().Submit("x", params, func(ctx context.Context) (*rankfair.ReportJSON, bool, error) {
+	parked, err := svc.Jobs().Submit("x", params, func(ctx context.Context) (*AuditResult, bool, error) {
 		<-ctx.Done()
 		return nil, false, ctx.Err()
 	})
@@ -188,7 +188,7 @@ func TestErrorEnvelopeReportConflicts(t *testing.T) {
 	resp.Body.Close()
 
 	// A job that fails.
-	failed, err := svc.Jobs().Submit("x", params, func(context.Context) (*rankfair.ReportJSON, bool, error) {
+	failed, err := svc.Jobs().Submit("x", params, func(context.Context) (*AuditResult, bool, error) {
 		return nil, false, errors.New("boom")
 	})
 	if err != nil {
@@ -215,7 +215,7 @@ func TestErrorEnvelopeQueueFull(t *testing.T) {
 	})
 	info := upload(t, ts, biasedCSV(20))
 
-	park := func(ctx context.Context) (*rankfair.ReportJSON, bool, error) {
+	park := func(ctx context.Context) (*AuditResult, bool, error) {
 		<-ctx.Done()
 		return nil, false, ctx.Err()
 	}

@@ -148,6 +148,18 @@ func (c *Cache) Put(key string, val any) {
 	c.insertLocked(key, val)
 }
 
+// Remove drops key's completed entry if it still holds val (a comparable
+// value such as a pointer). Matching the value keeps a caller that found
+// a bad entry from dropping a good one another caller has inserted since.
+func (c *Cache) Remove(key string, val any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok && el.Value.(*cacheItem).val == val {
+		c.ll.Remove(el)
+		delete(c.items, key)
+	}
+}
+
 // KV is one completed cache entry, as returned by EntriesPrefix.
 type KV struct {
 	Key string

@@ -40,6 +40,22 @@ func TestCacheHitAndEviction(t *testing.T) {
 	}
 }
 
+// TestCacheRemoveMatchesValue: Remove drops an entry only while it still
+// holds the value the caller saw.
+func TestCacheRemoveMatchesValue(t *testing.T) {
+	c := NewCache(4)
+	stale, fresh := new(int), new(int)
+	c.Put("k", fresh)
+	c.Remove("k", stale)
+	if v, ok := c.Get("k"); !ok || v != fresh {
+		t.Error("Remove dropped an entry holding a different value")
+	}
+	c.Remove("k", fresh)
+	if _, ok := c.Get("k"); ok || c.Stats().Entries != 0 {
+		t.Error("Remove kept an entry holding the given value")
+	}
+}
+
 // TestCacheSingleFlight is the single-computation proof: concurrent Do
 // calls for one key run the compute function exactly once and share the
 // result.

@@ -308,7 +308,7 @@ func TestChaosDeadlineStormShedsWithoutLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	m := NewManager(1, 64)
-	run := func(ctx context.Context) (*rankfair.ReportJSON, bool, error) {
+	run := func(ctx context.Context) (*AuditResult, bool, error) {
 		<-ctx.Done()
 		return nil, false, ctx.Err()
 	}

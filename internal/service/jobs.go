@@ -29,10 +29,10 @@ const (
 // HTTP handlers map it to 503 so clients can back off.
 var ErrQueueFull = errors.New("service: job queue full")
 
-// JobFunc is one unit of audit work. It returns the serialized report and
+// JobFunc is one unit of audit work. It returns the encoded report and
 // whether the result came from the cache (directly or by joining an
 // in-flight duplicate) rather than a fresh computation.
-type JobFunc func(ctx context.Context) (*rankfair.ReportJSON, bool, error)
+type JobFunc func(ctx context.Context) (*AuditResult, bool, error)
 
 // Job is the manager's record of one submitted audit.
 type Job struct {
@@ -44,7 +44,7 @@ type Job struct {
 	err      string
 	errCode  string
 	cacheHit bool
-	report   *rankfair.ReportJSON
+	report   *AuditResult
 
 	// budget is the job's end-to-end time bound (queue wait + run);
 	// zero means unbounded.
@@ -538,7 +538,7 @@ func cacheDisposition(hit bool) string {
 // transition: the OTLP export enqueue and the wide-event audit record.
 // Called outside m.mu — both hooks are non-blocking by contract, but
 // neither needs the lock and the log write does I/O.
-func (m *Manager) afterTerminal(ob *JobObserver, j *Job, tr *obs.Trace, outcome string, hit bool, report *rankfair.ReportJSON) {
+func (m *Manager) afterTerminal(ob *JobObserver, j *Job, tr *obs.Trace, outcome string, hit bool, report *AuditResult) {
 	if ob == nil || tr == nil {
 		return
 	}
@@ -582,8 +582,8 @@ func (m *Manager) afterTerminal(ob *JobObserver, j *Job, tr *obs.Trace, outcome 
 		"run_ms", runMS,
 		"serialize_ms", serializeMS,
 	}
-	if report != nil && report.Stats != nil {
-		st := report.Stats
+	if report != nil && report.Summary.Stats != nil {
+		st := report.Summary.Stats
 		attrs = append(attrs,
 			"strategy", st.Strategy,
 			"nodes_expanded", st.NodesExpanded,
@@ -672,7 +672,7 @@ func (m *Manager) Get(id string) (JobView, bool) {
 }
 
 // Report returns the finished report of a done job.
-func (m *Manager) Report(id string) (*rankfair.ReportJSON, JobView, bool) {
+func (m *Manager) Report(id string) (*AuditResult, JobView, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
@@ -773,11 +773,9 @@ func (m *Manager) viewLocked(j *Job) JobView {
 		}
 	}
 	if j.report != nil {
-		v.NodesExamined = j.report.NodesExamined
-		v.FullSearches = j.report.FullSearches
-		for _, kg := range j.report.Results {
-			v.TotalGroups += len(kg.Groups)
-		}
+		v.NodesExamined = j.report.Summary.NodesExamined
+		v.FullSearches = j.report.Summary.FullSearches
+		v.TotalGroups = j.report.Summary.TotalGroups
 	}
 	return v
 }

@@ -25,8 +25,8 @@ func TestManagerRunsJobs(t *testing.T) {
 	m := NewManager(2, 8)
 	defer m.Shutdown(context.Background())
 
-	report := &rankfair.ReportJSON{Measure: "proportional-lower", KMin: 1, KMax: 2, NodesExamined: 7}
-	view, err := m.Submit("ds-x", testParams(), func(ctx context.Context) (*rankfair.ReportJSON, bool, error) {
+	report := &AuditResult{Body: []byte("{}\n"), Summary: ResultSummary{NodesExamined: 7}}
+	view, err := m.Submit("ds-x", testParams(), func(ctx context.Context) (*AuditResult, bool, error) {
 		return report, false, nil
 	})
 	if err != nil {
@@ -55,7 +55,7 @@ func TestManagerRunsJobs(t *testing.T) {
 func TestManagerJobFailure(t *testing.T) {
 	m := NewManager(1, 4)
 	defer m.Shutdown(context.Background())
-	view, err := m.Submit("ds-x", testParams(), func(ctx context.Context) (*rankfair.ReportJSON, bool, error) {
+	view, err := m.Submit("ds-x", testParams(), func(ctx context.Context) (*AuditResult, bool, error) {
 		return nil, false, errors.New("kaboom")
 	})
 	if err != nil {
@@ -78,12 +78,12 @@ func TestManagerQueueFull(t *testing.T) {
 	defer m.Shutdown(context.Background())
 	gate := make(chan struct{})
 	defer close(gate)
-	block := func(ctx context.Context) (*rankfair.ReportJSON, bool, error) {
+	block := func(ctx context.Context) (*AuditResult, bool, error) {
 		select {
 		case <-gate:
 		case <-ctx.Done():
 		}
-		return &rankfair.ReportJSON{}, false, nil
+		return &AuditResult{}, false, nil
 	}
 	// First job occupies the worker; second fills the queue slot. The
 	// worker may not have picked up the first yet, so allow one extra.
@@ -103,12 +103,12 @@ func TestManagerCancelQueued(t *testing.T) {
 	m := NewManager(1, 4)
 	defer m.Shutdown(context.Background())
 	gate := make(chan struct{})
-	block := func(ctx context.Context) (*rankfair.ReportJSON, bool, error) {
+	block := func(ctx context.Context) (*AuditResult, bool, error) {
 		select {
 		case <-gate:
 		case <-ctx.Done():
 		}
-		return &rankfair.ReportJSON{}, false, nil
+		return &AuditResult{}, false, nil
 	}
 	running, err := m.Submit("ds-x", testParams(), block)
 	if err != nil {
@@ -147,8 +147,8 @@ func TestManagerList(t *testing.T) {
 	m := NewManager(2, 8)
 	defer m.Shutdown(context.Background())
 	for i := 0; i < 3; i++ {
-		if _, err := m.Submit(fmt.Sprintf("ds-%d", i), testParams(), func(ctx context.Context) (*rankfair.ReportJSON, bool, error) {
-			return &rankfair.ReportJSON{}, false, nil
+		if _, err := m.Submit(fmt.Sprintf("ds-%d", i), testParams(), func(ctx context.Context) (*AuditResult, bool, error) {
+			return &AuditResult{}, false, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestManagerList(t *testing.T) {
 func TestManagerShutdownDrainsQueued(t *testing.T) {
 	m := NewManager(1, 8)
 	started := make(chan struct{})
-	block := func(ctx context.Context) (*rankfair.ReportJSON, bool, error) {
+	block := func(ctx context.Context) (*AuditResult, bool, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, false, ctx.Err()
@@ -179,8 +179,8 @@ func TestManagerShutdownDrainsQueued(t *testing.T) {
 	<-started
 	var queued []JobView
 	for i := 0; i < 3; i++ {
-		v, err := m.Submit("ds-x", testParams(), func(ctx context.Context) (*rankfair.ReportJSON, bool, error) {
-			return &rankfair.ReportJSON{}, false, nil
+		v, err := m.Submit("ds-x", testParams(), func(ctx context.Context) (*AuditResult, bool, error) {
+			return &AuditResult{}, false, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -220,8 +220,8 @@ func TestManagerPrunesFinishedJobs(t *testing.T) {
 	m.retain = 5
 	ids := make([]string, 12)
 	for i := range ids {
-		v, err := m.Submit("ds-x", testParams(), func(ctx context.Context) (*rankfair.ReportJSON, bool, error) {
-			return &rankfair.ReportJSON{}, false, nil
+		v, err := m.Submit("ds-x", testParams(), func(ctx context.Context) (*AuditResult, bool, error) {
+			return &AuditResult{}, false, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -245,7 +245,7 @@ func TestManagerPrunesFinishedJobs(t *testing.T) {
 func TestManagerShutdownCancelsRunning(t *testing.T) {
 	m := NewManager(1, 4)
 	started := make(chan struct{})
-	view, err := m.Submit("ds-x", testParams(), func(ctx context.Context) (*rankfair.ReportJSON, bool, error) {
+	view, err := m.Submit("ds-x", testParams(), func(ctx context.Context) (*AuditResult, bool, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, false, ctx.Err()

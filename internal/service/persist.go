@@ -240,14 +240,15 @@ func (s *Service) persistSeed(info DatasetInfo, raw []byte, opts rankfair.CSVOpt
 }
 
 // persistResult writes one computed audit result through to the store
-// under its cache key. Persistence is best-effort by design: the result
-// is already correct and cached in memory, so a storage fault degrades
-// restart warmth, not the response.
-func (s *Service) persistResult(key string, rj *rankfair.ReportJSON) {
+// under its cache key, as the summary line followed by the served body.
+// Persistence is best-effort by design: the result is already correct and
+// cached in memory, so a storage fault degrades restart warmth, not the
+// response.
+func (s *Service) persistResult(key string, res *AuditResult) {
 	if s.store == nil || !s.cfg.PersistCache {
 		return
 	}
-	raw, err := json.Marshal(rj)
+	raw, err := res.blob()
 	if err != nil {
 		return
 	}
@@ -266,20 +267,14 @@ func (s *Service) persistResult(key string, rj *rankfair.ReportJSON) {
 	s.metrics.storeCachePersisted.Add(1)
 }
 
-// loadPersistedResults seeds the result cache from the store at boot.
-// Entries that no longer decode are skipped — the cache is an
-// optimization, never a source of truth.
+// loadPersistedResults registers every persisted result key in the result
+// cache at boot, reading nothing: the first audit that hits an entry reads
+// its blob (cachedResult). An entry whose blob then fails verification or
+// does not parse leaves the cache and the audit recomputes — the cache is
+// an optimization, never a source of truth.
 func (s *Service) loadPersistedResults() {
 	for _, key := range s.store.CacheKeys() {
-		raw, err := s.store.CacheValue(key)
-		if err != nil {
-			continue
-		}
-		var rj rankfair.ReportJSON
-		if err := json.Unmarshal(raw, &rj); err != nil {
-			continue
-		}
-		s.cache.Put(key, &rj)
+		s.cache.Put(key, &persistedResult{key: key})
 		s.metrics.storeCacheLoaded.Add(1)
 	}
 }

@@ -234,14 +234,19 @@ func (s *Service) storeWrite(op string, fn func() error) error {
 	return err
 }
 
-// storeBlob reads one blob under the same bounded transient retry as
+// storeBlob reads one blob through storeRead.
+func (s *Service) storeBlob(hash string) ([]byte, error) {
+	return s.storeRead(func() ([]byte, error) { return s.store.Blob(hash) })
+}
+
+// storeRead runs one store read under the same bounded transient retry as
 // writes but with no breaker gate: reads are what degraded mode keeps
 // serving, so an open breaker must not shed them.
-func (s *Service) storeBlob(hash string) ([]byte, error) {
+func (s *Service) storeRead(read func() ([]byte, error)) ([]byte, error) {
 	var raw []byte
 	var err error
 	for attempt := 0; ; attempt++ {
-		raw, err = s.store.Blob(hash)
+		raw, err = read()
 		if err == nil || attempt >= s.storeRetries() || !isTransient(err) {
 			return raw, err
 		}

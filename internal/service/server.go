@@ -122,7 +122,7 @@ func newObsState(s *Service, traceEntries int) *obsState {
 	r.NewCounterFunc("rankfaird_store_replayed_generations_total", "Persisted generations replayed through the incremental append path during page-in.", m.storeReplayed.Load)
 	r.NewCounterFunc("rankfaird_store_replay_rebuilds_total", "Persisted generations applied by full re-decode during page-in (schema drift or undecodable batch).", m.storeRebuilds.Load)
 	r.NewCounterFunc("rankfaird_store_cache_persisted_total", "Computed audit results written through to the durable store.", m.storeCachePersisted.Load)
-	r.NewCounterFunc("rankfaird_store_cache_loaded_total", "Persisted audit results loaded into the result cache at boot.", m.storeCacheLoaded.Load)
+	r.NewCounterFunc("rankfaird_store_cache_loaded_total", "Persisted audit results registered in the result cache at boot; bodies are read on first use.", m.storeCacheLoaded.Load)
 	r.NewCounterFunc("rankfaird_store_recovery_records_total", "Manifest records applied while recovering the durable store at boot.", func() int64 { return s.storeStats().RecoveredRecords })
 	r.NewCounterFunc("rankfaird_store_recovery_dropped_total", "Manifest records discarded during recovery (torn tail, missing blob, broken chain).", func() int64 { return s.storeStats().DroppedRecords })
 	o.storeRetries = r.NewCounter("rankfaird_store_retries_total", "Transient durable-store errors retried in place with jittered backoff.")
@@ -334,9 +334,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		writeAPIError(w, http.StatusInternalServerError, CodeInternal, "encoding response: "+err.Error())
 		return
 	}
+	writeBody(w, status, append(buf, '\n'))
+}
+
+// writeBody emits an already encoded JSON response body as it is.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(append(buf, '\n'))
+	_, _ = w.Write(body)
 }
 
 // APIError is the machine-readable error body every non-2xx response
@@ -767,7 +772,7 @@ func (s *Service) handleAuditReport(w http.ResponseWriter, r *http.Request) {
 	}
 	switch view.Status {
 	case JobDone:
-		writeJSON(w, http.StatusOK, report)
+		writeBody(w, http.StatusOK, report.Body)
 	case JobFailed:
 		// Overload failures keep their typed envelope: a shed job is a
 		// retryable 503, an expired budget is a gateway timeout whose

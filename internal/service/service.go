@@ -68,8 +68,9 @@ type Config struct {
 	// persisted append chains through the incremental ingestion path.
 	DataDir string
 	// PersistCache additionally persists every computed audit result under
-	// its (dataset hash | ranker | params) cache key and reloads the set on
-	// boot, so repeated audits survive restarts without re-searching.
+	// its (dataset hash | ranker | params) cache key and registers the set
+	// on boot, so repeated audits survive restarts without re-searching;
+	// each result's bytes are read from the store on its first hit.
 	// Ignored when DataDir is empty.
 	PersistCache bool
 	// AuditDeadline is the default per-audit time budget applied when a
@@ -445,7 +446,7 @@ func (s *Service) SubmitAuditCtx(ctx context.Context, req AuditRequest) (JobView
 	// ranker skip re-ranking the dataset and reuse the rank-indexed
 	// counting engine already hanging off the cached analyst.
 	analystKey := analystCacheKey(info.Hash, &req.Ranker)
-	run := func(ctx context.Context) (*rankfair.ReportJSON, bool, error) {
+	run := func(ctx context.Context) (*AuditResult, bool, error) {
 		for {
 			val, hit, err := s.cache.Do(ctx, key, func() (any, error) {
 				// Phase spans land on the computing job's trace; audits that
@@ -470,18 +471,23 @@ func (s *Service) SubmitAuditCtx(ctx context.Context, req AuditRequest) (JobView
 				if err != nil {
 					return nil, err
 				}
+				// The one encoding of this report: every hit, every report
+				// GET and the persisted copy reuse these bytes.
 				_, sp = obs.StartSpan(ctx, "serialize")
-				rj := report.ToJSON()
+				res, err := encodeResult(report.ToJSON())
 				sp.Finish()
+				if err != nil {
+					return nil, err
+				}
 				// Aggregate inside the compute function only: cache hits
 				// re-serve the same search, and counting it again would
 				// overstate the lattice work the daemon actually did.
-				s.recordSearch(rj.Stats)
+				s.recordSearch(res.Summary.Stats)
 				// Same placement for durability: only computed results are
 				// persisted, under the same key, so a restarted daemon
 				// re-serves them without re-searching.
-				s.persistResult(key, rj)
-				return rj, nil
+				s.persistResult(key, res)
+				return res, nil
 			})
 			if err != nil {
 				// A canceled compute owner hands its error to every job
@@ -499,7 +505,15 @@ func (s *Service) SubmitAuditCtx(ctx context.Context, req AuditRequest) (JobView
 				}
 				return nil, false, err
 			}
-			return val.(*rankfair.ReportJSON), hit, nil
+			res, err := s.cachedResult(ctx, val)
+			if err != nil {
+				// A persisted result whose blob fails verification or
+				// predates the summary-line format: drop it and recompute.
+				s.logger.Warn("store: dropping unreadable persisted audit result", "key", key, "err", err)
+				s.cache.Remove(key, val)
+				continue
+			}
+			return res, hit, nil
 		}
 	}
 	id := traceIdentityFrom(ctx)

@@ -250,12 +250,12 @@ func TestShedJobTraceOutcome(t *testing.T) {
 	m.SetObserver(&JobObserver{Traces: traces, AuditLog: newJSONLogger(&sink)})
 
 	block := make(chan struct{})
-	holder := func(ctx context.Context) (*rankfair.ReportJSON, bool, error) {
+	holder := func(ctx context.Context) (*AuditResult, bool, error) {
 		<-block
-		return &rankfair.ReportJSON{}, false, nil
+		return &AuditResult{}, false, nil
 	}
-	doomed := func(ctx context.Context) (*rankfair.ReportJSON, bool, error) {
-		return &rankfair.ReportJSON{}, false, nil
+	doomed := func(ctx context.Context) (*AuditResult, bool, error) {
+		return &AuditResult{}, false, nil
 	}
 	hv, err := m.Submit("ds", rankfair.AuditParams{}, holder)
 	if err != nil {
@@ -299,7 +299,7 @@ func TestShedJobTraceOutcome(t *testing.T) {
 
 	// A budget expiring mid-run lands the same way: terminal outcome on
 	// the root span, deadline_exceeded in the wide event.
-	slow := func(ctx context.Context) (*rankfair.ReportJSON, bool, error) {
+	slow := func(ctx context.Context) (*AuditResult, bool, error) {
 		<-ctx.Done()
 		return nil, false, ctx.Err()
 	}

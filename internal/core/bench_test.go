@@ -24,7 +24,11 @@ import (
 //     index's roaring-style bitmaps wherever every bound value has one.
 //
 // The light workload (high threshold, narrow k range) isolates setup
-// cost; the sweep workloads measure the lattice walk itself. Every arm
+// cost; the sweep workloads measure the lattice walk itself. The
+// prop-staircase series runs the Section VI defaults on synthetic
+// students (395 rows): ~2.5k flips per k on a ~20k-node biased frontier
+// whose Res holds a few hundred patterns, so the per-k domination settle
+// is a large share of its cost. Every arm
 // returns byte-identical results (TestQuickMatchArmsAgree), so only wall
 // clock and allocations differ.
 func BenchmarkIndexedSearch(b *testing.B) {
@@ -34,6 +38,12 @@ func BenchmarkIndexedSearch(b *testing.B) {
 		b.Fatal(err)
 	}
 	ix := count.Build(german.Rows, german.Space, german.Ranking)
+	students, err := synth.Students(395, 1).Input()
+	if err != nil {
+		b.Fatal(err)
+	}
+	studentsIx := count.Build(students.Rows, students.Space, students.Ranking)
+	staircase := core.PropParams{MinSize: 50, KMin: 10, KMax: 49, Alpha: 0.8}
 	gp := core.GlobalParams{MinSize: 10, KMin: 10, KMax: 49, Lower: core.StaircaseBounds(10, 49, 10, 10, 10)}
 	pp := core.PropParams{MinSize: 10, KMin: 10, KMax: 49, Alpha: 0.8}
 	lightParams := core.PropParams{MinSize: 200, KMin: 10, KMax: 12, Alpha: 0.8}
@@ -49,8 +59,13 @@ func BenchmarkIndexedSearch(b *testing.B) {
 	for _, eng := range engines {
 		in := *german
 		in.Index = eng.ix
+		st := *students
+		if eng.ix != nil {
+			st.Index = studentsIx
+		}
 		if eng.bitmaps {
 			core.ForceBitmaps(&in)
+			core.ForceBitmaps(&st)
 		}
 		for _, w := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("global/%s/workers=%d", eng.name, w), func(b *testing.B) {
@@ -75,14 +90,20 @@ func BenchmarkIndexedSearch(b *testing.B) {
 				}
 			}
 		})
-		// The snapshot-dominated workload: a wide k range at τs=10 makes
-		// the per-k Res recomputation — sortNodesInterned + the
-		// mask-prefiltered markDominated — the dominant cost, so this
-		// series tracks the snapshot path rather than the tree walk.
+		// The snapshot-heavy workload: a wide k range at τs=10 settles the
+		// domination frontier at ~190 snapshots, so this series tracks the
+		// per-k settle alongside the tree walk.
 		b.Run(fmt.Sprintf("prop-wide/%s", eng.name), func(b *testing.B) {
 			wide := core.PropParams{MinSize: 10, KMin: 10, KMax: 200, Alpha: 0.8}
 			for i := 0; i < b.N; i++ {
 				if _, err := core.PropBoundsCtx(ctx, &in, wide, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("prop-staircase/%s", eng.name), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.PropBoundsCtx(ctx, &st, staircase, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 
 	"rankfair/internal/count"
@@ -319,42 +318,6 @@ func ConstantBounds(kMin, kMax, l int) []int {
 		out[i] = l
 	}
 	return out
-}
-
-// sortNodesInterned orders persistent search-tree nodes by (number of
-// bound attributes, canonical key) — the generality order with
-// deterministic ties every snapshot emits — interning each node's key on
-// first use via the key accessor. A persistent node survives across the
-// staircase's per-k snapshots, so its key is built exactly once per node
-// lifetime instead of once per (node, snapshot); on the snapshot-dominated
-// proportional sweep the key building was most of the sort. One generic
-// implementation serves the three node types (gnode, pnode, enode).
-func sortNodesInterned[N any](nodes []*N, pat func(*N) pattern.Pattern, key func(*N) *string) {
-	if len(nodes) < 2 {
-		return
-	}
-	type keyed struct {
-		nd    *N
-		attrs int
-		key   string
-	}
-	items := make([]keyed, len(nodes))
-	for i, nd := range nodes {
-		kp := key(nd)
-		if *kp == "" {
-			*kp = pat(nd).Key()
-		}
-		items[i] = keyed{nd: nd, attrs: pat(nd).NumAttrs(), key: *kp}
-	}
-	slices.SortFunc(items, func(a, b keyed) int {
-		if a.attrs != b.attrs {
-			return a.attrs - b.attrs
-		}
-		return strings.Compare(a.key, b.key)
-	})
-	for i := range items {
-		nodes[i] = items[i].nd
-	}
 }
 
 // sortScratch holds the pooled buffers of sortPatterns: one shared byte

@@ -86,7 +86,7 @@ type enode struct {
 	expanded bool
 	children []*enode
 	ktilde   int
-	// key interns p.Key() on first snapshot use (sortNodesInterned).
+	// key interns p.Key() when the node first joins the domination frontier.
 	key string
 }
 
@@ -167,9 +167,7 @@ func (s *exposureState) scheduleInto(nd *enode, sk *esink) {
 func (s *exposureState) merge(sk *esink) {
 	s.stats.add(sk.stats)
 	s.search.merge(&sk.search)
-	// Frontier admissions use the sink's own canceler, so a halt during the
-	// incremental domination update registers at the caller's existing
-	// halted checks.
+	// Frontier admissions only buffer; the next snapshot settles them.
 	for _, nd := range sk.biased {
 		s.front.add(nd)
 	}
@@ -400,10 +398,9 @@ func (s *exposureState) expandWithInto(nd *enode, m matchSet, k int, sk *esink) 
 }
 
 // snapshot returns the most general biased patterns (see
-// propState.snapshot): the first dirty snapshot bulk-seeds the domination
-// frontier on the worker pool, later ones read the incrementally
-// maintained split. ok is false when the seed was abandoned because the
-// context was canceled.
+// propState.snapshot): each dirty snapshot settles the step's flips into
+// the domination frontier. ok is false when the settle was abandoned
+// because the context was canceled.
 func (s *exposureState) snapshot() (groups []Pattern, ok bool) {
 	if !s.dirt {
 		return s.res, true

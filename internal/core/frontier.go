@@ -2,81 +2,104 @@ package core
 
 import (
 	"context"
+	"slices"
+	"strings"
+	"sync/atomic"
 
 	"rankfair/internal/pattern"
 )
 
-// domFrontier maintains the Res/DRes split of the biased frontier
-// incrementally across k. The incremental searches used to recompute the
-// split from scratch at every snapshot — sort the frontier, run
-// markDominated over all of it — which made the per-k term quadratic-ish
-// in the frontier size even when one pattern flipped. The frontier instead
-// keeps the split materialized and updates it on each membership change,
-// so per-k work is proportional to the flip set.
+// domFrontier maintains the Res/DRes split of the biased frontier across
+// k. The incremental searches carry the frontier from k to k+1 and flip
+// only the patterns whose bias status changed; the frontier buffers those
+// flips and settle() applies them as one sorted delta, so the per-k cost
+// follows the flip set and the members whose status it can change, not a
+// re-sort and re-scan of the whole frontier.
 //
-// Correctness rests on an order-independence property of the split.
-// markDominated marks p dominated iff some *accepted* (itself
-// non-dominated) earlier pattern is a proper subset of p — but over a
-// fixed member set that is equivalent to "some member, accepted or not,
-// is a proper subset of p": if any member q ⊊ p exists, pick a ⊂-minimal
-// one; minimality means no member is a proper subset of q, so q is
-// accepted and witnesses p's domination (every proper subset has strictly
-// fewer bound attributes, so the induction over generality levels is
-// well-founded). The split is therefore a pure function of the current
-// member set, and maintaining it by membership deltas is exact:
+// Correctness rests on an order-independence property of the split. A
+// member p is dominated iff some *accepted* (itself non-dominated) member
+// is a proper subset of it — but over a fixed member set that is
+// equivalent to "some member, accepted or not, is a proper subset of p":
+// if any member q ⊊ p exists, pick a ⊂-minimal one; minimality means no
+// member is a proper subset of q, so q is accepted and witnesses p's
+// domination (every proper subset has strictly fewer bound attributes, so
+// the induction over generality levels is well-founded). The split is
+// therefore a pure function of the member set, and a settle only revisits
+// the members whose status the delta can change:
 //
-//   - applyAdd(nd): nd is dominated iff some existing member is a proper
-//     subset of it; members one or more levels above nd may newly become
-//     dominated with nd as witness.
-//   - applyRemove(nd): only members whose recorded witness was nd can
-//     change status; each rescans the levels below it for a replacement
-//     subset.
+//   - an added member is dominated iff an accepted member of a lower level
+//     is a proper subset of it;
+//   - every dominated member records a witness (one member proving its
+//     domination — any proper subset serves); a dominated survivor whose
+//     witness left is an orphan and rescans like an add;
+//   - a previously accepted survivor had no member below it, so only an
+//     add can dominate it now, and by the minimality argument an accepted
+//     add will: it scans the lower-level accepted adds only;
+//   - a dominated survivor whose witness stayed is not touched.
 //
-// Every dominated member carries a witness (one member proving its
-// domination — any proper subset serves), which is what bounds
-// applyRemove to the orphaned entries instead of a full recompute.
+// settle walks the levels in ascending generality, so the split of every
+// lower level is final when a level scans it; the scans within one level
+// are independent and fan out over the worker pool. The first settle runs
+// the same path from an empty member set, with every member an add.
 //
-// Each incremental operation costs one mask pass over the members, so a
-// step that flips thousands of nodes on a hundred-thousand-node frontier
-// (the full-scale COMPAS sweep) would pay more than the recompute it
-// replaced. add/remove therefore only buffer the flip into an op log;
-// settle() — called once per snapshot — replays a small batch through
-// the incremental operations and routes a large one back through the
-// bulk sort + markDominatedWitness pass. Because the split is a pure
-// function of the member set, both routes produce identical snapshots.
+// Members are kept sorted by (bound-attribute count, canonical key), the
+// order every snapshot emits, so emit() reproduces the sort-then-filter
+// snapshot byte for byte. Each node's key is interned when it first joins,
+// so it is built once per node lifetime. A settle binary-searches each
+// flipped node, sorts only the adds and merges them into the survivors,
+// which are already in order; the attrMask prefilter is carried alongside.
+// The member columns are double-buffered and every scratch array is reused
+// across settles. The struct is generic over the node type because the
+// three incremental searches each have their own node struct with an
+// interned key field.
 //
-// Members are kept sorted by (bound-attribute count, interned key), the
-// sortNodesInterned order, so emit() reproduces the old sort-then-filter
-// snapshot byte for byte; the attrMask prefilter of subsetFilter is
-// maintained in place alongside. The struct is generic over the node type
-// for the same reason sortNodesInterned is: the three incremental
-// searches each have their own node struct with an interned key field.
-//
-// Cancellation: add and remove poll the caller's canceler with the same
-// effective cadence as markDominated's scan loops. A halted operation
-// returns immediately and may leave the split stale — callers abandon the
-// whole search on halt, so consistency after a halt is never observed.
+// Cancellation: settle polls the context per level, then every 64 scans
+// and every 4096 subset checks. A halted settle keeps the merged
+// membership and marks the split stale; the next settle recomputes the
+// split over that membership, so no flip is lost.
 type domFrontier[N any] struct {
 	pat func(*N) pattern.Pattern
 	key func(*N) *string
 
+	frontCols[N] // the members, in sorted order
+	ndom         int
+	stale        bool // a halted settle left the split unknown
+
+	ops []frontOp[N] // flips buffered until the next settle
+
+	// Settle scratch, reused across settles.
+	spare   frontCols[N]
+	last    map[*N]bool
+	adds    []frontAdd[N]
+	remap   []int32 // old member index → new index, or -1 when removed
+	state   []uint8
+	work    []int32
+	acc     []frontAcc
+	accAdds []frontAcc
+}
+
+// frontCols holds the members as parallel columns.
+type frontCols[N any] struct {
 	nodes []*N
+	keys  []string // the interned keys, so lookups never chase a node
 	masks []uint64
 	attrs []int32
 	dom   []bool
-	wit   []*N // wit[i] proves dom[i]; nil otherwise
-	ndom  int
+	wit   []int32 // index of the member proving dom[i]; -1 otherwise
+}
 
-	// Before the first seed() the frontier only accumulates members:
-	// the initial build discovers thousands of biased patterns at once,
-	// and bulk-seeding them through markDominatedWitness keeps that
-	// pass's level-parallel fan-out instead of paying one incremental
-	// insert each.
-	seeded  bool
-	pending []*N
+func (c *frontCols[N]) reset() {
+	c.nodes, c.keys, c.masks, c.attrs = c.nodes[:0], c.keys[:0], c.masks[:0], c.attrs[:0]
+	c.dom, c.wit = c.dom[:0], c.wit[:0]
+}
 
-	// ops buffers post-seed membership flips until the next settle().
-	ops []frontOp[N]
+func (c *frontCols[N]) push(nd *N, key string, mask uint64, attrs int32, dom bool, wit int32) {
+	c.nodes = append(c.nodes, nd)
+	c.keys = append(c.keys, key)
+	c.masks = append(c.masks, mask)
+	c.attrs = append(c.attrs, attrs)
+	c.dom = append(c.dom, dom)
+	c.wit = append(c.wit, wit)
 }
 
 // frontOp is one buffered membership flip.
@@ -85,18 +108,107 @@ type frontOp[N any] struct {
 	add bool
 }
 
+// frontAdd is a node joining the members at insertion index pos.
+type frontAdd[N any] struct {
+	nd    *N
+	pos   int32
+	attrs int32
+	key   string
+}
+
+// frontAcc is an accepted member as the level scans read it.
+type frontAcc struct {
+	p    pattern.Pattern
+	mask uint64
+	idx  int32
+}
+
+// Settle states of a merged member.
+const (
+	stKeep   uint8 = iota // dominated survivor whose witness stayed
+	stAcc                 // previously accepted survivor
+	stOrphan              // dominated survivor whose witness left
+	stAdd                 // new member
+)
+
 func newDomFrontier[N any](pat func(*N) pattern.Pattern, key func(*N) *string) *domFrontier[N] {
-	return &domFrontier[N]{pat: pat, key: key}
+	return &domFrontier[N]{pat: pat, key: key, last: map[*N]bool{}}
+}
+
+// add buffers the admission of nd for the next settle().
+func (f *domFrontier[N]) add(nd *N) { f.ops = append(f.ops, frontOp[N]{nd: nd, add: true}) }
+
+// remove buffers the eviction of nd for the next settle().
+func (f *domFrontier[N]) remove(nd *N) { f.ops = append(f.ops, frontOp[N]{nd: nd}) }
+
+// settle applies the buffered flips, leaving the split current. It
+// reports halted=true when the update was abandoned because ctx was
+// canceled (the split is stale until the next settle; callers abandon the
+// search).
+func (f *domFrontier[N]) settle(ctx context.Context, workers int) (halted bool) {
+	if len(f.ops) == 0 && !f.stale {
+		return false
+	}
+	f.fold()
+	f.merge()
+	return f.split(ctx, workers)
+}
+
+// fold reduces the op log to the net delta by each node's last flip: the
+// admitted nodes that are not members yet go to f.adds, sorted into member
+// order with their insertion index; the evicted members get remap -1. The
+// searches build each pattern at one node, so no two members share a key
+// and a node is a member iff it sits at its key's insertion index.
+func (f *domFrontier[N]) fold() {
+	f.remap = slices.Grow(f.remap[:0], len(f.nodes))[:len(f.nodes)]
+	clear(f.remap)
+	for _, op := range f.ops {
+		f.last[op.nd] = op.add
+	}
+	f.adds = f.adds[:0]
+	for _, op := range f.ops {
+		want, pending := f.last[op.nd]
+		if !pending {
+			continue
+		}
+		delete(f.last, op.nd)
+		p := f.pat(op.nd)
+		kp := f.key(op.nd)
+		if *kp == "" {
+			*kp = p.Key()
+		}
+		na := int32(p.NumAttrs())
+		pos := f.searchPos(na, *kp)
+		member := pos < len(f.nodes) && f.nodes[pos] == op.nd
+		switch {
+		case want && !member:
+			f.adds = append(f.adds, frontAdd[N]{nd: op.nd, pos: int32(pos), attrs: na, key: *kp})
+		case !want && member:
+			f.remap[pos] = -1
+		}
+	}
+	clear(f.ops)
+	f.ops = f.ops[:0]
+	// The insertion index is monotone in (attrs, key), so it orders the
+	// adds up to ties among adds landing in the same gap.
+	slices.SortFunc(f.adds, func(a, b frontAdd[N]) int {
+		if a.pos != b.pos {
+			return int(a.pos - b.pos)
+		}
+		if a.attrs != b.attrs {
+			return int(a.attrs - b.attrs)
+		}
+		return strings.Compare(a.key, b.key)
+	})
 }
 
 // searchPos returns the insertion index of (attrs, key) in the sorted
-// member order. Member keys are interned before insertion, so the
-// comparison never builds a key.
+// member order.
 func (f *domFrontier[N]) searchPos(attrs int32, key string) int {
 	lo, hi := 0, len(f.nodes)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if f.attrs[mid] < attrs || (f.attrs[mid] == attrs && *f.key(f.nodes[mid]) < key) {
+		if f.attrs[mid] < attrs || (f.attrs[mid] == attrs && f.keys[mid] < key) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -105,239 +217,124 @@ func (f *domFrontier[N]) searchPos(attrs int32, key string) int {
 	return lo
 }
 
-// add admits nd into the frontier. Pre-seed it queues the node for the
-// bulk seed; afterwards it buffers the flip for the next settle().
-func (f *domFrontier[N]) add(nd *N) {
-	if !f.seeded {
-		f.pending = append(f.pending, nd)
+// merge interleaves the survivors and the sorted adds into the spare
+// columns in member order, recording each entry's settle state, and swaps
+// them in.
+func (f *domFrontier[N]) merge() {
+	f.spare.reset()
+	f.state = f.state[:0]
+	i := 0
+	for _, ad := range f.adds {
+		for ; i < int(ad.pos); i++ {
+			f.carry(i)
+		}
+		p := f.pat(ad.nd)
+		f.spare.push(ad.nd, ad.key, attrMask(p), ad.attrs, false, -1)
+		f.state = append(f.state, stAdd)
+	}
+	for ; i < len(f.nodes); i++ {
+		f.carry(i)
+	}
+	f.frontCols, f.spare = f.spare, f.frontCols
+	f.stale = false
+}
+
+// carry moves old member i into the spare columns unless it was removed.
+// A survivor keeps its mask, attrs and split, with its witness remapped to
+// the new index; a dominated survivor whose witness left becomes an
+// orphan. Witnesses sit on lower levels, so a witness is always remapped
+// before the members it proves.
+func (f *domFrontier[N]) carry(i int) {
+	if f.remap[i] < 0 {
 		return
 	}
-	f.ops = append(f.ops, frontOp[N]{nd: nd, add: true})
+	c := &f.spare
+	f.remap[i] = int32(len(c.nodes))
+	st, dom, wit := stAcc, false, int32(-1)
+	switch {
+	case f.stale:
+		st = stOrphan
+	case f.dom[i]:
+		st = stOrphan
+		if w := f.remap[f.wit[i]]; w >= 0 {
+			st, dom, wit = stKeep, true, w
+		}
+	}
+	c.push(f.nodes[i], f.keys[i], f.masks[i], f.attrs[i], dom, wit)
+	f.state = append(f.state, st)
 }
 
-// remove evicts nd. Pre-seed it drops the node from the pending queue;
-// afterwards it buffers the flip for the next settle().
-func (f *domFrontier[N]) remove(nd *N) {
-	if !f.seeded {
-		for i, q := range f.pending {
-			if q == nd {
-				f.pending[i] = f.pending[len(f.pending)-1]
-				f.pending = f.pending[:len(f.pending)-1]
-				return
-			}
-		}
-		return
-	}
-	f.ops = append(f.ops, frontOp[N]{nd: nd, add: false})
-}
-
-// settle applies the buffered flips, leaving the split current. Small
-// batches replay through the incremental operations; a batch whose
-// one-mask-pass-per-op cost would exceed a recompute reroutes through
-// the bulk seed path. It reports halted=true when the update was
-// abandoned because ctx was canceled (the split may be stale; callers
-// abandon the search).
-func (f *domFrontier[N]) settle(ctx context.Context, workers int) (halted bool) {
-	if !f.seeded {
-		return f.seed(ctx, workers)
-	}
-	if len(f.ops) == 0 {
-		return false
-	}
-	if len(f.ops) > max(64, len(f.nodes)/64) {
-		return f.rebulk(ctx, workers)
-	}
-	cn := canceler{ctx: ctx}
-	for _, op := range f.ops {
-		if op.add {
-			f.applyAdd(op.nd, &cn)
-		} else {
-			f.applyRemove(op.nd, &cn)
-		}
-		if cn.halted {
-			return true
-		}
-	}
-	f.ops = f.ops[:0]
-	return false
-}
-
-// rebulk folds the op log into the member list and recomputes the split
-// through the seed path's level-parallel markDominatedWitness pass.
-func (f *domFrontier[N]) rebulk(ctx context.Context, workers int) (halted bool) {
-	// Only a node's last flip decides its final membership.
-	last := make(map[*N]bool, len(f.ops))
-	order := make([]*N, 0, len(f.ops))
-	for _, op := range f.ops {
-		if _, seen := last[op.nd]; !seen {
-			order = append(order, op.nd)
-		}
-		last[op.nd] = op.add
-	}
-	merged := make([]*N, 0, len(f.nodes)+len(order))
-	for _, nd := range f.nodes {
-		if want, touched := last[nd]; !touched || want {
-			merged = append(merged, nd)
-			// A re-added member must not be appended again below.
-			delete(last, nd)
-		}
-	}
-	for _, nd := range order {
-		if last[nd] {
-			merged = append(merged, nd)
-		}
-	}
-	f.ops = nil
-	f.pending = merged
-	f.nodes, f.masks, f.attrs, f.dom, f.wit = nil, nil, nil, nil, nil
+// split settles the merged members level by level in ascending generality
+// (see domFrontier), recounting ndom. On halt it marks the split stale.
+func (f *domFrontier[N]) split(ctx context.Context, workers int) (halted bool) {
+	f.acc, f.accAdds = f.acc[:0], f.accAdds[:0]
 	f.ndom = 0
-	f.seeded = false
-	return f.seed(ctx, workers)
-}
-
-// applyAdd admits nd into the settled split. Polls cn and returns early
-// when the search is halted.
-func (f *domFrontier[N]) applyAdd(nd *N, cn *canceler) {
-	p := f.pat(nd)
-	pm := attrMask(p)
-	na := int32(p.NumAttrs())
-	kp := f.key(nd)
-	if *kp == "" {
-		*kp = p.Key()
-	}
-	// One pass over the members: lower levels may dominate nd (the first
-	// witness found serves — the split does not depend on which), higher
-	// levels may newly become dominated by nd. Same-level members never
-	// nest. The mask prefilter skips pairs whose attribute sets cannot.
-	dominated := false
-	var w *N
-	for i := range f.nodes {
-		if i&63 == 63 && cn.stopped() {
-			return
+	var stop atomic.Bool
+	n := len(f.nodes)
+	for start := 0; start < n; {
+		end := start
+		for end < n && f.attrs[end] == f.attrs[start] {
+			end++
 		}
-		switch qa := f.attrs[i]; {
-		case qa < na:
-			if !dominated && f.masks[i]&^pm == 0 && f.pat(f.nodes[i]).ProperSubsetOf(p) {
-				dominated = true
-				w = f.nodes[i]
+		f.work = f.work[:0]
+		for i := start; i < end; i++ {
+			if st := f.state[i]; st >= stOrphan || st == stAcc && len(f.accAdds) > 0 {
+				f.work = append(f.work, int32(i))
 			}
-		case qa > na:
-			if !f.dom[i] && pm&^f.masks[i] == 0 && p.ProperSubsetOf(f.pat(f.nodes[i])) {
-				f.dom[i] = true
-				f.wit[i] = nd
+		}
+		if len(f.work) > 0 {
+			if ctx != nil && ctx.Err() != nil {
+				f.stale = true
+				return true
+			}
+			work, acc, accAdds := f.work, f.acc, f.accAdds
+			fanOut(workers, len(work), func(t int) {
+				if stop.Load() {
+					return
+				}
+				if t&63 == 0 && ctx != nil && ctx.Err() != nil {
+					stop.Store(true)
+					return
+				}
+				i := work[t]
+				list := acc
+				if f.state[i] == stAcc {
+					list = accAdds
+				}
+				p, pm := f.pat(f.nodes[i]), f.masks[i]
+				for j := range list {
+					if j&4095 == 4095 && stop.Load() {
+						return
+					}
+					if q := &list[j]; q.mask&^pm == 0 && q.p.ProperSubsetOf(p) {
+						f.dom[i], f.wit[i] = true, q.idx
+						return
+					}
+				}
+			})
+			if stop.Load() {
+				f.stale = true
+				return true
+			}
+		}
+		for i := start; i < end; i++ {
+			if f.dom[i] {
 				f.ndom++
+				continue
+			}
+			q := frontAcc{p: f.pat(f.nodes[i]), mask: f.masks[i], idx: int32(i)}
+			f.acc = append(f.acc, q)
+			if f.state[i] == stAdd {
+				f.accAdds = append(f.accAdds, q)
 			}
 		}
+		start = end
 	}
-	pos := f.searchPos(na, *kp)
-	f.nodes = append(f.nodes, nil)
-	copy(f.nodes[pos+1:], f.nodes[pos:])
-	f.nodes[pos] = nd
-	f.masks = append(f.masks, 0)
-	copy(f.masks[pos+1:], f.masks[pos:])
-	f.masks[pos] = pm
-	f.attrs = append(f.attrs, 0)
-	copy(f.attrs[pos+1:], f.attrs[pos:])
-	f.attrs[pos] = na
-	f.dom = append(f.dom, false)
-	copy(f.dom[pos+1:], f.dom[pos:])
-	f.dom[pos] = dominated
-	f.wit = append(f.wit, nil)
-	copy(f.wit[pos+1:], f.wit[pos:])
-	f.wit[pos] = w
-	if dominated {
-		f.ndom++
-	}
-}
-
-// applyRemove evicts nd from the settled split, re-witnessing the
-// members its departure orphaned. Polls cn and returns early when
-// halted.
-func (f *domFrontier[N]) applyRemove(nd *N, cn *canceler) {
-	p := f.pat(nd)
-	pos := f.searchPos(int32(p.NumAttrs()), *f.key(nd))
-	if pos >= len(f.nodes) || f.nodes[pos] != nd {
-		return // not a member
-	}
-	if f.dom[pos] {
-		f.ndom--
-	}
-	last := len(f.nodes) - 1
-	copy(f.nodes[pos:], f.nodes[pos+1:])
-	f.nodes[last] = nil
-	f.nodes = f.nodes[:last]
-	copy(f.masks[pos:], f.masks[pos+1:])
-	f.masks = f.masks[:last]
-	copy(f.attrs[pos:], f.attrs[pos+1:])
-	f.attrs = f.attrs[:last]
-	copy(f.dom[pos:], f.dom[pos+1:])
-	f.dom = f.dom[:last]
-	copy(f.wit[pos:], f.wit[pos+1:])
-	f.wit[last] = nil
-	f.wit = f.wit[:last]
-	// Only entries witnessed by nd can change status.
-	checks := 0
-	for i := range f.nodes {
-		if f.wit[i] != nd {
-			continue
-		}
-		f.wit[i] = nil
-		f.dom[i] = false
-		f.ndom--
-		q := f.pat(f.nodes[i])
-		qm := f.masks[i]
-		qa := f.attrs[i]
-		for j := 0; j < len(f.nodes) && f.attrs[j] < qa; j++ {
-			if checks++; checks&63 == 0 && cn.stopped() {
-				return
-			}
-			if f.masks[j]&^qm == 0 && f.pat(f.nodes[j]).ProperSubsetOf(q) {
-				f.wit[i] = f.nodes[j]
-				f.dom[i] = true
-				f.ndom++
-				break
-			}
-		}
-	}
-}
-
-// seed bulk-loads the pending members through the level-parallel
-// markDominatedWitness pass, recording each dominated pattern's witness.
-// It reports halted=true when the filter was abandoned because the
-// context was canceled (the frontier stays unseeded).
-func (f *domFrontier[N]) seed(ctx context.Context, workers int) (halted bool) {
-	sortNodesInterned(f.pending, f.pat, f.key)
-	ps := make([]pattern.Pattern, len(f.pending))
-	for i, nd := range f.pending {
-		ps[i] = f.pat(nd)
-	}
-	wit, halted := markDominatedWitness(ctx, ps, workers)
-	if halted {
-		return true
-	}
-	n := len(f.pending)
-	f.nodes = f.pending
-	f.pending = nil
-	f.masks = make([]uint64, n)
-	f.attrs = make([]int32, n)
-	f.dom = make([]bool, n)
-	f.wit = make([]*N, n)
-	f.ndom = 0
-	for i := range f.nodes {
-		f.masks[i] = attrMask(ps[i])
-		f.attrs[i] = int32(ps[i].NumAttrs())
-		if wit[i] >= 0 {
-			f.dom[i] = true
-			f.wit[i] = f.nodes[wit[i]]
-			f.ndom++
-		}
-	}
-	f.seeded = true
 	return false
 }
 
 // emit renders the current Res — the non-dominated members in
-// (generality, key) order, matching the old sort-then-filter snapshot.
+// (generality, key) order, matching the sort-then-filter snapshot.
 func (f *domFrontier[N]) emit() []Pattern {
 	out := make([]Pattern, 0, len(f.nodes)-f.ndom)
 	for i, nd := range f.nodes {

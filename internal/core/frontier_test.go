@@ -4,10 +4,123 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rankfair/internal/pattern"
 )
+
+// markDominated is the from-scratch domination split the frontier is
+// checked against: over patterns sorted by (NumAttrs, Key), mask[i] is
+// true iff some non-dominated earlier pattern is a proper subset of ps[i].
+// It is the level-parallel, mask-prefiltered pass the incremental searches
+// ran over their whole frontier before domFrontier settled the split as a
+// delta. When canceled it reports halted=true and the partial mask is
+// meaningless.
+func markDominated(ctx context.Context, ps []pattern.Pattern, workers int) (mask []bool, halted bool) {
+	wit, halted := markDominatedWitness(ctx, ps, workers)
+	mask = make([]bool, len(ps))
+	for i, w := range wit {
+		mask[i] = w >= 0
+	}
+	return mask, halted
+}
+
+// markDominatedWitness is markDominated with witness recording: wit[i] is
+// the ps-index of the accepted proper subset that proved ps[i] dominated,
+// or -1 when ps[i] is most general. Patterns within one generality level
+// cannot dominate each other, so each level is checked against the
+// accepted prefix concurrently; ctx is polled per level, then every 64
+// scans and every 4096 subset checks.
+func markDominatedWitness(ctx context.Context, ps []pattern.Pattern, workers int) (wit []int32, halted bool) {
+	wit = make([]int32, len(ps))
+	for i := range wit {
+		wit[i] = -1
+	}
+	pms := make([]uint64, len(ps))
+	for i, p := range ps {
+		pms[i] = attrMask(p)
+	}
+	var stop atomic.Bool
+	var res []pattern.Pattern
+	var resMasks []uint64
+	var resIdx []int32
+	for start := 0; start < len(ps); {
+		if ctx != nil && ctx.Err() != nil {
+			return wit, true
+		}
+		end := start
+		lvl := ps[start].NumAttrs()
+		for end < len(ps) && ps[end].NumAttrs() == lvl {
+			end++
+		}
+		fanOut(workers, end-start, func(i int) {
+			if stop.Load() {
+				return
+			}
+			if i&63 == 0 && ctx != nil && ctx.Err() != nil {
+				stop.Store(true)
+				return
+			}
+			p := ps[start+i]
+			pm := pms[start+i]
+			for j, qm := range resMasks {
+				if j&4095 == 4095 && stop.Load() {
+					return
+				}
+				if qm&^pm == 0 && res[j].ProperSubsetOf(p) {
+					wit[start+i] = resIdx[j]
+					return
+				}
+			}
+		})
+		if stop.Load() {
+			return wit, true
+		}
+		for i := start; i < end; i++ {
+			if wit[i] < 0 {
+				res = append(res, ps[i])
+				resMasks = append(resMasks, pms[i])
+				resIdx = append(resIdx, int32(i))
+			}
+		}
+		start = end
+	}
+	return wit, false
+}
+
+// sortNodesInterned orders nodes by (number of bound attributes,
+// canonical key), interning each node's key on first use — the member
+// order the frontier maintains, applied from scratch.
+func sortNodesInterned[N any](nodes []*N, pat func(*N) pattern.Pattern, key func(*N) *string) {
+	if len(nodes) < 2 {
+		return
+	}
+	type keyed struct {
+		nd    *N
+		attrs int
+		key   string
+	}
+	items := make([]keyed, len(nodes))
+	for i, nd := range nodes {
+		kp := key(nd)
+		if *kp == "" {
+			*kp = pat(nd).Key()
+		}
+		items[i] = keyed{nd: nd, attrs: pat(nd).NumAttrs(), key: *kp}
+	}
+	slices.SortFunc(items, func(a, b keyed) int {
+		if a.attrs != b.attrs {
+			return a.attrs - b.attrs
+		}
+		return strings.Compare(a.key, b.key)
+	})
+	for i := range items {
+		nodes[i] = items[i].nd
+	}
+}
 
 // tfnode is the minimal node shape the frontier is generic over: a pattern
 // plus an interned-key slot, mirroring pnode/enode/gnode.
@@ -45,8 +158,7 @@ func tfPool(cards []int) []pattern.Pattern {
 }
 
 // tfOracle recomputes the Res split from scratch — sort the member set,
-// run the bulk markDominated pass, filter — exactly what the incremental
-// searches did at every k before the frontier existed.
+// run the bulk markDominated pass, filter.
 func tfOracle(t *testing.T, members []*tfnode, workers int) []Pattern {
 	t.Helper()
 	nodes := append([]*tfnode(nil), members...)
@@ -69,7 +181,7 @@ func tfOracle(t *testing.T, members []*tfnode, workers int) []Pattern {
 }
 
 // tfCompare asserts the frontier's emitted Res equals the full-recompute
-// oracle element for element, in order.
+// oracle element for element, in order, and that ndom counts the rest.
 func tfCompare(t *testing.T, f *domFrontier[tfnode], members map[int]*tfnode, step string) {
 	t.Helper()
 	list := make([]*tfnode, 0, len(members))
@@ -94,169 +206,213 @@ func tfCompare(t *testing.T, f *domFrontier[tfnode], members map[int]*tfnode, st
 	}
 }
 
-// TestFrontierMatchesBulkRecompute is the staircase differential for the
-// incremental domination split: a long random add/remove churn over a
-// nested pattern pool, with the frontier compared against the full
-// sort-then-markDominated recompute after every single flip — the
-// invariant that makes the per-k flip-set path of the incremental searches
-// exact. The churn exercises witness hand-off on removal (a dominated
-// member whose recorded witness leaves must find a replacement subset or
-// resurface into Res) and domination on insert in both directions.
+// tfChurn drives a frontier over a pattern pool the way the searches do:
+// each pool pattern is held by at most one member node at a time.
+type tfChurn struct {
+	pool    []pattern.Pattern
+	f       *domFrontier[tfnode]
+	members map[int]*tfnode // pool index → member node
+	last    map[int]*tfnode // pool index → the node that held it last
+}
+
+func newTFChurn(pool []pattern.Pattern) *tfChurn {
+	return &tfChurn{pool: pool, f: newDomFrontier(tfPat, tfKey),
+		members: map[int]*tfnode{}, last: map[int]*tfnode{}}
+}
+
+// flip toggles pool pattern i. A member is removed; otherwise the pattern
+// is admitted again — through the very node that last held it when reuse
+// is set and one exists, through a distinct fresh node with the same
+// pattern otherwise.
+func (c *tfChurn) flip(i int, reuse bool) {
+	if nd, ok := c.members[i]; ok {
+		c.f.remove(nd)
+		delete(c.members, i)
+		return
+	}
+	nd := c.last[i]
+	if nd == nil || !reuse {
+		nd = &tfnode{p: c.pool[i]}
+	}
+	c.f.add(nd)
+	c.members[i] = nd
+	c.last[i] = nd
+}
+
+// settle settles the frontier without cancellation and checks it against
+// the oracle.
+func (c *tfChurn) settle(t *testing.T, workers int, step string) {
+	t.Helper()
+	if c.f.settle(context.Background(), workers) {
+		t.Fatalf("%s: settle halted without cancellation", step)
+	}
+	tfCompare(t, c.f, c.members, step)
+}
+
+// TestFrontierMatchesBulkRecompute is the differential for the delta
+// settle: random membership churn over a nested pattern pool, settled in
+// batches of every size from a single flip to a few hundred (far more
+// flips than members), at one and four workers, with the frontier
+// compared against the full sort-then-markDominated recompute after every
+// settle. The churn exercises witness hand-off on removal (a dominated
+// member whose witness leaves must find a replacement subset or resurface
+// into Res), domination of accepted survivors by lower-level adds, a node
+// removed and re-added within one batch, and a node removed while a
+// distinct node with the same pattern is added.
 func TestFrontierMatchesBulkRecompute(t *testing.T) {
 	pool := tfPool([]int{2, 3, 2, 3})
-	rng := rand.New(rand.NewSource(7))
-	f := newDomFrontier(tfPat, tfKey)
-	members := map[int]*tfnode{}
-	ctx := context.Background()
+	for _, workers := range []int{1, 4} {
+		rng := rand.New(rand.NewSource(7))
+		c := newTFChurn(pool)
 
-	// Pre-seed phase: bulk membership accumulates as pending, including a
-	// few pending removals, then the first settle() bulk-seeds the split.
-	for _, i := range rng.Perm(len(pool))[:48] {
-		nd := &tfnode{p: pool[i]}
-		f.add(nd)
-		members[i] = nd
-	}
-	removed := 0
-	for i, nd := range members {
-		if removed == 6 {
+		// The first settle starts from an empty member set, with removals
+		// of not-yet-settled members folded away.
+		for _, i := range rng.Perm(len(pool))[:48] {
+			c.flip(i, false)
+		}
+		for _, i := range rng.Perm(len(pool))[:12] {
+			c.flip(i, false)
+		}
+		c.settle(t, workers, "first settle")
+
+		for round := 0; round < 200; round++ {
+			size := 1 + rng.Intn(300)
+			if round < 40 {
+				size = 1 + round%4 // small batches first
+			}
+			for op := 0; op < size; op++ {
+				c.flip(rng.Intn(len(pool)), rng.Intn(2) == 0)
+			}
+			c.settle(t, workers, "churn")
+		}
+
+		// Remove a member and re-add the same node in one batch: the net
+		// delta is empty and the split must not move.
+		for i, nd := range c.members {
+			c.flip(i, true)
+			c.flip(i, true)
+			if c.members[i] != nd {
+				t.Fatal("re-add did not reuse the removed node")
+			}
 			break
 		}
-		f.remove(nd)
-		delete(members, i)
-		removed++
-	}
-	if f.settle(ctx, 4) {
-		t.Fatal("seeding settle halted without cancellation")
-	}
-	tfCompare(t, f, members, "after seed")
+		c.settle(t, workers, "remove then re-add")
 
-	// Incremental phase: 400 random flips, settled and checked against the
-	// oracle one at a time — single-op batches always take the incremental
-	// replay route.
-	for op := 0; op < 400; op++ {
-		i := rng.Intn(len(pool))
-		if nd, ok := members[i]; ok {
-			f.remove(nd)
-			delete(members, i)
-		} else {
-			nd := &tfnode{p: pool[i]}
-			f.add(nd)
-			members[i] = nd
+		// Remove every member and admit a distinct node with the same
+		// pattern in one batch: every survivor goes, every witness with it.
+		held := make([]int, 0, len(c.members))
+		for i := range c.members {
+			held = append(held, i)
 		}
-		if f.settle(ctx, 4) {
-			t.Fatal("incremental settle halted without cancellation")
+		for _, i := range held {
+			c.flip(i, false)
+			c.flip(i, false)
 		}
-		tfCompare(t, f, members, "churn")
-	}
+		c.settle(t, workers, "replace every node")
 
-	// Batch phase: pile 120 flips (over the rebulk threshold for this
-	// frontier size) into one op log — including remove-then-readd and
-	// add-then-remove sequences of the same node — then settle once
-	// through the bulk recompute route.
-	for op := 0; op < 120; op++ {
-		i := rng.Intn(len(pool))
-		if nd, ok := members[i]; ok {
-			f.remove(nd)
-			delete(members, i)
-		} else {
-			nd := &tfnode{p: pool[i]}
-			f.add(nd)
-			members[i] = nd
+		// Drain to empty: emit must stay exact (and non-nil) all the way down.
+		for i := range c.members {
+			c.flip(i, false)
+			c.settle(t, workers, "drain")
 		}
-	}
-	if f.settle(ctx, 4) {
-		t.Fatal("rebulk settle halted without cancellation")
-	}
-	tfCompare(t, f, members, "after rebulk")
-
-	// Drain to empty: emit must stay exact (and non-nil) all the way down.
-	for i, nd := range members {
-		f.remove(nd)
-		delete(members, i)
-		if f.settle(ctx, 4) {
-			t.Fatal("drain settle halted without cancellation")
+		if got := c.f.emit(); got == nil || len(got) != 0 {
+			t.Fatalf("drained frontier emit = %v, want empty non-nil", got)
 		}
-		tfCompare(t, f, members, "drain")
-	}
-	if got := f.emit(); got == nil || len(got) != 0 {
-		t.Fatalf("drained frontier emit = %v, want empty non-nil", got)
 	}
 }
 
-// TestFrontierSeedCancellation proves the bounded-cancel guarantee
-// survives the frontier's bulk-seed path: a canceled markDominatedWitness
-// pass leaves the frontier unseeded and uncorrupted, and a later seed over
-// the same pending set succeeds and matches the oracle.
+// TestFrontierSeedCancellation proves the bounded-cancel guarantee covers
+// the first settle, where every member is an add: a canceled settle keeps
+// the whole membership, and a later settle over it matches the oracle.
 func TestFrontierSeedCancellation(t *testing.T) {
 	pool := tfPool([]int{2, 2, 2, 2})
-	f := newDomFrontier(tfPat, tfKey)
-	members := map[int]*tfnode{}
+	c := newTFChurn(pool)
 	for i := range pool {
-		nd := &tfnode{p: pool[i]}
-		f.add(nd)
-		members[i] = nd
+		c.flip(i, false)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if !f.seed(ctx, 4) {
-		t.Fatal("seed with canceled context reported success")
+	if !c.f.settle(ctx, 4) {
+		t.Fatal("first settle with canceled context reported success")
 	}
-	if f.seeded {
-		t.Fatal("halted seed left the frontier marked seeded")
+	if !c.f.stale {
+		t.Fatal("halted settle did not mark the split stale")
 	}
-	if len(f.pending) != len(members) {
-		t.Fatalf("halted seed dropped pending members: %d of %d left", len(f.pending), len(members))
+	if len(c.f.nodes) != len(c.members) || len(c.f.ops) != 0 {
+		t.Fatalf("halted settle left %d members and %d ops, want %d members folded in",
+			len(c.f.nodes), len(c.f.ops), len(c.members))
 	}
-	if f.seed(context.Background(), 4) {
-		t.Fatal("re-seed halted without cancellation")
-	}
-	tfCompare(t, f, members, "after re-seed")
+	c.settle(t, 4, "after re-settle")
 }
 
-// TestFrontierHaltedSettleRecovers pins the halt contract of the batched
-// update: a settle abandoned by cancellation mid-rebulk leaves the
-// frontier unseeded but loses no membership, and a later settle rebuilds
-// the exact split.
+// TestFrontierHaltedSettleRecovers pins the halt contract of the delta
+// settle: a settle abandoned at any point of its level walk keeps the
+// merged membership, and a later settle — with or without further flips —
+// rebuilds the exact split.
 func TestFrontierHaltedSettleRecovers(t *testing.T) {
 	pool := tfPool([]int{2, 3, 2, 3})
-	f := newDomFrontier(tfPat, tfKey)
-	members := map[int]*tfnode{}
-	for i := 0; i < 40; i++ {
-		nd := &tfnode{p: pool[i]}
-		f.add(nd)
-		members[i] = nd
+	for budget := int64(0); budget < 6; budget++ {
+		rng := rand.New(rand.NewSource(budget))
+		c := newTFChurn(pool)
+		for i := 0; i < 40; i++ {
+			c.flip(i, false)
+		}
+		c.settle(t, 1, "first settle")
+		// A batch with removals, a remove-then-re-add of the same node and
+		// adds on every level, settled under a context that cancels after
+		// budget polls.
+		c.flip(0, false)
+		c.flip(1, true)
+		c.flip(1, true)
+		for op := 0; op < 70; op++ {
+			c.flip(rng.Intn(len(pool)), rng.Intn(2) == 0)
+		}
+		want := len(c.members)
+		if !c.f.settle(newBudgetCtx(budget), 1) {
+			// The budget outlived the walk: the split must be the real one.
+			tfCompare(t, c.f, c.members, "budget outlived settle")
+			continue
+		}
+		if len(c.f.nodes) != want {
+			t.Fatalf("budget %d: halted settle kept %d members, want %d", budget, len(c.f.nodes), want)
+		}
+		if budget%2 == 0 {
+			c.flip(rng.Intn(len(pool)), false)
+		}
+		c.settle(t, 1, "recovery settle")
 	}
-	if f.settle(context.Background(), 1) {
-		t.Fatal("seeding settle halted without cancellation")
-	}
-	// Buffer a batch past the rebulk threshold, including a removal and a
-	// remove-then-readd, then settle under an already-canceled context.
-	f.remove(members[0])
-	delete(members, 0)
-	f.remove(members[1])
-	f.add(members[1])
-	for i := 40; i < 110; i++ {
-		nd := &tfnode{p: pool[i]}
-		f.add(nd)
-		members[i] = nd
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if !f.settle(ctx, 1) {
-		t.Fatal("settle with canceled context reported success")
-	}
-	if f.seeded {
-		t.Fatal("halted rebulk left the frontier marked seeded")
-	}
-	if f.settle(context.Background(), 1) {
-		t.Fatal("recovery settle halted without cancellation")
-	}
-	tfCompare(t, f, members, "after recovery settle")
+}
+
+// FuzzFrontierSettle drives the frontier with arbitrary op sequences over
+// a small pattern pool and checks every completed settle against the
+// oracle. Each byte is one op: below 0xE0 it flips pool pattern b&0x7f
+// (the high bit re-admits through the node that last held the pattern),
+// 0xE0-0xEF settles under a context that cancels after b&0xf polls, and
+// 0xF0-0xFF settles at one or three workers and compares.
+func FuzzFrontierSettle(f *testing.F) {
+	pool := tfPool([]int{2, 3, 2})
+	f.Add([]byte{0, 1, 2, 3, 0xF0, 0, 0x80, 0xF1})
+	f.Add([]byte{5, 10, 20, 30, 0xE1, 5, 0xF0, 0x85, 31, 0xE0, 0xF1})
+	f.Add([]byte{34, 33, 32, 1, 2, 0xF0, 1, 2, 0x81, 0x82, 0xF1, 34, 0xF0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		c := newTFChurn(pool)
+		for _, b := range ops {
+			switch {
+			case b >= 0xF0:
+				c.settle(t, 1+2*int(b&1), "fuzz settle")
+			case b >= 0xE0:
+				c.f.settle(newBudgetCtx(int64(b&0xf)), 2)
+			default:
+				c.flip(int(b&0x7f)%len(pool), b&0x80 != 0)
+			}
+		}
+		c.settle(t, 2, "final settle")
+	})
 }
 
 // TestIncrementalCancellationSweep sweeps the poll budget so the
 // cancellation lands in every phase of the incremental searches — root
-// setup, the bulk seed, and the per-k frontier flips — and requires the
+// setup, the first settle, and the per-k frontier flips — and requires the
 // bounded-latency guarantee (or a clean completion) at each landing spot.
 func TestIncrementalCancellationSweep(t *testing.T) {
 	in := denseCancelInput(10, 300)

@@ -16,9 +16,9 @@ type gnode struct {
 	biased   bool     // cnt < L_k
 	expanded bool     // children have been generated
 	children []*gnode // explored children with sD >= minSize
-	// key interns p.Key() on first snapshot use (sortNodesInterned): the
-	// node persists across the staircase's per-k snapshots, so the
-	// canonical key is built once per node, not once per snapshot.
+	// key interns p.Key() when the node first joins the domination
+	// frontier: the node persists across the staircase's per-k snapshots,
+	// so the canonical key is built once per node, not once per snapshot.
 	key string
 }
 
@@ -346,14 +346,14 @@ func (s *globalState) expandWithInto(nd *gnode, m matchSet, k, L int, sk *gsink)
 	}
 }
 
-// normalize settles the Res/DRes split of the biased frontier: the first
-// call after a full build bulk-seeds the domination frontier through the
-// level-parallel markDominatedWitness pass (on adversarial inputs with
-// huge incomparable result sets that filter, not the tree walk, is the
-// dominant cost); later calls find the split already maintained and only
-// fold the domination tally into the stats — the same per-pass accounting
-// the full recompute used to report. It reports false when the seed was
-// abandoned because the context was canceled.
+// normalize settles the Res/DRes split of the biased frontier: the
+// step's flips (after a full build, every biased node) go into the
+// domination frontier as one sorted delta, whose domination scans fan out
+// per generality level (on adversarial inputs with huge incomparable
+// result sets that filter, not the tree walk, is the dominant cost), and
+// the domination tally folds into the stats — the same per-pass
+// accounting the full recompute used to report. It reports false when the
+// settle was abandoned because the context was canceled.
 func (s *globalState) normalize() bool {
 	if s.front.settle(s.ctx, s.workers) {
 		return false

@@ -21,7 +21,7 @@ type pnode struct {
 	// ktilde is, for an unbiased node, the smallest k at which the node
 	// becomes biased if its count stays unchanged (the k̃ of Section IV-C).
 	ktilde int
-	// key interns p.Key() on first snapshot use (sortNodesInterned).
+	// key interns p.Key() when the node first joins the domination frontier.
 	key string
 }
 
@@ -423,12 +423,12 @@ func (s *propState) expandWithInto(nd *pnode, m matchSet, k int, sk *psink) {
 // snapshot returns the most general biased patterns. Because biased nodes
 // can appear and disappear anywhere in the explored tree (including
 // interior nodes with explored descendants), the Res/DRes split lives in
-// the incrementally maintained domination frontier: the first snapshot
-// bulk-seeds it on the worker pool (markDominatedWitness), later dirty
-// snapshots find the split already settled by the step's flips and only
-// fold the domination tally into the stats — the same per-pass accounting
-// the full recompute used to report. ok is false when the seed was
-// abandoned because the context was canceled (the state stays dirty).
+// the domination frontier: each dirty snapshot settles the step's flips
+// into it as one sorted delta (the first one from an empty frontier) and
+// folds the domination tally into the stats — the same per-pass
+// accounting the full recompute used to report. ok is false when the
+// settle was abandoned because the context was canceled (the state stays
+// dirty).
 func (s *propState) snapshot() (groups []Pattern, ok bool) {
 	if !s.dirt {
 		return s.res, true

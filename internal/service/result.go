@@ -32,17 +32,23 @@ type ResultSummary struct {
 }
 
 // encodeResult encodes a computed report into the bytes the report
-// endpoint serves: encoding/json's two-space indented form plus a newline.
-func encodeResult(rj *rankfair.ReportJSON) (*AuditResult, error) {
-	body, err := json.MarshalIndent(rj, "", "  ")
-	if err != nil {
+// endpoint serves: encoding/json's two-space indented form plus a newline,
+// written by the report's hand-rolled encoder. The summary is read off the
+// report itself, so nothing is decoded or encoded twice.
+func encodeResult(report *rankfair.Report) (*AuditResult, error) {
+	var body bytes.Buffer
+	if err := report.WriteJSON(&body); err != nil {
 		return nil, fmt.Errorf("service: encoding report: %w", err)
 	}
-	sum := ResultSummary{NodesExamined: rj.NodesExamined, FullSearches: rj.FullSearches, Stats: rj.Stats}
-	for _, kg := range rj.Results {
-		sum.TotalGroups += len(kg.Groups)
+	sum := ResultSummary{
+		NodesExamined: report.Stats.NodesExamined,
+		FullSearches:  report.Stats.FullSearches,
+		Stats:         report.SearchStatsJSON(),
 	}
-	return &AuditResult{Body: append(body, '\n'), Summary: sum}, nil
+	for k := report.KMin; k <= report.KMax; k++ {
+		sum.TotalGroups += len(report.At(k))
+	}
+	return &AuditResult{Body: body.Bytes(), Summary: sum}, nil
 }
 
 // blob renders the persisted form of a result: the summary as one compact

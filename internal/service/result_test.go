@@ -254,16 +254,20 @@ func cacheBlobPath(t *testing.T, dir string) string {
 
 // TestPersistResultFallback: a persisted result whose blob fails its
 // content check, or that predates the summary-line format, is dropped
-// from the cache and the audit recomputes the correct report.
+// from the cache, the audit recomputes the correct report and persists it
+// again, and the next restart serves it as a cache hit.
 func TestPersistResultFallback(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		damage func(t *testing.T, dir string, body []byte)
+		// rewrite: the recomputed result lands on the damaged blob's name.
+		rewrite bool
 	}{
 		{
 			// Same size, different content: passes the boot stat check and
 			// fails the sha256 check on first read.
-			name: "corrupt-same-size",
+			name:    "corrupt-same-size",
+			rewrite: true,
 			damage: func(t *testing.T, dir string, _ []byte) {
 				path := cacheBlobPath(t, dir)
 				raw, err := os.ReadFile(path)
@@ -334,18 +338,21 @@ func TestPersistResultFallback(t *testing.T) {
 			if view, body := serveAudit(t, svc2, ts2, info.ID, params); !view.CacheHit || !bytes.Equal(body, want) {
 				t.Errorf("repeat after fallback: cache_hit = %v, body equal = %v", view.CacheHit, bytes.Equal(body, want))
 			}
+			if writes := svc2.store.Stats().BlobWrites; tc.rewrite && writes == 0 {
+				t.Error("the recompute did not rewrite the bad persisted result")
+			}
 			stop2()
 
-			// The recompute rewrote an old-format entry in the current
-			// format, so the next restart serves it without a search. (A
-			// same-size corrupt blob keeps its name, and the store adopts
-			// it by size on rewrite, so that case recomputes again.)
-			if tc.name != "pre-summary-format" {
-				return
-			}
+			// The recompute rewrote the entry in place (a same-size corrupt
+			// blob keeps its content-hash name, so the store must verify
+			// before adopting it), and the next restart serves it from the
+			// store without a search or another write.
 			svc3, ts3, _ := persistServer(t, dir, true)
 			if view, body := serveAudit(t, svc3, ts3, info.ID, params); !view.CacheHit || !bytes.Equal(body, want) {
 				t.Errorf("after rewrite: cache_hit = %v, body equal = %v", view.CacheHit, bytes.Equal(body, want))
+			}
+			if writes := svc3.store.Stats().BlobWrites; writes != 0 {
+				t.Errorf("serving the rewritten result wrote %d blobs, want 0", writes)
 			}
 		})
 	}

@@ -474,7 +474,7 @@ func (s *Service) SubmitAuditCtx(ctx context.Context, req AuditRequest) (JobView
 				// The one encoding of this report: every hit, every report
 				// GET and the persisted copy reuse these bytes.
 				_, sp = obs.StartSpan(ctx, "serialize")
-				res, err := encodeResult(report.ToJSON())
+				res, err := encodeResult(report)
 				sp.Finish()
 				if err != nil {
 					return nil, err

@@ -33,6 +33,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -318,12 +319,16 @@ func (s *Store) pruneMissingBlobs() {
 
 // writeBlob makes raw durable under its content-hash name and returns
 // that name. Existing content is adopted without a rewrite (a previous
-// crash's orphan, or plain deduplication — same bytes, same name).
+// crash's orphan, or plain deduplication — same bytes, same name) once it
+// is verified to be raw; a same-size blob damaged in place is rewritten,
+// or every restart would drop it and recompute it again.
 func (s *Store) writeBlob(raw []byte) (string, error) {
 	hash := HashBytes(raw)
 	path := s.blobPath(hash)
 	if st, err := s.fs.Stat(path); err == nil && st.Size() == int64(len(raw)) {
-		return hash, nil
+		if old, err := s.fs.ReadFile(path); err == nil && bytes.Equal(old, raw) {
+			return hash, nil
+		}
 	}
 	dir := filepath.Dir(path)
 	if err := s.fs.MkdirAll(dir, 0o755); err != nil {

@@ -390,6 +390,51 @@ func TestRecoverBlobAheadOfManifest(t *testing.T) {
 	}
 }
 
+// TestRewriteCorruptSameSizeBlob damages a cache blob in place without
+// changing its size: putting the same value again must rewrite the blob
+// rather than adopt it by size, and a further put adopts the repaired blob
+// without writing.
+func TestRewriteCorruptSameSizeBlob(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	val := []byte(`{"measure":"prop"}`)
+	if err := s.PutCache("key", val); err != nil {
+		t.Fatal(err)
+	}
+	name := HashBytes(val)
+	path := filepath.Join(dir, blobDirName, name[:2], name)
+	bad := append([]byte(nil), val...)
+	bad[1] ^= 0x01
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CacheValue("key"); err == nil {
+		t.Fatal("CacheValue served a corrupt blob")
+	}
+
+	before := s.Stats().BlobWrites
+	if err := s.PutCache("key", val); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().BlobWrites - before; got != 1 {
+		t.Fatalf("put over a corrupt same-size blob wrote %d blobs, want 1", got)
+	}
+	if got, err := s.CacheValue("key"); err != nil || !bytes.Equal(got, val) {
+		t.Fatalf("after rewrite: CacheValue = %q, %v; want %q", got, err, val)
+	}
+	before = s.Stats().BlobWrites
+	if err := s.PutCache("key", val); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().BlobWrites - before; got != 0 {
+		t.Fatalf("put over an intact blob wrote %d blobs, want 0", got)
+	}
+}
+
 // TestRecoverCorruptMidManifest poisons a record in the middle of the
 // manifest: recovery conservatively stops at the corruption, keeping the
 // prefix and truncating the rest.

@@ -277,23 +277,7 @@ func (r *Report) toJSONShared() *ReportJSON {
 		Attributes:    append([]string(nil), r.analyst.in.Space.Names...),
 		NodesExamined: r.Stats.NodesExamined,
 		FullSearches:  r.Stats.FullSearches,
-	}
-	if s := r.Search; s != nil {
-		out.Stats = &SearchStatsJSON{
-			Strategy:             s.Strategy,
-			NodesExpanded:        s.NodesExpanded,
-			PrunedSize:           s.PrunedSize,
-			PrunedBound:          s.PrunedBound,
-			PrunedDominated:      s.PrunedDominated,
-			PostingIntersections: s.PostingIntersections,
-			CountOnlyPasses:      s.CountOnlyPasses,
-			LazyScatters:         s.LazyScatters,
-			BitmapPasses:         s.BitmapPasses,
-			SlicePasses:          s.SlicePasses,
-		}
-		if len(s.FrontierByLevel) > 0 {
-			out.Stats.FrontierByLevel = append([]int64(nil), s.FrontierByLevel...)
-		}
+		Stats:         r.SearchStatsJSON(),
 	}
 	for k := r.KMin; k <= r.KMax; k++ {
 		var kg KGroupsJSON
@@ -320,6 +304,32 @@ func (r *Report) toJSONShared() *ReportJSON {
 			continue
 		}
 		out.Results = append(out.Results, kg)
+	}
+	return out
+}
+
+// SearchStatsJSON converts the run's search counters to their serialized
+// form, the "stats" object of the report document. It returns nil when the
+// run disabled stats collection.
+func (r *Report) SearchStatsJSON() *SearchStatsJSON {
+	s := r.Search
+	if s == nil {
+		return nil
+	}
+	out := &SearchStatsJSON{
+		Strategy:             s.Strategy,
+		NodesExpanded:        s.NodesExpanded,
+		PrunedSize:           s.PrunedSize,
+		PrunedBound:          s.PrunedBound,
+		PrunedDominated:      s.PrunedDominated,
+		PostingIntersections: s.PostingIntersections,
+		CountOnlyPasses:      s.CountOnlyPasses,
+		LazyScatters:         s.LazyScatters,
+		BitmapPasses:         s.BitmapPasses,
+		SlicePasses:          s.SlicePasses,
+	}
+	if len(s.FrontierByLevel) > 0 {
+		out.FrontierByLevel = append([]int64(nil), s.FrontierByLevel...)
 	}
 	return out
 }

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -53,44 +54,37 @@ func benchInput(b *testing.B, name string, attrs int) *core.Input {
 	return in
 }
 
+// benchSearch runs s over in once per iteration.
+func benchSearch(b *testing.B, in *core.Input, s core.Spec) {
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Search(ctx, in, s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchPair benchmarks the ITERTD baseline ("IterTD") against the
+// incremental algorithm (named opt) on one workload.
+func benchPair(b *testing.B, in *core.Input, s core.Spec, opt string) {
+	base := s
+	base.Baseline = true
+	b.Run("IterTD", func(b *testing.B) { benchSearch(b, in, base) })
+	b.Run(opt, func(b *testing.B) { benchSearch(b, in, s) })
+}
+
 // benchGlobalPair benchmarks ITERTD vs GLOBALBOUNDS on one workload.
 func benchGlobalPair(b *testing.B, name string, attrs, tau, kMin, kMax int) {
-	in := benchInput(b, name, attrs)
-	params := core.GlobalParams{MinSize: tau, KMin: kMin, KMax: kMax, Lower: core.StaircaseBounds(kMin, kMax, 10, 10, 10)}
-	b.Run("IterTD", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.IterTDGlobal(in, params); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("GlobalBounds", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.GlobalBounds(in, params); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	benchPair(b, benchInput(b, name, attrs), core.Spec{
+		Measure: core.MeasureGlobal, MinSize: tau, KMin: kMin, KMax: kMax, Lower: core.StaircaseBounds(kMin, kMax, 10, 10, 10),
+	}, "GlobalBounds")
 }
 
 // benchPropPair benchmarks ITERTD vs PROPBOUNDS on one workload.
 func benchPropPair(b *testing.B, name string, attrs, tau, kMin, kMax int) {
-	in := benchInput(b, name, attrs)
-	params := core.PropParams{MinSize: tau, KMin: kMin, KMax: kMax, Alpha: 0.8}
-	b.Run("IterTD", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.IterTDProp(in, params); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("PropBounds", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.PropBounds(in, params); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	benchPair(b, benchInput(b, name, attrs), core.Spec{
+		Measure: core.MeasureProp, MinSize: tau, KMin: kMin, KMax: kMax, Alpha: 0.8,
+	}, "PropBounds")
 }
 
 // BenchmarkFig4AttrsGlobal: runtime vs number of attributes, global bounds
@@ -237,10 +231,10 @@ func BenchmarkTheorem33WorstCase(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	params := core.GlobalParams{MinSize: 2, KMin: n, KMax: n, Lower: []int{n/2 + 1}}
+	params := core.Spec{Measure: core.MeasureGlobal, MinSize: 2, KMin: n, KMax: n, Lower: []int{n/2 + 1}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.GlobalBounds(in, params)
+		res, err := core.Search(context.Background(), in, params)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -271,42 +265,16 @@ func BenchmarkNodesExaminedReport(b *testing.B) {
 // Figure 9's comparison).
 func BenchmarkExtensionExposure(b *testing.B) {
 	in := benchInput(b, "german", benchAttrs)
-	params := core.ExposureParams{MinSize: 50, KMin: 10, KMax: 200, Alpha: 0.8}
-	b.Run("IterTD", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.IterTDExposure(in, params); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("ExposureBounds", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ExposureBounds(in, params); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	benchPair(b, in, core.Spec{Measure: core.MeasureExposure, MinSize: 50, KMin: 10, KMax: 200, Alpha: 0.8}, "ExposureBounds")
 }
 
 // BenchmarkExtensionUpper compares the upper-bound baseline to its
 // incremental counterpart.
 func BenchmarkExtensionUpper(b *testing.B) {
 	in := benchInput(b, "german", benchAttrs)
-	params := core.GlobalUpperParams{MinSize: 50, KMin: 10, KMax: 200, Upper: core.ConstantBounds(10, 200, 8)}
-	b.Run("IterTD", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.IterTDGlobalUpper(in, params); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("GlobalUpperBounds", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.GlobalUpperBounds(in, params); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	benchPair(b, in, core.Spec{
+		Measure: core.MeasureGlobalUpper, MinSize: 50, KMin: 10, KMax: 200, Upper: core.ConstantBounds(10, 200, 8),
+	}, "GlobalUpperBounds")
 }
 
 // BenchmarkLatticeParallel measures the intra-search worker fan-out of the
@@ -317,38 +285,20 @@ func BenchmarkExtensionUpper(b *testing.B) {
 // Serial and parallel runs return byte-identical results (see
 // TestQuickParallelMatchesSerial), so the only difference is wall clock.
 func BenchmarkLatticeParallel(b *testing.B) {
-	ctx := context.Background()
 	german := benchInput(b, "german", benchAttrs)
-	gp := core.GlobalParams{MinSize: 10, KMin: 10, KMax: 49, Lower: core.StaircaseBounds(10, 49, 10, 10, 10)}
-	pp := core.PropParams{MinSize: 10, KMin: 10, KMax: 49, Alpha: 0.8}
+	gp := core.Spec{Measure: core.MeasureGlobal, MinSize: 10, KMin: 10, KMax: 49, Lower: core.StaircaseBounds(10, 49, 10, 10, 10)}
+	pp := core.Spec{Measure: core.MeasureProp, MinSize: 10, KMin: 10, KMax: 49, Alpha: 0.8}
 	const wcN = 15
 	worst, err := synth.WorstCase(wcN).Input()
 	if err != nil {
 		b.Fatal(err)
 	}
-	wp := core.GlobalParams{MinSize: 2, KMin: wcN, KMax: wcN, Lower: []int{wcN/2 + 1}}
+	wp := core.Spec{Measure: core.MeasureGlobal, MinSize: 2, KMin: wcN, KMax: wcN, Lower: []int{wcN/2 + 1}}
 	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("german-global/workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.GlobalBoundsCtx(ctx, german, gp, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("german-prop/workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.PropBoundsCtx(ctx, german, pp, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("worstcase/workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.GlobalBoundsCtx(ctx, worst, wp, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		gp.Workers, pp.Workers, wp.Workers = w, w, w
+		b.Run(fmt.Sprintf("german-global/workers=%d", w), func(b *testing.B) { benchSearch(b, german, gp) })
+		b.Run(fmt.Sprintf("german-prop/workers=%d", w), func(b *testing.B) { benchSearch(b, german, pp) })
+		b.Run(fmt.Sprintf("worstcase/workers=%d", w), func(b *testing.B) { benchSearch(b, worst, wp) })
 	}
 }
 
@@ -356,21 +306,13 @@ func BenchmarkLatticeParallel(b *testing.B) {
 // ITERTD baseline across workers.
 func BenchmarkExtensionParallelBaseline(b *testing.B) {
 	in := benchInput(b, "german", benchAttrs)
-	params := core.GlobalParams{MinSize: 50, KMin: 10, KMax: 120, Lower: core.StaircaseBounds(10, 120, 10, 10, 10)}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.IterTDGlobal(in, params); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.IterTDGlobalCtx(context.Background(), in, params, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	params := core.Spec{
+		Measure: core.MeasureGlobal, Baseline: true,
+		MinSize: 50, KMin: 10, KMax: 120, Lower: core.StaircaseBounds(10, 120, 10, 10, 10),
+	}
+	b.Run("sequential", func(b *testing.B) { benchSearch(b, in, params) })
+	params.Workers = runtime.GOMAXPROCS(0)
+	b.Run("parallel", func(b *testing.B) { benchSearch(b, in, params) })
 }
 
 // BenchmarkServiceAudit measures one audit through the rankfaird serving

@@ -27,7 +27,7 @@ func main() {
 		rows     = flag.Int("rows", 0, "row count for -demo generators (0 = paper default)")
 		seed     = flag.Int64("seed", 1, "seed for -demo generators")
 		rankBy   = flag.String("rank-by", "", "numeric column to rank by, descending (for -input)")
-		measure  = flag.String("measure", "global", "fairness measure: global|prop|exposure|global-upper|prop-upper|lower-specific|upper-general")
+		measure  = flag.String("measure", "global", "fairness measure: "+strings.Join(rankfair.Measures(), "|"))
 		kMin     = flag.Int("kmin", 10, "smallest k")
 		kMax     = flag.Int("kmax", 49, "largest k")
 		tau      = flag.Int("tau", 50, "size threshold τs on the group size in the dataset")
@@ -38,7 +38,7 @@ func main() {
 		lWidth   = flag.Int("lwidth", 10, "global lower bound staircase: width in k")
 		uConst   = flag.Int("uconst", 20, "global upper bound (constant over k)")
 		summary  = flag.Bool("summary", false, "print one line per group with its k ranges instead of per-k listings")
-		baseline = flag.Bool("baseline", false, "use the ITERTD baseline instead of the optimized algorithms")
+		baseline = flag.Bool("baseline", false, "use the ITERTD baseline instead of the incremental algorithm (global, prop, global-upper, exposure)")
 		asJSON   = flag.Bool("json", false, "emit the full report as JSON instead of text")
 	)
 	flag.Parse()
@@ -75,51 +75,13 @@ func run(o options) error {
 		return fmt.Errorf("kmax=%d exceeds dataset size %d", o.kMax, n)
 	}
 
-	var report *rankfair.Report
-	switch o.measure {
-	case "global":
-		params := rankfair.GlobalParams{
-			MinSize: o.tau, KMin: o.kMin, KMax: o.kMax,
-			Lower: rankfair.StaircaseBounds(o.kMin, o.kMax, o.lBase, o.lStep, o.lWidth),
-		}
-		if o.baseline {
-			report, err = a.DetectGlobalBaseline(params)
-		} else {
-			report, err = a.DetectGlobal(params)
-		}
-	case "prop":
-		params := rankfair.PropParams{MinSize: o.tau, KMin: o.kMin, KMax: o.kMax, Alpha: o.alpha}
-		if o.baseline {
-			report, err = a.DetectProportionalBaseline(params)
-		} else {
-			report, err = a.DetectProportional(params)
-		}
-	case "global-upper":
-		report, err = a.DetectGlobalUpper(rankfair.GlobalUpperParams{
-			MinSize: o.tau, KMin: o.kMin, KMax: o.kMax,
-			Upper: rankfair.ConstantBounds(o.kMin, o.kMax, o.uConst),
-		})
-	case "prop-upper":
-		report, err = a.DetectProportionalUpper(rankfair.PropUpperParams{
-			MinSize: o.tau, KMin: o.kMin, KMax: o.kMax, Beta: o.beta,
-		})
-	case "exposure":
-		report, err = a.DetectExposure(rankfair.ExposureParams{
-			MinSize: o.tau, KMin: o.kMin, KMax: o.kMax, Alpha: o.alpha,
-		})
-	case "lower-specific":
-		report, err = a.DetectGlobalLowerMostSpecific(rankfair.GlobalParams{
-			MinSize: o.tau, KMin: o.kMin, KMax: o.kMax,
-			Lower: rankfair.StaircaseBounds(o.kMin, o.kMax, o.lBase, o.lStep, o.lWidth),
-		})
-	case "upper-general":
-		report, err = a.DetectGlobalUpperMostGeneral(rankfair.GlobalUpperParams{
-			MinSize: o.tau, KMin: o.kMin, KMax: o.kMax,
-			Upper: rankfair.ConstantBounds(o.kMin, o.kMax, o.uConst),
-		})
-	default:
-		return fmt.Errorf("unknown measure %q (want global|prop|exposure|global-upper|prop-upper|lower-specific|upper-general)", o.measure)
-	}
+	report, err := a.Detect(rankfair.AuditParams{
+		Measure: o.measure, MinSize: o.tau, KMin: o.kMin, KMax: o.kMax,
+		Alpha: o.alpha, Beta: o.beta,
+		Lower:    rankfair.StaircaseBounds(o.kMin, o.kMax, o.lBase, o.lStep, o.lWidth),
+		Upper:    rankfair.ConstantBounds(o.kMin, o.kMax, o.uConst),
+		Baseline: o.baseline,
+	})
 	if err != nil {
 		return err
 	}

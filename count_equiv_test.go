@@ -38,19 +38,19 @@ func equivReports(t testing.TB, a *Analyst) map[string]*Report {
 		run  func() (*Report, error)
 	}{
 		{"global", func() (*Report, error) {
-			return a.DetectGlobal(GlobalParams{MinSize: 10, KMin: 10, KMax: kMax, Lower: StaircaseBounds(10, kMax, 10, 10, 10)})
+			return a.Detect(AuditParams{Measure: MeasureGlobal, MinSize: 10, KMin: 10, KMax: kMax, Lower: StaircaseBounds(10, kMax, 10, 10, 10)})
 		}},
 		{"prop", func() (*Report, error) {
-			return a.DetectProportional(PropParams{MinSize: 10, KMin: 10, KMax: kMax, Alpha: 0.8})
+			return a.Detect(AuditParams{Measure: MeasureProp, MinSize: 10, KMin: 10, KMax: kMax, Alpha: 0.8})
 		}},
 		{"global-upper", func() (*Report, error) {
-			return a.DetectGlobalUpper(GlobalUpperParams{MinSize: 10, KMin: 10, KMax: kMax, Upper: ConstantBounds(10, kMax, 8)})
+			return a.Detect(AuditParams{Measure: MeasureGlobalUpper, MinSize: 10, KMin: 10, KMax: kMax, Upper: ConstantBounds(10, kMax, 8)})
 		}},
 		{"prop-upper", func() (*Report, error) {
-			return a.DetectProportionalUpper(PropUpperParams{MinSize: 10, KMin: 10, KMax: kMax, Beta: 1.2})
+			return a.Detect(AuditParams{Measure: MeasurePropUpper, MinSize: 10, KMin: 10, KMax: kMax, Beta: 1.2})
 		}},
 		{"exposure", func() (*Report, error) {
-			return a.DetectExposure(ExposureParams{MinSize: 10, KMin: 10, KMax: kMax, Alpha: 0.8})
+			return a.Detect(AuditParams{Measure: MeasureExposure, MinSize: 10, KMin: 10, KMax: kMax, Alpha: 0.8})
 		}},
 	}
 	for _, d := range detections {
@@ -76,12 +76,10 @@ func TestToJSONByteIdentical(t *testing.T) {
 	for name, bundle := range bundles {
 		a := equivAnalyst(t, bundle, 6)
 		for measure, rep := range equivReports(t, a) {
-			rep.naiveCounts = true
-			naive, err := json.Marshal(rep.ToJSON())
+			naive, err := json.Marshal(rep.toJSONNaive())
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep.naiveCounts = false
 			indexed, err := json.Marshal(rep.ToJSON())
 			if err != nil {
 				t.Fatal(err)
@@ -103,9 +101,7 @@ func TestInfoAtByteIdentical(t *testing.T) {
 	a := equivAnalyst(t, synth.GermanCredit(400, 7), 6)
 	for measure, rep := range equivReports(t, a) {
 		for k := rep.KMin; k <= rep.KMax; k++ {
-			rep.naiveCounts = true
-			naive := rep.InfoAt(k)
-			rep.naiveCounts = false
+			naive := rep.infoAtNaive(k)
 			indexed := rep.InfoAt(k)
 			if len(naive) != len(indexed) {
 				t.Fatalf("%s k=%d: %d infos indexed, %d naive", measure, k, len(indexed), len(naive))

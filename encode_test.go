@@ -118,7 +118,7 @@ func TestAppendReportJSONMatchesEncodingJSON(t *testing.T) {
 // consecutive calls.
 func TestWriteJSONMatchesEncodingJSONOnRealReport(t *testing.T) {
 	a := encodeTestAnalyst(t)
-	rep, err := a.DetectGlobal(GlobalParams{MinSize: 2, KMin: 3, KMax: 6, Lower: []int{1, 2, 2, 3}})
+	rep, err := a.Detect(AuditParams{Measure: MeasureGlobal, MinSize: 2, KMin: 3, KMax: 6, Lower: []int{1, 2, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestWriteJSONMatchesEncodingJSONOnRealReport(t *testing.T) {
 // shares internally).
 func TestToJSONPatternMapsIndependent(t *testing.T) {
 	a := encodeTestAnalyst(t)
-	rep, err := a.DetectGlobal(GlobalParams{MinSize: 2, KMin: 3, KMax: 6, Lower: []int{1, 2, 2, 3}})
+	rep, err := a.Detect(AuditParams{Measure: MeasureGlobal, MinSize: 2, KMin: 3, KMax: 6, Lower: []int{1, 2, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,8 @@ func exampleAnalyst() *rankfair.Analyst {
 // the paper: with L=2 at k=5, only one GP student makes the top five).
 func ExampleAnalyst_detectGlobal() {
 	a := exampleAnalyst()
-	report, err := a.DetectGlobal(rankfair.GlobalParams{
+	report, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureGlobal,
 		MinSize: 8,
 		KMin:    5, KMax: 5,
 		Lower: rankfair.ConstantBounds(5, 5, 2),
@@ -41,7 +42,8 @@ func ExampleAnalyst_detectGlobal() {
 // Detect groups below their proportional share (Problem 3.2, Example 4.9).
 func ExampleAnalyst_detectProportional() {
 	a := exampleAnalyst()
-	report, err := a.DetectProportional(rankfair.PropParams{
+	report, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureProp,
 		MinSize: 5,
 		KMin:    4, KMax: 5,
 		Alpha: 0.9,
@@ -62,7 +64,8 @@ func ExampleAnalyst_detectProportional() {
 // Rank findings by the magnitude of their bound violation.
 func ExampleReport_InfoAt() {
 	a := exampleAnalyst()
-	report, err := a.DetectGlobal(rankfair.GlobalParams{
+	report, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureGlobal,
 		MinSize: 4, KMin: 4, KMax: 4, Lower: []int{2},
 	})
 	if err != nil {

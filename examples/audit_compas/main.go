@@ -26,7 +26,8 @@ func main() {
 
 	// The paper's Figure 10b setting: global bounds with a demanding
 	// lower bound at k=49.
-	report, err := analyst.DetectGlobal(rankfair.GlobalParams{
+	report, err := analyst.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureGlobal,
 		MinSize: 50, KMin: k, KMax: k,
 		Lower: rankfair.ConstantBounds(k, k, 40),
 	})

@@ -29,7 +29,8 @@ func main() {
 	check(err)
 	fmt.Printf("suggested bounds: L_%d=%d ... L_%d=%d\n\n", kMin, lower[0], kMax, lower[len(lower)-1])
 
-	report, err := analyst.DetectGlobal(rankfair.GlobalParams{
+	report, err := analyst.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureGlobal,
 		MinSize: 100, KMin: kMin, KMax: kMax, Lower: lower,
 	})
 	check(err)
@@ -48,11 +49,13 @@ func main() {
 
 	// 3. Exposure audit: counts can look fair while positions are not.
 	// Groups stuck at the bottom of the prefix earn little exposure.
-	exposure, err := analyst.DetectExposure(rankfair.ExposureParams{
+	exposure, err := analyst.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureExposure,
 		MinSize: 100, KMin: kMax, KMax: kMax, Alpha: 0.8,
 	})
 	check(err)
-	countOnly, err := analyst.DetectProportional(rankfair.PropParams{
+	countOnly, err := analyst.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureProp,
 		MinSize: 100, KMin: kMax, KMax: kMax, Alpha: 0.8,
 	})
 	check(err)
@@ -72,7 +75,8 @@ func main() {
 
 	// 4. The same biased region from the other end: most specific
 	// descriptions for case-by-case review.
-	specific, err := analyst.DetectGlobalLowerMostSpecific(rankfair.GlobalParams{
+	specific, err := analyst.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureLowerSpecific,
 		MinSize: 100, KMin: kMax, KMax: kMax, Lower: lower[len(lower)-1:],
 	})
 	check(err)

@@ -30,7 +30,8 @@ func main() {
 
 	// Proportional audit: groups should hold their overall share of each
 	// shortlist prefix (α = 0.8).
-	prop, err := analyst.DetectProportional(rankfair.PropParams{
+	prop, err := analyst.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureProp,
 		MinSize: 30, KMin: kMin, KMax: kMax, Alpha: 0.8,
 	})
 	check(err)
@@ -40,7 +41,8 @@ func main() {
 	// Global audit: the company wants every substantial group to place at
 	// least 5 members in the top 10-19 and 10 in the top 20-40 —
 	// regardless of its share of the applicant pool.
-	global, err := analyst.DetectGlobal(rankfair.GlobalParams{
+	global, err := analyst.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureGlobal,
 		MinSize: 30, KMin: kMin, KMax: kMax,
 		Lower: rankfair.StaircaseBounds(kMin, kMax, 5, 5, 10),
 	})
@@ -54,7 +56,8 @@ func main() {
 
 	// The flip side: who exceeds the shortlist share? Upper-bound
 	// detection reports the most specific over-represented groups.
-	upper, err := analyst.DetectGlobalUpper(rankfair.GlobalUpperParams{
+	upper, err := analyst.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureGlobalUpper,
 		MinSize: 30, KMin: kMax, KMax: kMax,
 		Upper: rankfair.ConstantBounds(kMax, kMax, 30),
 	})

@@ -41,7 +41,8 @@ func main() {
 
 	// Problem 3.1: groups of at least 4 students must place at least 2
 	// members in every top-k for k in [4,5].
-	report, err := analyst.DetectGlobal(rankfair.GlobalParams{
+	report, err := analyst.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureGlobal,
 		MinSize: 4,
 		KMin:    4, KMax: 5,
 		Lower: rankfair.ConstantBounds(4, 5, 2),
@@ -58,7 +59,8 @@ func main() {
 	// Problem 3.2: the same question with proportional bounds — every
 	// group of at least 5 students should hold roughly its overall share
 	// of each top-k, with slack α = 0.9.
-	prop, err := analyst.DetectProportional(rankfair.PropParams{
+	prop, err := analyst.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureProp,
 		MinSize: 5, KMin: 4, KMax: 5, Alpha: 0.9,
 	})
 	check(err)

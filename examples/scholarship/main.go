@@ -28,7 +28,8 @@ func main() {
 	// amount, so every prefix k in [10, 49] must be fair. A group of at
 	// least 50 students is expected to hold at least its proportional
 	// share of each prefix, with slack α = 0.8.
-	report, err := analyst.DetectProportional(rankfair.PropParams{
+	report, err := analyst.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureProp,
 		MinSize: 50,
 		KMin:    10, KMax: 49,
 		Alpha: 0.8,

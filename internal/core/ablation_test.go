@@ -75,7 +75,7 @@ func TestScanSearchMatchesPartitionedSearch(t *testing.T) {
 		k := 1 + rng.Intn(nRows)
 		minSize := 1 + rng.Intn(4)
 		l := 1 + rng.Intn(3)
-		meas := globalMeasure{params: &GlobalParams{KMin: k, KMax: k, Lower: []int{l}, MinSize: minSize}}
+		meas := globalMeasure{spec: &Spec{Measure: MeasureGlobal, KMin: k, KMax: k, Lower: []int{l}, MinSize: minSize}}
 		var s1, s2 Stats
 		res1, dres1 := topDownSearch(&canceler{}, newEngine(in), minSize, k, meas, &s1, nil)
 		res2, dres2 := scanTopDownSearch(in, minSize, k, meas, &s2)
@@ -152,7 +152,7 @@ func ablationInput(b *testing.B) *Input {
 // match-list partitioning (used everywhere) vs per-pattern dataset scans.
 func BenchmarkAblationCounting(b *testing.B) {
 	in := ablationInput(b)
-	meas := globalMeasure{params: &GlobalParams{KMin: 40, KMax: 40, Lower: []int{20}, MinSize: 20}}
+	meas := globalMeasure{spec: &Spec{Measure: MeasureGlobal, KMin: 40, KMax: 40, Lower: []int{20}, MinSize: 20}}
 	b.Run("partitioned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var s Stats
@@ -171,17 +171,17 @@ func BenchmarkAblationCounting(b *testing.B) {
 // per-k incremental update of GLOBALBOUNDS vs a fresh search per k.
 func BenchmarkAblationIncremental(b *testing.B) {
 	in := ablationInput(b)
-	params := GlobalParams{MinSize: 20, KMin: 10, KMax: 200, Lower: ConstantBounds(10, 200, 8)}
+	params := Spec{Measure: MeasureGlobal, MinSize: 20, KMin: 10, KMax: 200, Lower: ConstantBounds(10, 200, 8)}
 	b.Run("rebuild-per-k", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := IterTDGlobal(in, params); err != nil {
+			if _, err := Search(bg, in, baseline(params)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := GlobalBounds(in, params); err != nil {
+			if _, err := Search(bg, in, params); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -192,17 +192,17 @@ func BenchmarkAblationIncremental(b *testing.B) {
 // against the per-k rebuild.
 func BenchmarkAblationKtildeScheduling(b *testing.B) {
 	in := ablationInput(b)
-	params := PropParams{MinSize: 20, KMin: 10, KMax: 200, Alpha: 0.8}
+	params := Spec{Measure: MeasureProp, MinSize: 20, KMin: 10, KMax: 200, Alpha: 0.8}
 	b.Run("rebuild-per-k", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := IterTDProp(in, params); err != nil {
+			if _, err := Search(bg, in, baseline(params)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := PropBounds(in, params); err != nil {
+			if _, err := Search(bg, in, params); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -43,10 +43,10 @@ func BenchmarkIndexedSearch(b *testing.B) {
 		b.Fatal(err)
 	}
 	studentsIx := count.Build(students.Rows, students.Space, students.Ranking)
-	staircase := core.PropParams{MinSize: 50, KMin: 10, KMax: 49, Alpha: 0.8}
-	gp := core.GlobalParams{MinSize: 10, KMin: 10, KMax: 49, Lower: core.StaircaseBounds(10, 49, 10, 10, 10)}
-	pp := core.PropParams{MinSize: 10, KMin: 10, KMax: 49, Alpha: 0.8}
-	lightParams := core.PropParams{MinSize: 200, KMin: 10, KMax: 12, Alpha: 0.8}
+	staircase := core.Spec{Measure: core.MeasureProp, MinSize: 50, KMin: 10, KMax: 49, Alpha: 0.8}
+	gp := core.Spec{Measure: core.MeasureGlobal, MinSize: 10, KMin: 10, KMax: 49, Lower: core.StaircaseBounds(10, 49, 10, 10, 10)}
+	pp := core.Spec{Measure: core.MeasureProp, MinSize: 10, KMin: 10, KMax: 49, Alpha: 0.8}
+	lightParams := core.Spec{Measure: core.MeasureProp, MinSize: 200, KMin: 10, KMax: 12, Alpha: 0.8}
 	engines := []struct {
 		name    string
 		ix      *count.Index
@@ -70,14 +70,14 @@ func BenchmarkIndexedSearch(b *testing.B) {
 		for _, w := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("global/%s/workers=%d", eng.name, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := core.GlobalBoundsCtx(ctx, &in, gp, w); err != nil {
+					if _, err := core.Search(ctx, &in, workers(gp, w)); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 			b.Run(fmt.Sprintf("prop/%s/workers=%d", eng.name, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := core.PropBoundsCtx(ctx, &in, pp, w); err != nil {
+					if _, err := core.Search(ctx, &in, workers(pp, w)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -85,7 +85,7 @@ func BenchmarkIndexedSearch(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("light-prop/%s", eng.name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.PropBoundsCtx(ctx, &in, lightParams, 1); err != nil {
+				if _, err := core.Search(ctx, &in, lightParams); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -94,16 +94,16 @@ func BenchmarkIndexedSearch(b *testing.B) {
 		// domination frontier at ~190 snapshots, so this series tracks the
 		// per-k settle alongside the tree walk.
 		b.Run(fmt.Sprintf("prop-wide/%s", eng.name), func(b *testing.B) {
-			wide := core.PropParams{MinSize: 10, KMin: 10, KMax: 200, Alpha: 0.8}
+			wide := core.Spec{Measure: core.MeasureProp, MinSize: 10, KMin: 10, KMax: 200, Alpha: 0.8}
 			for i := 0; i < b.N; i++ {
-				if _, err := core.PropBoundsCtx(ctx, &in, wide, 1); err != nil {
+				if _, err := core.Search(ctx, &in, wide); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("prop-staircase/%s", eng.name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.PropBoundsCtx(ctx, &st, staircase, 1); err != nil {
+				if _, err := core.Search(ctx, &st, staircase); err != nil {
 					b.Fatal(err)
 				}
 			}

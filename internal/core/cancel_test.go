@@ -54,43 +54,16 @@ func denseCancelInput(nAttrs, nRows int) *Input {
 	return &Input{Rows: rows, Space: &pattern.Space{Names: names, Cards: cards}, Ranking: rng.Perm(nRows)}
 }
 
-// cancelEntryPoints drives every context-aware detection entry point with
-// uniform parameters over a given input.
-func cancelEntryPoints(in *Input, kMin, kMax int) map[string]func(ctx context.Context, workers int) (*Result, error) {
+// cancelSpecs names every search with uniform parameters over [kMin, kMax].
+func cancelSpecs(kMin, kMax int) map[string]Spec {
 	lower := ConstantBounds(kMin, kMax, 1)
 	upper := ConstantBounds(kMin, kMax, 1)
-	gp := GlobalParams{MinSize: 1, KMin: kMin, KMax: kMax, Lower: lower}
-	pp := PropParams{MinSize: 1, KMin: kMin, KMax: kMax, Alpha: 0.8}
-	ep := ExposureParams{MinSize: 1, KMin: kMin, KMax: kMax, Alpha: 0.8}
-	gup := GlobalUpperParams{MinSize: 1, KMin: kMin, KMax: kMax, Upper: upper}
-	pup := PropUpperParams{MinSize: 1, KMin: kMin, KMax: kMax, Beta: 1.2}
-	return map[string]func(ctx context.Context, workers int) (*Result, error){
-		"GlobalBounds": func(ctx context.Context, w int) (*Result, error) { return GlobalBoundsCtx(ctx, in, gp, w) },
-		"IterTDGlobal": func(ctx context.Context, w int) (*Result, error) { return IterTDGlobalCtx(ctx, in, gp, w) },
-		"PropBounds":   func(ctx context.Context, w int) (*Result, error) { return PropBoundsCtx(ctx, in, pp, w) },
-		"IterTDProp":   func(ctx context.Context, w int) (*Result, error) { return IterTDPropCtx(ctx, in, pp, w) },
-		"ExposureBounds": func(ctx context.Context, w int) (*Result, error) {
-			return ExposureBoundsCtx(ctx, in, ep, w)
-		},
-		"IterTDExposure": func(ctx context.Context, w int) (*Result, error) {
-			return IterTDExposureCtx(ctx, in, ep, w)
-		},
-		"GlobalUpperBounds": func(ctx context.Context, w int) (*Result, error) {
-			return GlobalUpperBoundsCtx(ctx, in, gup, w)
-		},
-		"IterTDGlobalUpper": func(ctx context.Context, w int) (*Result, error) {
-			return IterTDGlobalUpperCtx(ctx, in, gup, w)
-		},
-		"IterTDPropUpper": func(ctx context.Context, w int) (*Result, error) {
-			return IterTDPropUpperCtx(ctx, in, pup, w)
-		},
-		"IterTDGlobalUpperMostGeneral": func(ctx context.Context, w int) (*Result, error) {
-			return IterTDGlobalUpperMostGeneralCtx(ctx, in, gup, w)
-		},
-		"IterTDGlobalLowerMostSpecific": func(ctx context.Context, w int) (*Result, error) {
-			return IterTDGlobalLowerMostSpecificCtx(ctx, in, gp, w)
-		},
-	}
+	return NamedSpecs(
+		Spec{Measure: MeasureGlobal, MinSize: 1, KMin: kMin, KMax: kMax, Lower: lower},
+		Spec{Measure: MeasureProp, MinSize: 1, KMin: kMin, KMax: kMax, Alpha: 0.8},
+		Spec{Measure: MeasureExposure, MinSize: 1, KMin: kMin, KMax: kMax, Alpha: 0.8},
+		Spec{Measure: MeasureGlobalUpper, MinSize: 1, KMin: kMin, KMax: kMax, Upper: upper},
+		Spec{Measure: MeasurePropUpper, MinSize: 1, KMin: kMin, KMax: kMax, Beta: 1.2})
 }
 
 // TestPreCanceledContextRejectedUpfront: an already-canceled context must
@@ -99,8 +72,8 @@ func TestPreCanceledContextRejectedUpfront(t *testing.T) {
 	in := denseCancelInput(4, 40)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, run := range cancelEntryPoints(in, 2, 6) {
-		res, err := run(ctx, 2)
+	for name, spec := range cancelSpecs(2, 6) {
+		res, err := Search(ctx, in, workers(spec, 2))
 		if res != nil {
 			t.Errorf("%s: returned a result despite canceled context", name)
 		}
@@ -127,8 +100,7 @@ func TestPreCanceledContextRejectedUpfront(t *testing.T) {
 // count stays far below the full traversal.
 func TestCancellationBoundedLatency(t *testing.T) {
 	in := denseCancelInput(12, 400)
-	full, err := GlobalBoundsCtx(context.Background(), in,
-		GlobalParams{MinSize: 1, KMin: 20, KMax: 20, Lower: []int{1}}, 1)
+	full, err := Search(bg, in, Spec{Measure: MeasureGlobal, MinSize: 1, KMin: 20, KMax: 20, Lower: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,20 +110,20 @@ func TestCancellationBoundedLatency(t *testing.T) {
 	if full.Stats.NodesExamined <= 4*bound {
 		t.Fatalf("workload too small to prove early exit: full run examined %d nodes", full.Stats.NodesExamined)
 	}
-	for name, run := range cancelEntryPoints(in, 20, 20) {
-		for _, workers := range []int{1, 4} {
-			res, err := run(newBudgetCtx(3), workers)
+	for name, spec := range cancelSpecs(20, 20) {
+		for _, w := range []int{1, 4} {
+			res, err := Search(newBudgetCtx(3), in, workers(spec, w))
 			if res != nil {
-				t.Errorf("%s workers=%d: returned a result despite cancellation", name, workers)
+				t.Errorf("%s workers=%d: returned a result despite cancellation", name, w)
 			}
 			var cerr *CanceledError
 			if !errors.As(err, &cerr) {
-				t.Errorf("%s workers=%d: want CanceledError, got %v", name, workers, err)
+				t.Errorf("%s workers=%d: want CanceledError, got %v", name, w, err)
 				continue
 			}
 			if cerr.NodesExamined > bound {
 				t.Errorf("%s workers=%d: examined %d nodes after cancellation, bound %d",
-					name, workers, cerr.NodesExamined, bound)
+					name, w, cerr.NodesExamined, bound)
 			}
 		}
 	}
@@ -166,7 +138,7 @@ func TestCancelMidRunReturnsPromptly(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := GlobalBoundsCtx(ctx, in, GlobalParams{MinSize: 1, KMin: 30, KMax: 30, Lower: []int{1}}, 2)
+		_, err := Search(ctx, in, Spec{Measure: MeasureGlobal, MinSize: 1, KMin: 30, KMax: 30, Lower: []int{1}, Workers: 2})
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)

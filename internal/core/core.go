@@ -2,16 +2,22 @@
 // groups (patterns) with biased representation in the top-k ranked items,
 // for every k in a range, without pre-defining protected groups.
 //
-// It provides:
+// Search is the one entry point. A Spec names the measure and, through
+// Baseline, picks between the ITERTD baseline and the measure's
+// incremental search:
 //
 //   - ITERTD (Section IV-A): the baseline that re-runs the top-down search
-//     of Algorithm 1 for every k, for both fairness measures.
+//     of Algorithm 1 for every k, for every measure.
 //   - GLOBALBOUNDS (Algorithm 2, Section IV-B): the optimized incremental
-//     algorithm for global representation bounds (Problem 3.1).
+//     algorithm for global representation bounds (Problem 3.1), also
+//     adapted to global upper bounds.
 //   - PROPBOUNDS (Algorithm 3, Section IV-C): the optimized incremental
-//     algorithm for proportional representation (Problem 3.2).
-//   - Upper-bound variants (Section III, "Upper bounds"): most-specific
-//     substantial patterns exceeding an upper bound.
+//     algorithm for proportional representation (Problem 3.2), also
+//     adapted to the exposure measure.
+//
+// Besides the paper's two lower-bound measures, Spec covers the upper-bound
+// variants of Section III (most-specific substantial patterns exceeding an
+// upper bound), its alternate report semantics, and exposure.
 //
 // All algorithms treat the ranking as a black box: they consume only a
 // permutation of row indices (best first) and the categorical encoding of
@@ -237,60 +243,6 @@ func (r *Result) TotalGroups() int {
 		total += len(g)
 	}
 	return total
-}
-
-// GlobalParams parameterizes Problem 3.1 (global bounds representation
-// bias) restricted to lower bounds, as in the body of the paper.
-type GlobalParams struct {
-	// MinSize is the size threshold τs on s_D(p).
-	MinSize int
-	// KMin, KMax delimit the inclusive range of k values.
-	KMin, KMax int
-	// Lower holds L_k for each k, indexed k-KMin (length KMax-KMin+1).
-	// GLOBALBOUNDS requires a non-decreasing sequence (the paper's
-	// assumption); ITERTD accepts any sequence.
-	Lower []int
-}
-
-func (p *GlobalParams) validate() error {
-	if p.KMin < 1 || p.KMax < p.KMin {
-		return fmt.Errorf("core: invalid k range [%d,%d]", p.KMin, p.KMax)
-	}
-	if p.MinSize < 0 {
-		return fmt.Errorf("core: negative size threshold %d", p.MinSize)
-	}
-	if len(p.Lower) != p.KMax-p.KMin+1 {
-		return fmt.Errorf("core: %d lower bounds for k range [%d,%d]", len(p.Lower), p.KMin, p.KMax)
-	}
-	return nil
-}
-
-// lowerAt returns L_k.
-func (p *GlobalParams) lowerAt(k int) int { return p.Lower[k-p.KMin] }
-
-// PropParams parameterizes Problem 3.2 (proportional representation bias)
-// restricted to the lower bound α, as in the body of the paper: a pattern
-// is biased at k when s_{R_k(D)}(p) < α·s_D(p)·k/|D|.
-type PropParams struct {
-	// MinSize is the size threshold τs on s_D(p).
-	MinSize int
-	// KMin, KMax delimit the inclusive range of k values.
-	KMin, KMax int
-	// Alpha is the proportionality slack, typically in (0, 1].
-	Alpha float64
-}
-
-func (p *PropParams) validate() error {
-	if p.KMin < 1 || p.KMax < p.KMin {
-		return fmt.Errorf("core: invalid k range [%d,%d]", p.KMin, p.KMax)
-	}
-	if p.MinSize < 0 {
-		return fmt.Errorf("core: negative size threshold %d", p.MinSize)
-	}
-	if p.Alpha <= 0 {
-		return fmt.Errorf("core: alpha must be positive, got %v", p.Alpha)
-	}
-	return nil
 }
 
 // StaircaseBounds builds the paper's default lower-bound sequence: starting

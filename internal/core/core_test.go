@@ -1,12 +1,25 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"rankfair/internal/core"
 	"rankfair/internal/pattern"
 	"rankfair/internal/synth"
 )
+
+// bg is the context of searches a test does not cancel.
+var bg = context.Background()
+
+// baseline returns s with the ITERTD baseline selected.
+func baseline(s core.Spec) core.Spec { s.Baseline = true; return s }
+
+// as returns s retargeted at measure m (same bounds, another semantics).
+func as(m string, s core.Spec) core.Spec { s.Measure = m; return s }
+
+// workers returns s with its fan-out set to w.
+func workers(s core.Spec, w int) core.Spec { s.Workers = w; return s }
 
 // runningInput materializes the Figure 1 running example.
 func runningInput(t *testing.T) *core.Input {
@@ -116,8 +129,8 @@ func runningGlobalWant(t *testing.T, in *core.Input) (k4, k5 []pattern.Pattern) 
 
 func TestExample46IterTDGlobal(t *testing.T) {
 	in := runningInput(t)
-	params := core.GlobalParams{MinSize: 4, KMin: 4, KMax: 5, Lower: []int{2, 2}}
-	res, err := core.IterTDGlobal(in, params)
+	params := core.Spec{Measure: core.MeasureGlobal, MinSize: 4, KMin: 4, KMax: 5, Lower: []int{2, 2}}
+	res, err := core.Search(bg, in, baseline(params))
 	if err != nil {
 		t.Fatalf("IterTDGlobal: %v", err)
 	}
@@ -128,8 +141,8 @@ func TestExample46IterTDGlobal(t *testing.T) {
 
 func TestExample46GlobalBounds(t *testing.T) {
 	in := runningInput(t)
-	params := core.GlobalParams{MinSize: 4, KMin: 4, KMax: 5, Lower: []int{2, 2}}
-	res, err := core.GlobalBounds(in, params)
+	params := core.Spec{Measure: core.MeasureGlobal, MinSize: 4, KMin: 4, KMax: 5, Lower: []int{2, 2}}
+	res, err := core.Search(bg, in, params)
 	if err != nil {
 		t.Fatalf("GlobalBounds: %v", err)
 	}
@@ -140,7 +153,7 @@ func TestExample46GlobalBounds(t *testing.T) {
 
 func TestExample49PropBounds(t *testing.T) {
 	in := runningInput(t)
-	params := core.PropParams{MinSize: 5, KMin: 4, KMax: 5, Alpha: 0.9}
+	params := core.Spec{Measure: core.MeasureProp, MinSize: 5, KMin: 4, KMax: 5, Alpha: 0.9}
 	k4 := []pattern.Pattern{
 		mustParse(t, in, map[string]int32{"School": 0}),
 		mustParse(t, in, map[string]int32{"Address": 1}),
@@ -151,12 +164,12 @@ func TestExample49PropBounds(t *testing.T) {
 	}, k4...)
 	for _, algo := range []struct {
 		name string
-		fn   func(*core.Input, core.PropParams) (*core.Result, error)
+		spec core.Spec
 	}{
-		{"IterTDProp", core.IterTDProp},
-		{"PropBounds", core.PropBounds},
+		{"IterTDProp", baseline(params)},
+		{"PropBounds", params},
 	} {
-		res, err := algo.fn(in, params)
+		res, err := core.Search(bg, in, algo.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", algo.name, err)
 		}
@@ -169,8 +182,8 @@ func TestExample46DResContents(t *testing.T) {
 	// The paper's Example 4.6 lists four DRes members after the k=4
 	// search; verify they are reached and dominated.
 	in := runningInput(t)
-	params := core.GlobalParams{MinSize: 4, KMin: 4, KMax: 4, Lower: []int{2}}
-	res, err := core.IterTDGlobal(in, params)
+	params := core.Spec{Measure: core.MeasureGlobal, MinSize: 4, KMin: 4, KMax: 4, Lower: []int{2}}
+	res, err := core.Search(bg, in, baseline(params))
 	if err != nil {
 		t.Fatalf("IterTDGlobal: %v", err)
 	}
@@ -207,16 +220,16 @@ func TestTheorem33WorstCase(t *testing.T) {
 		t.Fatalf("worst case input: %v", err)
 	}
 	t.Run("global", func(t *testing.T) {
-		params := core.GlobalParams{MinSize: 2, KMin: n, KMax: n, Lower: []int{n/2 + 1}}
-		res, err := core.GlobalBounds(in, params)
+		params := core.Spec{Measure: core.MeasureGlobal, MinSize: 2, KMin: n, KMax: n, Lower: []int{n/2 + 1}}
+		res, err := core.Search(bg, in, params)
 		if err != nil {
 			t.Fatalf("GlobalBounds: %v", err)
 		}
 		checkWorstCase(t, res.At(n), n)
 	})
 	t.Run("proportional", func(t *testing.T) {
-		params := core.PropParams{MinSize: 2, KMin: n, KMax: n, Alpha: float64(n+3) / float64(n+4)}
-		res, err := core.PropBounds(in, params)
+		params := core.Spec{Measure: core.MeasureProp, MinSize: 2, KMin: n, KMax: n, Alpha: float64(n+3) / float64(n+4)}
+		res, err := core.Search(bg, in, params)
 		if err != nil {
 			t.Fatalf("PropBounds: %v", err)
 		}
@@ -252,12 +265,12 @@ func binom(n, k int) int {
 
 func TestGlobalBoundsRejectsDecreasingBounds(t *testing.T) {
 	in := runningInput(t)
-	params := core.GlobalParams{MinSize: 4, KMin: 4, KMax: 5, Lower: []int{3, 2}}
-	if _, err := core.GlobalBounds(in, params); err == nil {
+	params := core.Spec{Measure: core.MeasureGlobal, MinSize: 4, KMin: 4, KMax: 5, Lower: []int{3, 2}}
+	if _, err := core.Search(bg, in, params); err == nil {
 		t.Fatal("want error for decreasing bounds")
 	}
 	// The baseline must accept the same bounds.
-	if _, err := core.IterTDGlobal(in, params); err != nil {
+	if _, err := core.Search(bg, in, baseline(params)); err != nil {
 		t.Fatalf("IterTDGlobal with decreasing bounds: %v", err)
 	}
 }
@@ -269,27 +282,27 @@ func TestParameterValidation(t *testing.T) {
 		run  func() error
 	}{
 		{"kmax beyond dataset", func() error {
-			_, err := core.IterTDGlobal(in, core.GlobalParams{MinSize: 1, KMin: 1, KMax: 99, Lower: core.ConstantBounds(1, 99, 1)})
+			_, err := core.Search(bg, in, core.Spec{Measure: core.MeasureGlobal, Baseline: true, MinSize: 1, KMin: 1, KMax: 99, Lower: core.ConstantBounds(1, 99, 1)})
 			return err
 		}},
 		{"bad k range", func() error {
-			_, err := core.IterTDGlobal(in, core.GlobalParams{MinSize: 1, KMin: 5, KMax: 4, Lower: nil})
+			_, err := core.Search(bg, in, core.Spec{Measure: core.MeasureGlobal, Baseline: true, MinSize: 1, KMin: 5, KMax: 4, Lower: nil})
 			return err
 		}},
 		{"bounds length mismatch", func() error {
-			_, err := core.GlobalBounds(in, core.GlobalParams{MinSize: 1, KMin: 2, KMax: 5, Lower: []int{1}})
+			_, err := core.Search(bg, in, core.Spec{Measure: core.MeasureGlobal, MinSize: 1, KMin: 2, KMax: 5, Lower: []int{1}})
 			return err
 		}},
 		{"negative threshold", func() error {
-			_, err := core.IterTDProp(in, core.PropParams{MinSize: -1, KMin: 2, KMax: 5, Alpha: 0.5})
+			_, err := core.Search(bg, in, core.Spec{Measure: core.MeasureProp, Baseline: true, MinSize: -1, KMin: 2, KMax: 5, Alpha: 0.5})
 			return err
 		}},
 		{"non-positive alpha", func() error {
-			_, err := core.PropBounds(in, core.PropParams{MinSize: 1, KMin: 2, KMax: 5, Alpha: 0})
+			_, err := core.Search(bg, in, core.Spec{Measure: core.MeasureProp, MinSize: 1, KMin: 2, KMax: 5, Alpha: 0})
 			return err
 		}},
 		{"zero kmin", func() error {
-			_, err := core.PropBounds(in, core.PropParams{MinSize: 1, KMin: 0, KMax: 5, Alpha: 0.5})
+			_, err := core.Search(bg, in, core.Spec{Measure: core.MeasureProp, MinSize: 1, KMin: 0, KMax: 5, Alpha: 0.5})
 			return err
 		}},
 	}
@@ -321,8 +334,8 @@ func TestStaircaseBounds(t *testing.T) {
 
 func TestResultAccessors(t *testing.T) {
 	in := runningInput(t)
-	params := core.GlobalParams{MinSize: 4, KMin: 4, KMax: 5, Lower: []int{2, 2}}
-	res, err := core.GlobalBounds(in, params)
+	params := core.Spec{Measure: core.MeasureGlobal, MinSize: 4, KMin: 4, KMax: 5, Lower: []int{2, 2}}
+	res, err := core.Search(bg, in, params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestSingleAttributeSingleValue(t *testing.T) {
 	// One attribute with cardinality 1: the only pattern is {A=0}, which
 	// covers everything — never below a bound it can reach.
 	in := edgeInput(t, []int{1}, [][]int32{{0}, {0}, {0}})
-	res, err := core.GlobalBounds(in, core.GlobalParams{MinSize: 1, KMin: 1, KMax: 3, Lower: []int{1, 1, 1}})
+	res, err := core.Search(bg, in, core.Spec{Measure: core.MeasureGlobal, MinSize: 1, KMin: 1, KMax: 3, Lower: []int{1, 1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestSingleAttributeSingleValue(t *testing.T) {
 		}
 	}
 	// An unattainable bound flags the pattern at every k.
-	res, err = core.GlobalBounds(in, core.GlobalParams{MinSize: 1, KMin: 1, KMax: 3, Lower: []int{5, 5, 5}})
+	res, err = core.Search(bg, in, core.Spec{Measure: core.MeasureGlobal, MinSize: 1, KMin: 1, KMax: 3, Lower: []int{5, 5, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSingleAttributeSingleValue(t *testing.T) {
 
 func TestZeroLowerBoundNeverBiased(t *testing.T) {
 	in := edgeInput(t, []int{2, 2}, [][]int32{{0, 0}, {0, 1}, {1, 0}, {1, 1}})
-	res, err := core.GlobalBounds(in, core.GlobalParams{MinSize: 1, KMin: 1, KMax: 4, Lower: []int{0, 0, 0, 0}})
+	res, err := core.Search(bg, in, core.Spec{Measure: core.MeasureGlobal, MinSize: 1, KMin: 1, KMax: 4, Lower: []int{0, 0, 0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestZeroLowerBoundNeverBiased(t *testing.T) {
 func TestZeroSizeThreshold(t *testing.T) {
 	// τs=0 admits every pattern, including those with no tuples at all.
 	in := edgeInput(t, []int{2}, [][]int32{{0}, {0}})
-	res, err := core.IterTDGlobal(in, core.GlobalParams{MinSize: 0, KMin: 1, KMax: 1, Lower: []int{1}})
+	res, err := core.Search(bg, in, core.Spec{Measure: core.MeasureGlobal, Baseline: true, MinSize: 0, KMin: 1, KMax: 1, Lower: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestZeroSizeThreshold(t *testing.T) {
 	if !found {
 		t.Errorf("empty-but-admitted pattern missing: %v", res.At(1))
 	}
-	opt, err := core.GlobalBounds(in, core.GlobalParams{MinSize: 0, KMin: 1, KMax: 1, Lower: []int{1}})
+	opt, err := core.Search(bg, in, core.Spec{Measure: core.MeasureGlobal, MinSize: 0, KMin: 1, KMax: 1, Lower: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestDuplicateRows(t *testing.T) {
 		rows[i] = []int32{1, 0}
 	}
 	in := edgeInput(t, []int{2, 2}, rows)
-	res, err := core.PropBounds(in, core.PropParams{MinSize: 1, KMin: 2, KMax: 4, Alpha: 0.9})
+	res, err := core.Search(bg, in, core.Spec{Measure: core.MeasureProp, MinSize: 1, KMin: 2, KMax: 4, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestKEqualsDatasetSize(t *testing.T) {
 	// k = |D|: the top-k is the whole dataset, so representation equals
 	// dataset share and proportional bias vanishes for α <= 1.
 	in := edgeInput(t, []int{3}, [][]int32{{0}, {1}, {2}, {0}, {1}, {2}})
-	res, err := core.PropBounds(in, core.PropParams{MinSize: 1, KMin: 6, KMax: 6, Alpha: 1.0})
+	res, err := core.Search(bg, in, core.Spec{Measure: core.MeasureProp, MinSize: 1, KMin: 6, KMax: 6, Alpha: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestKEqualsDatasetSize(t *testing.T) {
 
 func TestKMinEqualsOne(t *testing.T) {
 	in := edgeInput(t, []int{2, 2}, [][]int32{{0, 0}, {1, 1}, {0, 1}, {1, 0}})
-	base, err := core.IterTDGlobal(in, core.GlobalParams{MinSize: 1, KMin: 1, KMax: 4, Lower: []int{1, 1, 1, 1}})
+	base, err := core.Search(bg, in, core.Spec{Measure: core.MeasureGlobal, Baseline: true, MinSize: 1, KMin: 1, KMax: 4, Lower: []int{1, 1, 1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := core.GlobalBounds(in, core.GlobalParams{MinSize: 1, KMin: 1, KMax: 4, Lower: []int{1, 1, 1, 1}})
+	opt, err := core.Search(bg, in, core.Spec{Measure: core.MeasureGlobal, MinSize: 1, KMin: 1, KMax: 4, Lower: []int{1, 1, 1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +171,12 @@ func TestHighCardinalityAttribute(t *testing.T) {
 		rows[i] = []int32{int32(i % 6), int32(i % 2)}
 	}
 	in := edgeInput(t, []int{6, 2}, rows)
-	params := core.GlobalParams{MinSize: 2, KMin: 3, KMax: 12, Lower: core.ConstantBounds(3, 12, 2)}
-	base, err := core.IterTDGlobal(in, params)
+	params := core.Spec{Measure: core.MeasureGlobal, MinSize: 2, KMin: 3, KMax: 12, Lower: core.ConstantBounds(3, 12, 2)}
+	base, err := core.Search(bg, in, baseline(params))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := core.GlobalBounds(in, params)
+	opt, err := core.Search(bg, in, params)
 	if err != nil {
 		t.Fatal(err)
 	}

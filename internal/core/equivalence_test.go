@@ -99,13 +99,13 @@ func TestQuickGlobalBoundsMatchesIterTDAndOracle(t *testing.T) {
 			}
 			lower[i] = l
 		}
-		params := core.GlobalParams{MinSize: minSize, KMin: kMin, KMax: kMax, Lower: lower}
-		base, err := core.IterTDGlobal(in, params)
+		params := core.Spec{Measure: core.MeasureGlobal, MinSize: minSize, KMin: kMin, KMax: kMax, Lower: lower}
+		base, err := core.Search(bg, in, baseline(params))
 		if err != nil {
 			t.Logf("IterTDGlobal: %v", err)
 			return false
 		}
-		opt, err := core.GlobalBounds(in, params)
+		opt, err := core.Search(bg, in, params)
 		if err != nil {
 			t.Logf("GlobalBounds: %v", err)
 			return false
@@ -141,13 +141,13 @@ func TestQuickPropBoundsMatchesIterTDAndOracle(t *testing.T) {
 		}
 		minSize := 1 + rng.Intn(5)
 		alpha := 0.2 + rng.Float64() // (0.2, 1.2): exercises the α>1 path
-		params := core.PropParams{MinSize: minSize, KMin: kMin, KMax: kMax, Alpha: alpha}
-		base, err := core.IterTDProp(in, params)
+		params := core.Spec{Measure: core.MeasureProp, MinSize: minSize, KMin: kMin, KMax: kMax, Alpha: alpha}
+		base, err := core.Search(bg, in, baseline(params))
 		if err != nil {
 			t.Logf("IterTDProp: %v", err)
 			return false
 		}
-		opt, err := core.PropBounds(in, params)
+		opt, err := core.Search(bg, in, params)
 		if err != nil {
 			t.Logf("PropBounds: %v", err)
 			return false
@@ -189,8 +189,8 @@ func TestQuickUpperGlobalMatchesOracle(t *testing.T) {
 		for i := range upper {
 			upper[i] = 1 + rng.Intn(5)
 		}
-		params := core.GlobalUpperParams{MinSize: minSize, KMin: kMin, KMax: kMax, Upper: upper}
-		got, err := core.IterTDGlobalUpper(in, params)
+		params := core.Spec{Measure: core.MeasureGlobalUpper, MinSize: minSize, KMin: kMin, KMax: kMax, Upper: upper}
+		got, err := core.Search(bg, in, baseline(params))
 		if err != nil {
 			t.Logf("IterTDGlobalUpper: %v", err)
 			return false
@@ -229,8 +229,8 @@ func TestQuickUpperPropMatchesOracle(t *testing.T) {
 		}
 		minSize := 1 + rng.Intn(4)
 		beta := 1.0 + rng.Float64()*1.5
-		params := core.PropUpperParams{MinSize: minSize, KMin: kMin, KMax: kMax, Beta: beta}
-		got, err := core.IterTDPropUpper(in, params)
+		params := core.Spec{Measure: core.MeasurePropUpper, MinSize: minSize, KMin: kMin, KMax: kMax, Beta: beta}
+		got, err := core.Search(bg, in, params)
 		if err != nil {
 			t.Logf("IterTDPropUpper: %v", err)
 			return false
@@ -288,50 +288,31 @@ func TestQuickParallelMatchesSerial(t *testing.T) {
 		for i := range upper {
 			upper[i] = 1 + rng.Intn(4)
 		}
-		gp := core.GlobalParams{MinSize: minSize, KMin: kMin, KMax: kMax, Lower: lower}
-		pp := core.PropParams{MinSize: minSize, KMin: kMin, KMax: kMax, Alpha: 0.2 + rng.Float64()}
-		ep := core.ExposureParams{MinSize: minSize, KMin: kMin, KMax: kMax, Alpha: 0.2 + rng.Float64()}
-		gup := core.GlobalUpperParams{MinSize: minSize, KMin: kMin, KMax: kMax, Upper: upper}
-		pup := core.PropUpperParams{MinSize: minSize, KMin: kMin, KMax: kMax, Beta: 1.0 + rng.Float64()}
-		runs := []struct {
-			name string
-			f    func(w int) (*core.Result, error)
-		}{
-			{"GlobalBounds", func(w int) (*core.Result, error) { return core.GlobalBoundsCtx(ctx, in, gp, w) }},
-			{"IterTDGlobal", func(w int) (*core.Result, error) { return core.IterTDGlobalCtx(ctx, in, gp, w) }},
-			{"PropBounds", func(w int) (*core.Result, error) { return core.PropBoundsCtx(ctx, in, pp, w) }},
-			{"IterTDProp", func(w int) (*core.Result, error) { return core.IterTDPropCtx(ctx, in, pp, w) }},
-			{"ExposureBounds", func(w int) (*core.Result, error) { return core.ExposureBoundsCtx(ctx, in, ep, w) }},
-			{"IterTDExposure", func(w int) (*core.Result, error) { return core.IterTDExposureCtx(ctx, in, ep, w) }},
-			{"GlobalUpperBounds", func(w int) (*core.Result, error) { return core.GlobalUpperBoundsCtx(ctx, in, gup, w) }},
-			{"IterTDGlobalUpper", func(w int) (*core.Result, error) { return core.IterTDGlobalUpperCtx(ctx, in, gup, w) }},
-			{"IterTDPropUpper", func(w int) (*core.Result, error) { return core.IterTDPropUpperCtx(ctx, in, pup, w) }},
-			{"IterTDGlobalUpperMostGeneral", func(w int) (*core.Result, error) {
-				return core.IterTDGlobalUpperMostGeneralCtx(ctx, in, gup, w)
-			}},
-			{"IterTDGlobalLowerMostSpecific", func(w int) (*core.Result, error) {
-				return core.IterTDGlobalLowerMostSpecificCtx(ctx, in, gp, w)
-			}},
-		}
-		for _, run := range runs {
-			serial, err := run.f(1)
+		specs := core.NamedSpecs(
+			core.Spec{Measure: core.MeasureGlobal, MinSize: minSize, KMin: kMin, KMax: kMax, Lower: lower},
+			core.Spec{Measure: core.MeasureProp, MinSize: minSize, KMin: kMin, KMax: kMax, Alpha: 0.2 + rng.Float64()},
+			core.Spec{Measure: core.MeasureExposure, MinSize: minSize, KMin: kMin, KMax: kMax, Alpha: 0.2 + rng.Float64()},
+			core.Spec{Measure: core.MeasureGlobalUpper, MinSize: minSize, KMin: kMin, KMax: kMax, Upper: upper},
+			core.Spec{Measure: core.MeasurePropUpper, MinSize: minSize, KMin: kMin, KMax: kMax, Beta: 1.0 + rng.Float64()})
+		for name, spec := range specs {
+			serial, err := core.Search(ctx, in, spec)
 			if err != nil {
-				t.Logf("seed %d %s serial: %v", seed, run.name, err)
+				t.Logf("seed %d %s serial: %v", seed, name, err)
 				return false
 			}
-			for _, workers := range []int{2, 3, 8} {
-				par, err := run.f(workers)
+			for _, w := range []int{2, 3, 8} {
+				par, err := core.Search(ctx, in, workers(spec, w))
 				if err != nil {
-					t.Logf("seed %d %s workers=%d: %v", seed, run.name, workers, err)
+					t.Logf("seed %d %s workers=%d: %v", seed, name, w, err)
 					return false
 				}
 				if !reflect.DeepEqual(serial.Groups, par.Groups) {
-					t.Logf("seed %d %s workers=%d: groups diverge from serial", seed, run.name, workers)
+					t.Logf("seed %d %s workers=%d: groups diverge from serial", seed, name, w)
 					return false
 				}
 				if serial.Stats != par.Stats {
 					t.Logf("seed %d %s workers=%d: stats diverge: serial %+v parallel %+v",
-						seed, run.name, workers, serial.Stats, par.Stats)
+						seed, name, w, serial.Stats, par.Stats)
 					return false
 				}
 			}
@@ -357,12 +338,12 @@ func TestQuickOptimizedExaminesFewerNodes(t *testing.T) {
 			kMax = n
 		}
 		minSize := 1 + rng.Intn(3)
-		params := core.GlobalParams{MinSize: minSize, KMin: kMin, KMax: kMax, Lower: core.ConstantBounds(kMin, kMax, 2)}
-		base, err := core.IterTDGlobal(in, params)
+		params := core.Spec{Measure: core.MeasureGlobal, MinSize: minSize, KMin: kMin, KMax: kMax, Lower: core.ConstantBounds(kMin, kMax, 2)}
+		base, err := core.Search(bg, in, baseline(params))
 		if err != nil {
 			return false
 		}
-		opt, err := core.GlobalBounds(in, params)
+		opt, err := core.Search(bg, in, params)
 		if err != nil {
 			return false
 		}

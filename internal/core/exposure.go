@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 )
 
@@ -20,29 +19,6 @@ import (
 // group packed into positions k-9..k earns far less exposure than one
 // holding positions 1..10, exactly the phenomenon the paper's Section III
 // example describes (urban students in positions 1-5 vs 6-10).
-
-// ExposureParams parameterizes proportional-exposure bias detection.
-type ExposureParams struct {
-	// MinSize is the size threshold τs on s_D(p).
-	MinSize int
-	// KMin, KMax delimit the inclusive range of k values.
-	KMin, KMax int
-	// Alpha is the proportional slack, typically in (0, 1].
-	Alpha float64
-}
-
-func (p *ExposureParams) validate() error {
-	if p.KMin < 1 || p.KMax < p.KMin {
-		return fmt.Errorf("core: invalid k range [%d,%d]", p.KMin, p.KMax)
-	}
-	if p.MinSize < 0 {
-		return fmt.Errorf("core: negative size threshold %d", p.MinSize)
-	}
-	if p.Alpha <= 0 {
-		return fmt.Errorf("core: alpha must be positive, got %v", p.Alpha)
-	}
-	return nil
-}
 
 // PositionExposure returns the exposure weight of 1-based rank position i.
 func PositionExposure(i int) float64 {
@@ -64,38 +40,27 @@ func PatternExposure(in *Input, p Pattern, k int) float64 {
 	return total
 }
 
-// IterTDExposure detects, for each k in range, the most general patterns
+// iterTDExposure detects, for each k in range, the most general patterns
 // with size >= τs whose exposure in the top-k falls below α·s_D(p)·E(k)/|D|.
 // The search follows Algorithm 1 with the weighted measure: like the
 // proportional count measure, exposure bias is not monotone along the
 // pattern graph, so children of unbiased patterns are explored and biased
 // patterns close their subtrees (their descendants cannot be most general).
-func IterTDExposure(in *Input, params ExposureParams) (*Result, error) {
-	return IterTDExposureCtx(context.Background(), in, params, 1)
-}
-
-// IterTDExposureCtx is IterTDExposure with cancellation and per-k fan-out:
-// ctx aborts the search mid-lattice with a CanceledError, and the
-// independent per-k searches spread over workers goroutines (<= 0 means
-// GOMAXPROCS, 1 is serial). Results are identical for every worker count.
-func IterTDExposureCtx(ctx context.Context, in *Input, params ExposureParams, workers int) (*Result, error) {
-	if err := prepare(in, params.KMax, params.validate()); err != nil {
-		return nil, err
-	}
+func iterTDExposure(ctx context.Context, in *Input, s *Spec) (*Result, error) {
 	nf := float64(len(in.Rows))
 
 	// wByRank[r] is the exposure of rank position r and its prefix sum
 	// gives E(k). Both are read-only under the fan-out, as is the engine.
-	wByRank := make([]float64, params.KMax)
-	totalExposure := make([]float64, params.KMax+1)
-	for i := 0; i < params.KMax; i++ {
+	wByRank := make([]float64, s.KMax)
+	totalExposure := make([]float64, s.KMax+1)
+	for i := 0; i < s.KMax; i++ {
 		wByRank[i] = PositionExposure(i + 1)
 		totalExposure[i+1] = totalExposure[i] + wByRank[i]
 	}
 	eng := newEngine(in)
 	eng.weightByRank = wByRank
 
-	return runPerK(ctx, eng, params.KMin, params.KMax, workers, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
+	return runPerK(ctx, eng, s, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
 		st.FullSearches++
 		ek := totalExposure[k]
 		filt := newSubsetFilter()
@@ -108,12 +73,12 @@ func IterTDExposureCtx(ctx context.Context, in *Input, params ExposureParams, wo
 			u := q.pop()
 			st.NodesExamined++
 			sD := len(u.m.all)
-			if sD < params.MinSize {
+			if sD < s.MinSize {
 				ss.prunedSize()
 				continue
 			}
 			exp := eng.exposureOf(u.m, k)
-			if exp < params.Alpha*float64(sD)*ek/nf {
+			if exp < s.Alpha*float64(sD)*ek/nf {
 				p := q.pat(&u)
 				ss.prunedBound()
 				if !filt.dominated(p) {

@@ -7,57 +7,46 @@ import (
 	"rankfair/internal/pattern"
 )
 
-// ExposureBounds is the optimized incremental counterpart of IterTDExposure,
-// built on the PROPBOUNDS skeleton (Algorithm 3): the exposure of a pattern
-// changes only when the newly inserted tuple R(D)[k] satisfies it (it gains
-// that position's weight), while its bound α·s_D(p)·E(k)/|D| grows with
-// every k. Unbiased nodes are therefore scheduled at the critical k̃ where
-// the growing bound overtakes their frozen exposure; per step only nodes
-// satisfied by the new tuple and nodes whose k̃ is due are examined.
+// exposureBounds is the optimized incremental counterpart of
+// iterTDExposure, built on the PROPBOUNDS skeleton (Algorithm 3): the
+// exposure of a pattern changes only when the newly inserted tuple R(D)[k]
+// satisfies it (it gains that position's weight), while its bound
+// α·s_D(p)·E(k)/|D| grows with every k. Unbiased nodes are therefore
+// scheduled at the critical k̃ where the growing bound overtakes their
+// frozen exposure; per step only nodes satisfied by the new tuple and nodes
+// whose k̃ is due are examined. Subtree builds and resumed expansions
+// spread over s.Workers goroutines with deterministic sink merge.
 //
 // Unlike the count measure, a matched biased node does not necessarily flip
 // unbiased (position weights decay with k), so flips are re-checked rather
 // than assumed.
-func ExposureBounds(in *Input, params ExposureParams) (*Result, error) {
-	return ExposureBoundsCtx(context.Background(), in, params, 1)
-}
-
-// ExposureBoundsCtx is ExposureBounds with cancellation and intra-search
-// fan-out (see PropBoundsCtx): subtree builds and resumed expansions
-// spread over workers goroutines with deterministic sink merge, a canceled
-// ctx aborts mid-lattice with a CanceledError, and results are
-// byte-identical to the serial path for every worker count.
-func ExposureBoundsCtx(ctx context.Context, in *Input, params ExposureParams, workers int) (*Result, error) {
-	if err := prepare(in, params.KMax, params.validate()); err != nil {
-		return nil, err
-	}
+func exposureBounds(ctx context.Context, in *Input, s *Spec) (*Result, error) {
 	if err := preflight(ctx); err != nil {
 		return nil, err
 	}
-	res := &Result{KMin: params.KMin, KMax: params.KMax, Groups: make([][]Pattern, params.KMax-params.KMin+1)}
+	res := &Result{KMin: s.KMin, KMax: s.KMax, Groups: make([][]Pattern, s.KMax-s.KMin+1)}
 	st := &exposureState{
-		in:      in,
-		eng:     newEngine(in),
-		pr:      &params,
-		stats:   &res.Stats,
-		n:       float64(len(in.Rows)),
-		ctx:     ctx,
-		workers: normWorkers(workers),
+		in:    in,
+		eng:   newEngine(in),
+		spec:  s,
+		stats: &res.Stats,
+		n:     float64(len(in.Rows)),
+		ctx:   ctx,
 		front: newDomFrontier(
 			func(nd *enode) pattern.Pattern { return nd.p },
 			func(nd *enode) *string { return &nd.key }),
-		buckets:  make([][]*enode, params.KMax+2),
-		totalExp: make([]float64, params.KMax+1),
+		buckets:  make([][]*enode, s.KMax+2),
+		totalExp: make([]float64, s.KMax+1),
 	}
-	wByRank := make([]float64, params.KMax)
-	for i := 0; i < params.KMax; i++ {
+	wByRank := make([]float64, s.KMax)
+	for i := 0; i < s.KMax; i++ {
 		wByRank[i] = PositionExposure(i + 1)
 		st.totalExp[i+1] = st.totalExp[i] + wByRank[i]
 	}
 	st.eng.weightByRank = wByRank
-	st.search = st.eng.newSearchStats(st.workers)
+	st.search = st.eng.newSearchStats(s.Workers)
 	res.Search = st.search
-	if !st.fullBuild(params.KMin) {
+	if !st.fullBuild(s.KMin) {
 		return nil, canceledErr(ctx, res.Stats.NodesExamined)
 	}
 	groups, ok := st.snapshot()
@@ -65,14 +54,14 @@ func ExposureBoundsCtx(ctx context.Context, in *Input, params ExposureParams, wo
 		return nil, canceledErr(ctx, res.Stats.NodesExamined)
 	}
 	res.Groups[0] = groups
-	for k := params.KMin + 1; k <= params.KMax; k++ {
+	for k := s.KMin + 1; k <= s.KMax; k++ {
 		if !st.step(k) {
 			return nil, canceledErr(ctx, res.Stats.NodesExamined)
 		}
 		if groups, ok = st.snapshot(); !ok {
 			return nil, canceledErr(ctx, res.Stats.NodesExamined)
 		}
-		res.Groups[k-params.KMin] = groups
+		res.Groups[k-s.KMin] = groups
 	}
 	return res, nil
 }
@@ -101,13 +90,12 @@ type esink struct {
 }
 
 type exposureState struct {
-	in      *Input
-	eng     *engine
-	pr      *ExposureParams
-	stats   *Stats
-	n       float64
-	ctx     context.Context
-	workers int
+	in    *Input
+	eng   *engine
+	spec  *Spec
+	stats *Stats
+	n     float64
+	ctx   context.Context
 	// search accumulates the run's SearchStats; nil when disabled.
 	search *SearchStats
 
@@ -123,20 +111,20 @@ type exposureState struct {
 }
 
 func (s *exposureState) biasedAt(sD int, exposure float64, k int) bool {
-	return exposure < s.pr.Alpha*float64(sD)*s.totalExp[k]/s.n
+	return exposure < s.spec.Alpha*float64(sD)*s.totalExp[k]/s.n
 }
 
 // computeKtilde finds the smallest k with biasedAt true. E(k) is strictly
 // increasing in k, so the bound is monotone and a scan from a solved
 // starting point terminates; exposure stays fixed between matches.
 func (s *exposureState) computeKtilde(sD int, exposure float64) int {
-	limit := s.pr.KMax + 1
+	limit := s.spec.KMax + 1
 	if sD == 0 {
 		return limit
 	}
 	// Invert E(k) >= exposure·n/(α·sD) by scanning: E is concave and the
 	// range is small, so binary search over totalExp keeps this O(log k).
-	target := exposure * s.n / (s.pr.Alpha * float64(sD))
+	target := exposure * s.n / (s.spec.Alpha * float64(sD))
 	kt := sort.SearchFloat64s(s.totalExp, target) // first k with E(k) >= target
 	if kt < 1 {
 		kt = 1
@@ -144,10 +132,10 @@ func (s *exposureState) computeKtilde(sD int, exposure float64) int {
 	for kt > 1 && s.biasedAt(sD, exposure, kt-1) {
 		kt--
 	}
-	for kt <= s.pr.KMax && !s.biasedAt(sD, exposure, kt) {
+	for kt <= s.spec.KMax && !s.biasedAt(sD, exposure, kt) {
 		kt++
 	}
-	if kt > s.pr.KMax {
+	if kt > s.spec.KMax {
 		return limit
 	}
 	return kt
@@ -158,7 +146,7 @@ func (s *exposureState) computeKtilde(sD int, exposure float64) int {
 // safe).
 func (s *exposureState) scheduleInto(nd *enode, sk *esink) {
 	nd.ktilde = s.computeKtilde(nd.sD, nd.exposure)
-	if nd.ktilde <= s.pr.KMax {
+	if nd.ktilde <= s.spec.KMax {
 		sk.sched = append(sk.sched, nd)
 	}
 }
@@ -187,7 +175,7 @@ func (s *exposureState) fullBuild(k int) bool {
 	units := s.eng.rootUnits()
 	sinks := make([]esink, len(units))
 	children := make([]*enode, len(units))
-	fanOut(s.workers, len(units), func(i int) {
+	fanOut(s.spec.Workers, len(units), func(i int) {
 		u := &units[i]
 		sk := &sinks[i]
 		sk.cn = canceler{ctx: s.ctx}
@@ -198,7 +186,7 @@ func (s *exposureState) fullBuild(k int) bool {
 		}
 		sk.stats.NodesExamined++
 		sD := len(u.m.all)
-		if sD < s.pr.MinSize {
+		if sD < s.spec.MinSize {
 			sk.sr.ss.prunedSize()
 			return
 		}
@@ -241,7 +229,7 @@ func (s *exposureState) buildChildrenInto(parent *enode, m matchSet, k int, sk *
 			}
 			sk.stats.NodesExamined++
 			sD := cs.size(v)
-			if sD < s.pr.MinSize {
+			if sD < s.spec.MinSize {
 				sk.sr.ss.prunedSize()
 				continue
 			}
@@ -340,7 +328,7 @@ func (s *exposureState) step(k int) bool {
 		}
 	}
 	sinks := make([]esink, len(resumed))
-	fanOut(s.workers, len(resumed), func(i int) {
+	fanOut(s.spec.Workers, len(resumed), func(i int) {
 		nd := resumed[i]
 		sk := &sinks[i]
 		sk.cn = canceler{ctx: s.ctx}
@@ -375,7 +363,7 @@ func (s *exposureState) expandWithInto(nd *enode, m matchSet, k int, sk *esink) 
 			}
 			sk.stats.NodesExamined++
 			sD := cs.size(v)
-			if sD < s.pr.MinSize {
+			if sD < s.spec.MinSize {
 				sk.sr.ss.prunedSize()
 				continue
 			}
@@ -405,7 +393,7 @@ func (s *exposureState) snapshot() (groups []Pattern, ok bool) {
 	if !s.dirt {
 		return s.res, true
 	}
-	if s.front.settle(s.ctx, s.workers) {
+	if s.front.settle(s.ctx, s.spec.Workers) {
 		return nil, false
 	}
 	s.search.addDominated(int64(s.front.ndom))

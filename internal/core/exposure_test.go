@@ -22,13 +22,13 @@ func TestQuickExposureBoundsMatchesIterTD(t *testing.T) {
 		}
 		minSize := 1 + rng.Intn(5)
 		alpha := 0.2 + rng.Float64()
-		params := core.ExposureParams{MinSize: minSize, KMin: kMin, KMax: kMax, Alpha: alpha}
-		base, err := core.IterTDExposure(in, params)
+		params := core.Spec{Measure: core.MeasureExposure, MinSize: minSize, KMin: kMin, KMax: kMax, Alpha: alpha}
+		base, err := core.Search(bg, in, baseline(params))
 		if err != nil {
 			t.Logf("IterTDExposure: %v", err)
 			return false
 		}
-		opt, err := core.ExposureBounds(in, params)
+		opt, err := core.Search(bg, in, params)
 		if err != nil {
 			t.Logf("ExposureBounds: %v", err)
 			return false
@@ -52,12 +52,12 @@ func TestQuickExposureBoundsMatchesIterTD(t *testing.T) {
 
 func TestExposureBoundsRunningExample(t *testing.T) {
 	in := runningInput(t)
-	params := core.ExposureParams{MinSize: 4, KMin: 4, KMax: 8, Alpha: 0.8}
-	base, err := core.IterTDExposure(in, params)
+	params := core.Spec{Measure: core.MeasureExposure, MinSize: 4, KMin: 4, KMax: 8, Alpha: 0.8}
+	base, err := core.Search(bg, in, baseline(params))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := core.ExposureBounds(in, params)
+	opt, err := core.Search(bg, in, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +73,13 @@ func TestExposureBoundsRunningExample(t *testing.T) {
 
 func TestExposureBoundsValidation(t *testing.T) {
 	in := runningInput(t)
-	bad := []core.ExposureParams{
-		{MinSize: 1, KMin: 0, KMax: 4, Alpha: 0.5},
-		{MinSize: 1, KMin: 1, KMax: 4, Alpha: -1},
-		{MinSize: 1, KMin: 1, KMax: 99, Alpha: 0.5},
+	bad := []core.Spec{
+		{Measure: core.MeasureExposure, MinSize: 1, KMin: 0, KMax: 4, Alpha: 0.5},
+		{Measure: core.MeasureExposure, MinSize: 1, KMin: 1, KMax: 4, Alpha: -1},
+		{Measure: core.MeasureExposure, MinSize: 1, KMin: 1, KMax: 99, Alpha: 0.5},
 	}
 	for i, p := range bad {
-		if _, err := core.ExposureBounds(in, p); err == nil {
+		if _, err := core.Search(bg, in, p); err == nil {
 			t.Errorf("case %d: want error", i)
 		}
 	}

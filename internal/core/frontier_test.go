@@ -419,14 +419,14 @@ func TestIncrementalCancellationSweep(t *testing.T) {
 	const bound = 64 * cancelStride
 	runs := map[string]func(ctx context.Context) (*Result, error){
 		"PropBounds": func(ctx context.Context) (*Result, error) {
-			return PropBoundsCtx(ctx, in, PropParams{MinSize: 1, KMin: 10, KMax: 40, Alpha: 0.8}, 2)
+			return Search(ctx, in, Spec{Measure: MeasureProp, MinSize: 1, KMin: 10, KMax: 40, Alpha: 0.8, Workers: 2})
 		},
 		"ExposureBounds": func(ctx context.Context) (*Result, error) {
-			return ExposureBoundsCtx(ctx, in, ExposureParams{MinSize: 1, KMin: 10, KMax: 40, Alpha: 0.8}, 2)
+			return Search(ctx, in, Spec{Measure: MeasureExposure, MinSize: 1, KMin: 10, KMax: 40, Alpha: 0.8, Workers: 2})
 		},
 		"GlobalBounds": func(ctx context.Context) (*Result, error) {
-			return GlobalBoundsCtx(ctx, in, GlobalParams{MinSize: 1, KMin: 10, KMax: 40,
-				Lower: ConstantBounds(10, 40, 1)}, 2)
+			return Search(ctx, in, Spec{Measure: MeasureGlobal, MinSize: 1, KMin: 10, KMax: 40,
+				Lower: ConstantBounds(10, 40, 1), Workers: 2})
 		},
 	}
 	for name, run := range runs {

@@ -37,12 +37,11 @@ type gsink struct {
 
 // globalState holds the incremental search state of Algorithm 2.
 type globalState struct {
-	in      *Input
-	eng     *engine
-	params  *GlobalParams
-	stats   *Stats
-	ctx     context.Context
-	workers int
+	in    *Input
+	eng   *engine
+	spec  *Spec
+	stats *Stats
+	ctx   context.Context
 	// search accumulates the run's SearchStats; nil when disabled. Serial
 	// phases count into it directly, fan-out workers into their sink's
 	// local copy, merged at the same points as the sinks' Stats.
@@ -55,7 +54,7 @@ type globalState struct {
 	front *domFrontier[gnode]
 }
 
-// GlobalBounds is Algorithm 2 (GLOBALBOUNDS): detection of groups with
+// globalBounds is Algorithm 2 (GLOBALBOUNDS): detection of groups with
 // biased representation under global lower bounds, computed incrementally
 // across k. When L_k = L_{k-1}, the search for k starts from the endpoint of
 // the search for k-1: only frontier patterns satisfied by the newly inserted
@@ -63,47 +62,37 @@ type globalState struct {
 // to the bound resumes the search in its unexplored subtree
 // (searchFromNode). When L_k increases, a fresh top-down search is performed
 // (the paper's rule; it requires a non-decreasing bound sequence).
-func GlobalBounds(in *Input, params GlobalParams) (*Result, error) {
-	return GlobalBoundsCtx(context.Background(), in, params, 1)
-}
-
-// GlobalBoundsCtx is GlobalBounds with cancellation and intra-search
-// fan-out. The incremental algorithm is sequential in k, so unlike the
-// ITERTD baselines the parallelism lives inside one step: the independent
-// subtrees of a full build, the resumed subtrees of freed frontier nodes,
-// and the per-pattern domination filter spread over workers goroutines
-// (<= 0 means GOMAXPROCS, 1 is serial). Per-worker sinks are merged in
-// deterministic order, so results are byte-identical to the serial path.
-// A canceled ctx stops the traversal within a bounded number of node
-// expansions and returns a CanceledError.
-func GlobalBoundsCtx(ctx context.Context, in *Input, params GlobalParams, workers int) (*Result, error) {
-	if err := prepare(in, params.KMax, params.validate()); err != nil {
-		return nil, err
-	}
-	for i := 1; i < len(params.Lower); i++ {
-		if params.Lower[i] < params.Lower[i-1] {
-			return nil, fmt.Errorf("core: GlobalBounds requires non-decreasing lower bounds, got L=%d after L=%d (use IterTDGlobal for arbitrary bounds)",
-				params.Lower[i], params.Lower[i-1])
+//
+// The algorithm is sequential in k, so the parallelism lives inside one
+// step: the independent subtrees of a full build, the resumed subtrees of
+// freed frontier nodes, and the per-pattern domination filter spread over
+// s.Workers goroutines. Per-worker sinks are merged in deterministic order,
+// so results are byte-identical to the serial path.
+func globalBounds(ctx context.Context, in *Input, s *Spec) (*Result, error) {
+	for i := 1; i < len(s.Lower); i++ {
+		if s.Lower[i] < s.Lower[i-1] {
+			return nil, fmt.Errorf("core: GlobalBounds requires non-decreasing lower bounds, got L=%d after L=%d (use the ITERTD baseline for arbitrary bounds)",
+				s.Lower[i], s.Lower[i-1])
 		}
 	}
 	if err := preflight(ctx); err != nil {
 		return nil, err
 	}
-	res := &Result{KMin: params.KMin, KMax: params.KMax, Groups: make([][]Pattern, params.KMax-params.KMin+1)}
-	st := &globalState{in: in, eng: newEngine(in), params: &params, stats: &res.Stats, ctx: ctx, workers: normWorkers(workers)}
-	st.search = st.eng.newSearchStats(st.workers)
+	res := &Result{KMin: s.KMin, KMax: s.KMax, Groups: make([][]Pattern, s.KMax-s.KMin+1)}
+	st := &globalState{in: in, eng: newEngine(in), spec: s, stats: &res.Stats, ctx: ctx}
+	st.search = st.eng.newSearchStats(s.Workers)
 	res.Search = st.search
 
-	if !st.fullBuild(params.KMin) {
+	if !st.fullBuild(s.KMin) {
 		return nil, canceledErr(ctx, res.Stats.NodesExamined)
 	}
 	res.Groups[0] = st.snapshot()
-	for k := params.KMin + 1; k <= params.KMax; k++ {
-		if params.lowerAt(k) > params.lowerAt(k-1) {
+	for k := s.KMin + 1; k <= s.KMax; k++ {
+		if s.lowerAt(k) > s.lowerAt(k-1) {
 			if !st.fullBuild(k) {
 				return nil, canceledErr(ctx, res.Stats.NodesExamined)
 			}
-			res.Groups[k-params.KMin] = st.snapshot()
+			res.Groups[k-s.KMin] = st.snapshot()
 			continue
 		}
 		changed, ok := st.step(k)
@@ -111,9 +100,9 @@ func GlobalBoundsCtx(ctx context.Context, in *Input, params GlobalParams, worker
 			return nil, canceledErr(ctx, res.Stats.NodesExamined)
 		}
 		if changed {
-			res.Groups[k-params.KMin] = st.snapshot()
+			res.Groups[k-s.KMin] = st.snapshot()
 		} else {
-			res.Groups[k-params.KMin] = res.Groups[k-params.KMin-1]
+			res.Groups[k-s.KMin] = res.Groups[k-s.KMin-1]
 		}
 	}
 	return res, nil
@@ -135,11 +124,11 @@ func (s *globalState) fullBuild(k int) bool {
 		func(nd *gnode) pattern.Pattern { return nd.p },
 		func(nd *gnode) *string { return &nd.key })
 
-	L := s.params.lowerAt(k)
+	L := s.spec.lowerAt(k)
 	units := s.eng.rootUnits()
 	sinks := make([]gsink, len(units))
 	children := make([]*gnode, len(units))
-	fanOut(s.workers, len(units), func(i int) {
+	fanOut(s.spec.Workers, len(units), func(i int) {
 		u := &units[i]
 		sk := &sinks[i]
 		sk.cn = canceler{ctx: s.ctx}
@@ -150,7 +139,7 @@ func (s *globalState) fullBuild(k int) bool {
 		}
 		sk.stats.NodesExamined++
 		sD := len(u.m.all)
-		if sD < s.params.MinSize {
+		if sD < s.spec.MinSize {
 			sk.sr.ss.prunedSize()
 			return
 		}
@@ -203,7 +192,7 @@ func (s *globalState) buildChildrenInto(parent *gnode, m matchSet, k, L int, sk 
 			}
 			sk.stats.NodesExamined++
 			sD := cs.size(v)
-			if sD < s.params.MinSize {
+			if sD < s.spec.MinSize {
 				sk.sr.ss.prunedSize()
 				continue
 			}
@@ -230,7 +219,7 @@ func (s *globalState) buildChildrenInto(parent *gnode, m matchSet, k, L int, sk 
 // whether the result set changed, and false in ok when the step was
 // abandoned mid-traversal because the context was canceled.
 func (s *globalState) step(k int) (changed, ok bool) {
-	L := s.params.lowerAt(k)
+	L := s.spec.lowerAt(k)
 	newRow := s.in.Rows[s.in.Ranking[k-1]]
 
 	cn := canceler{ctx: s.ctx}
@@ -267,7 +256,7 @@ func (s *globalState) step(k int) (changed, ok bool) {
 	// freed frontier nodes. Freed nodes were frontier nodes, so their
 	// subtrees are disjoint and expand independently on the worker pool.
 	sinks := make([]gsink, len(freed))
-	fanOut(s.workers, len(freed), func(i int) {
+	fanOut(s.spec.Workers, len(freed), func(i int) {
 		sk := &sinks[i]
 		sk.cn = canceler{ctx: s.ctx}
 		sk.sr = s.eng.acquire()
@@ -325,7 +314,7 @@ func (s *globalState) expandWithInto(nd *gnode, m matchSet, k, L int, sk *gsink)
 			}
 			sk.stats.NodesExamined++
 			sD := cs.size(v)
-			if sD < s.params.MinSize {
+			if sD < s.spec.MinSize {
 				sk.sr.ss.prunedSize()
 				continue
 			}
@@ -355,7 +344,7 @@ func (s *globalState) expandWithInto(nd *gnode, m matchSet, k, L int, sk *gsink)
 // accounting the full recompute used to report. It reports false when the
 // settle was abandoned because the context was canceled.
 func (s *globalState) normalize() bool {
-	if s.front.settle(s.ctx, s.workers) {
+	if s.front.settle(s.ctx, s.spec.Workers) {
 		return false
 	}
 	s.search.addDominated(int64(s.front.ndom))

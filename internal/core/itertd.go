@@ -1,68 +1,28 @@
 package core
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
-// IterTDGlobal is the ITERTD baseline of Section IV-A for global bounds
+// iterTDGlobal is the ITERTD baseline of Section IV-A for global bounds
 // (Problem 3.1): it re-runs the top-down search of Algorithm 1 from scratch
-// for every k in [KMin, KMax]. Unlike GLOBALBOUNDS it accepts arbitrary
+// for every k in [KMin, KMax], spreading the independent per-k searches
+// over s.Workers goroutines. Unlike GLOBALBOUNDS it accepts arbitrary
 // (including non-monotone) lower-bound sequences.
-func IterTDGlobal(in *Input, params GlobalParams) (*Result, error) {
-	return IterTDGlobalCtx(context.Background(), in, params, 1)
+func iterTDGlobal(ctx context.Context, in *Input, s *Spec) (*Result, error) {
+	return iterTD(ctx, in, s, globalMeasure{spec: s})
 }
 
-// IterTDGlobalCtx is IterTDGlobal with cancellation and per-k fan-out: ctx
-// aborts the search mid-lattice with a CanceledError, and the independent
-// per-k searches spread over workers goroutines (<= 0 means GOMAXPROCS,
-// 1 is serial). Results are identical for every worker count.
-func IterTDGlobalCtx(ctx context.Context, in *Input, params GlobalParams, workers int) (*Result, error) {
-	if err := prepare(in, params.KMax, params.validate()); err != nil {
-		return nil, err
-	}
-	meas := globalMeasure{params: &params}
-	eng := newEngine(in)
-	return runPerK(ctx, eng, params.KMin, params.KMax, workers, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
-		groups, _ := topDownSearch(cn, eng, params.MinSize, k, meas, st, ss)
-		sortPatterns(groups)
-		return groups
-	})
-}
-
-// IterTDProp is the ITERTD baseline for proportional representation
+// iterTDProp is the ITERTD baseline for proportional representation
 // (Problem 3.2): Algorithm 1 with the proportional lower bound, re-run from
 // scratch for every k in [KMin, KMax].
-func IterTDProp(in *Input, params PropParams) (*Result, error) {
-	return IterTDPropCtx(context.Background(), in, params, 1)
+func iterTDProp(ctx context.Context, in *Input, s *Spec) (*Result, error) {
+	return iterTD(ctx, in, s, propMeasure{alpha: s.Alpha, n: len(in.Rows)})
 }
 
-// IterTDPropCtx is IterTDProp with cancellation and per-k fan-out (see
-// IterTDGlobalCtx).
-func IterTDPropCtx(ctx context.Context, in *Input, params PropParams, workers int) (*Result, error) {
-	if err := prepare(in, params.KMax, params.validate()); err != nil {
-		return nil, err
-	}
-	meas := propMeasure{alpha: params.Alpha, n: len(in.Rows)}
+func iterTD(ctx context.Context, in *Input, s *Spec, meas measure) (*Result, error) {
 	eng := newEngine(in)
-	return runPerK(ctx, eng, params.KMin, params.KMax, workers, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
-		groups, _ := topDownSearch(cn, eng, params.MinSize, k, meas, st, ss)
+	return runPerK(ctx, eng, s, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
+		groups, _ := topDownSearch(cn, eng, s.MinSize, k, meas, st, ss)
 		sortPatterns(groups)
 		return groups
 	})
-}
-
-// prepare validates the input and parameter combination shared by all
-// detection entry points.
-func prepare(in *Input, kMax int, paramErr error) error {
-	if paramErr != nil {
-		return paramErr
-	}
-	if err := in.Validate(); err != nil {
-		return err
-	}
-	if kMax > len(in.Rows) {
-		return fmt.Errorf("core: kMax=%d exceeds dataset size %d", kMax, len(in.Rows))
-	}
-	return nil
 }

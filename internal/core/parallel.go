@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -18,15 +17,6 @@ import (
 //     generality level of the frontier. fanOut covers those; per-worker
 //     sinks collect side effects which are merged in deterministic order,
 //     so parallel results are byte-identical to the serial path.
-
-// normWorkers maps the public workers knob onto a concrete fan-out width:
-// <= 0 selects GOMAXPROCS, anything positive is used as given.
-func normWorkers(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
-}
 
 // fanOut invokes run(i) for every i in [0, n), spreading the calls over at
 // most workers goroutines. With workers <= 1 (or a single job) the calls
@@ -61,21 +51,19 @@ func fanOut(workers, n int, run func(i int)) {
 	wg.Wait()
 }
 
-// runPerK runs one independent search per k in [kMin, kMax] on up to
-// workers goroutines, assembling the per-k group sets into a Result. Each
+// runPerK runs one independent search per k in [s.KMin, s.KMax] on up to
+// s.Workers goroutines, assembling the per-k group sets into a Result. Each
 // worker owns a Stats and a canceler; group slices land in distinct per-k
 // slots and the stats sum is order-independent, so the assembled result is
 // identical to a serial run. When the context is canceled the workers stop
 // mid-traversal and the partial result is discarded.
-func runPerK(ctx context.Context, eng *engine, kMin, kMax, workers int, body func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern) (*Result, error) {
+func runPerK(ctx context.Context, eng *engine, s *Spec, body func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern) (*Result, error) {
 	if err := preflight(ctx); err != nil {
 		return nil, err
 	}
-	workers = normWorkers(workers)
+	kMin, kMax := s.KMin, s.KMax
 	span := kMax - kMin + 1
-	if workers > span {
-		workers = span
-	}
+	workers := min(s.Workers, span)
 	res := &Result{KMin: kMin, KMax: kMax, Groups: make([][]Pattern, span)}
 	statsPer := make([]Stats, workers)
 	var searchPer []SearchStats

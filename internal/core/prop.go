@@ -42,13 +42,12 @@ type psink struct {
 
 // propState holds the incremental search state of Algorithm 3.
 type propState struct {
-	in      *Input
-	eng     *engine
-	pr      *PropParams
-	stats   *Stats
-	n       int // |D|
-	ctx     context.Context
-	workers int
+	in    *Input
+	eng   *engine
+	spec  *Spec
+	stats *Stats
+	n     int // |D|
+	ctx   context.Context
 	// search accumulates the run's SearchStats; nil when disabled. Serial
 	// phases count into it directly, fan-out workers via their sink.
 	search *SearchStats
@@ -67,48 +66,37 @@ type propState struct {
 	dirt bool      // biased set changed since the last snapshot
 }
 
-// PropBounds is Algorithm 3 (PROPBOUNDS): detection of groups with biased
+// propBounds is Algorithm 3 (PROPBOUNDS): detection of groups with biased
 // proportional representation, computed incrementally across k. Per k it
 // examines only (a) explored nodes satisfied by the newly inserted tuple
 // R(D)[k] — walking down from the root and skipping subtrees the tuple does
 // not satisfy — and (b) unbiased nodes whose critical value k̃ equals k
 // (maintained in the bucket queue K). A biased frontier node whose count
 // catches up with its growing bound is expanded (selectiveTD resumes the
-// search below it).
-func PropBounds(in *Input, params PropParams) (*Result, error) {
-	return PropBoundsCtx(context.Background(), in, params, 1)
-}
-
-// PropBoundsCtx is PropBounds with cancellation and intra-search fan-out:
-// the independent subtrees of the initial build and of resumed frontier
-// expansions spread over workers goroutines (<= 0 means GOMAXPROCS, 1 is
-// serial), with per-worker sinks merged deterministically so results are
-// byte-identical to the serial path. A canceled ctx stops the traversal
-// within a bounded number of node expansions and returns a CanceledError.
-func PropBoundsCtx(ctx context.Context, in *Input, params PropParams, workers int) (*Result, error) {
-	if err := prepare(in, params.KMax, params.validate()); err != nil {
-		return nil, err
-	}
+// search below it). The independent subtrees of the initial build and of
+// resumed frontier expansions spread over s.Workers goroutines, with
+// per-worker sinks merged deterministically so results are byte-identical
+// to the serial path.
+func propBounds(ctx context.Context, in *Input, s *Spec) (*Result, error) {
 	if err := preflight(ctx); err != nil {
 		return nil, err
 	}
-	res := &Result{KMin: params.KMin, KMax: params.KMax, Groups: make([][]Pattern, params.KMax-params.KMin+1)}
+	res := &Result{KMin: s.KMin, KMax: s.KMax, Groups: make([][]Pattern, s.KMax-s.KMin+1)}
 	st := &propState{
-		in:      in,
-		eng:     newEngine(in),
-		pr:      &params,
-		stats:   &res.Stats,
-		n:       len(in.Rows),
-		ctx:     ctx,
-		workers: normWorkers(workers),
+		in:    in,
+		eng:   newEngine(in),
+		spec:  s,
+		stats: &res.Stats,
+		n:     len(in.Rows),
+		ctx:   ctx,
 		front: newDomFrontier(
 			func(nd *pnode) pattern.Pattern { return nd.p },
 			func(nd *pnode) *string { return &nd.key }),
-		buckets: make([][]*pnode, params.KMax+2),
+		buckets: make([][]*pnode, s.KMax+2),
 	}
-	st.search = st.eng.newSearchStats(st.workers)
+	st.search = st.eng.newSearchStats(s.Workers)
 	res.Search = st.search
-	if !st.fullBuild(params.KMin) {
+	if !st.fullBuild(s.KMin) {
 		return nil, canceledErr(ctx, res.Stats.NodesExamined)
 	}
 	groups, ok := st.snapshot()
@@ -116,21 +104,21 @@ func PropBoundsCtx(ctx context.Context, in *Input, params PropParams, workers in
 		return nil, canceledErr(ctx, res.Stats.NodesExamined)
 	}
 	res.Groups[0] = groups
-	for k := params.KMin + 1; k <= params.KMax; k++ {
+	for k := s.KMin + 1; k <= s.KMax; k++ {
 		if !st.step(k) {
 			return nil, canceledErr(ctx, res.Stats.NodesExamined)
 		}
 		if groups, ok = st.snapshot(); !ok {
 			return nil, canceledErr(ctx, res.Stats.NodesExamined)
 		}
-		res.Groups[k-params.KMin] = groups
+		res.Groups[k-s.KMin] = groups
 	}
 	return res, nil
 }
 
 // biasedAt evaluates the proportional bias condition at k.
 func (s *propState) biasedAt(sD, cnt, k int) bool {
-	return float64(cnt) < s.pr.Alpha*float64(sD)*float64(k)/float64(s.n)
+	return float64(cnt) < s.spec.Alpha*float64(sD)*float64(k)/float64(s.n)
 }
 
 // computeKtilde returns the smallest k with biasedAt(sD, cnt, k), or
@@ -138,21 +126,21 @@ func (s *propState) biasedAt(sD, cnt, k int) bool {
 // estimate comes from solving cnt = α·sD·k/|D| and is corrected by a local
 // scan to be robust against floating-point rounding.
 func (s *propState) computeKtilde(sD, cnt int) int {
-	limit := s.pr.KMax + 1
+	limit := s.spec.KMax + 1
 	if sD == 0 {
 		return limit
 	}
-	kt := int(float64(cnt)*float64(s.n)/(s.pr.Alpha*float64(sD))) + 1
+	kt := int(float64(cnt)*float64(s.n)/(s.spec.Alpha*float64(sD))) + 1
 	if kt < 1 {
 		kt = 1
 	}
 	for kt > 1 && s.biasedAt(sD, cnt, kt-1) {
 		kt--
 	}
-	for kt <= s.pr.KMax && !s.biasedAt(sD, cnt, kt) {
+	for kt <= s.spec.KMax && !s.biasedAt(sD, cnt, kt) {
 		kt++
 	}
-	if kt > s.pr.KMax {
+	if kt > s.spec.KMax {
 		return limit
 	}
 	return kt
@@ -164,7 +152,7 @@ func (s *propState) computeKtilde(sD, cnt int) int {
 // the entry cannot be due before the merge runs.
 func (s *propState) scheduleInto(nd *pnode, sk *psink) {
 	nd.ktilde = s.computeKtilde(nd.sD, nd.cnt)
-	if nd.ktilde <= s.pr.KMax {
+	if nd.ktilde <= s.spec.KMax {
 		sk.sched = append(sk.sched, nd)
 	}
 }
@@ -197,7 +185,7 @@ func (s *propState) fullBuild(k int) bool {
 	units := s.eng.rootUnits()
 	sinks := make([]psink, len(units))
 	children := make([]*pnode, len(units))
-	fanOut(s.workers, len(units), func(i int) {
+	fanOut(s.spec.Workers, len(units), func(i int) {
 		u := &units[i]
 		sk := &sinks[i]
 		sk.cn = canceler{ctx: s.ctx}
@@ -208,7 +196,7 @@ func (s *propState) fullBuild(k int) bool {
 		}
 		sk.stats.NodesExamined++
 		sD := len(u.m.all)
-		if sD < s.pr.MinSize {
+		if sD < s.spec.MinSize {
 			sk.sr.ss.prunedSize()
 			return
 		}
@@ -251,7 +239,7 @@ func (s *propState) buildChildrenInto(parent *pnode, m matchSet, k int, sk *psin
 			}
 			sk.stats.NodesExamined++
 			sD := cs.size(v)
-			if sD < s.pr.MinSize {
+			if sD < s.spec.MinSize {
 				sk.sr.ss.prunedSize()
 				continue
 			}
@@ -363,7 +351,7 @@ func (s *propState) step(k int) bool {
 		}
 	}
 	sinks := make([]psink, len(resumed))
-	fanOut(s.workers, len(resumed), func(i int) {
+	fanOut(s.spec.Workers, len(resumed), func(i int) {
 		nd := resumed[i]
 		sk := &sinks[i]
 		sk.cn = canceler{ctx: s.ctx}
@@ -398,7 +386,7 @@ func (s *propState) expandWithInto(nd *pnode, m matchSet, k int, sk *psink) {
 			}
 			sk.stats.NodesExamined++
 			sD := cs.size(v)
-			if sD < s.pr.MinSize {
+			if sD < s.spec.MinSize {
 				sk.sr.ss.prunedSize()
 				continue
 			}
@@ -433,7 +421,7 @@ func (s *propState) snapshot() (groups []Pattern, ok bool) {
 	if !s.dirt {
 		return s.res, true
 	}
-	if s.front.settle(s.ctx, s.workers) {
+	if s.front.settle(s.ctx, s.spec.Workers) {
 		return nil, false
 	}
 	s.search.addDominated(int64(s.front.ndom))

@@ -40,11 +40,9 @@ func strategyInput(rng *rand.Rand) *Input {
 	}
 }
 
-// strategyEntryPoints drives every detection entry point over one input
-// with randomized parameters, so the intersection arms can be compared
-// wholesale.
-func strategyEntryPoints(in *Input, rng *rand.Rand) map[string]func(ctx context.Context, workers int) (*Result, error) {
-	n := len(in.Rows)
+// strategySpecs names every search with randomized parameters for an
+// input of n rows, so the intersection arms can be compared wholesale.
+func strategySpecs(n int, rng *rand.Rand) map[string]Spec {
 	kMin := 1 + rng.Intn(5)
 	kMax := kMin + rng.Intn(15)
 	if kMax > n {
@@ -63,38 +61,12 @@ func strategyEntryPoints(in *Input, rng *rand.Rand) map[string]func(ctx context.
 	for i := range upper {
 		upper[i] = 1 + rng.Intn(4)
 	}
-	gp := GlobalParams{MinSize: minSize, KMin: kMin, KMax: kMax, Lower: lower}
-	pp := PropParams{MinSize: minSize, KMin: kMin, KMax: kMax, Alpha: 0.2 + rng.Float64()}
-	ep := ExposureParams{MinSize: minSize, KMin: kMin, KMax: kMax, Alpha: 0.2 + rng.Float64()}
-	gup := GlobalUpperParams{MinSize: minSize, KMin: kMin, KMax: kMax, Upper: upper}
-	pup := PropUpperParams{MinSize: minSize, KMin: kMin, KMax: kMax, Beta: 1.0 + rng.Float64()}
-	return map[string]func(ctx context.Context, workers int) (*Result, error){
-		"GlobalBounds": func(ctx context.Context, w int) (*Result, error) { return GlobalBoundsCtx(ctx, in, gp, w) },
-		"IterTDGlobal": func(ctx context.Context, w int) (*Result, error) { return IterTDGlobalCtx(ctx, in, gp, w) },
-		"PropBounds":   func(ctx context.Context, w int) (*Result, error) { return PropBoundsCtx(ctx, in, pp, w) },
-		"IterTDProp":   func(ctx context.Context, w int) (*Result, error) { return IterTDPropCtx(ctx, in, pp, w) },
-		"ExposureBounds": func(ctx context.Context, w int) (*Result, error) {
-			return ExposureBoundsCtx(ctx, in, ep, w)
-		},
-		"IterTDExposure": func(ctx context.Context, w int) (*Result, error) {
-			return IterTDExposureCtx(ctx, in, ep, w)
-		},
-		"GlobalUpperBounds": func(ctx context.Context, w int) (*Result, error) {
-			return GlobalUpperBoundsCtx(ctx, in, gup, w)
-		},
-		"IterTDGlobalUpper": func(ctx context.Context, w int) (*Result, error) {
-			return IterTDGlobalUpperCtx(ctx, in, gup, w)
-		},
-		"IterTDPropUpper": func(ctx context.Context, w int) (*Result, error) {
-			return IterTDPropUpperCtx(ctx, in, pup, w)
-		},
-		"IterTDGlobalUpperMostGeneral": func(ctx context.Context, w int) (*Result, error) {
-			return IterTDGlobalUpperMostGeneralCtx(ctx, in, gup, w)
-		},
-		"IterTDGlobalLowerMostSpecific": func(ctx context.Context, w int) (*Result, error) {
-			return IterTDGlobalLowerMostSpecificCtx(ctx, in, gp, w)
-		},
-	}
+	return NamedSpecs(
+		Spec{Measure: MeasureGlobal, MinSize: minSize, KMin: kMin, KMax: kMax, Lower: lower},
+		Spec{Measure: MeasureProp, MinSize: minSize, KMin: kMin, KMax: kMax, Alpha: 0.2 + rng.Float64()},
+		Spec{Measure: MeasureExposure, MinSize: minSize, KMin: kMin, KMax: kMax, Alpha: 0.2 + rng.Float64()},
+		Spec{Measure: MeasureGlobalUpper, MinSize: minSize, KMin: kMin, KMax: kMax, Upper: upper},
+		Spec{Measure: MeasurePropUpper, MinSize: minSize, KMin: kMin, KMax: kMax, Beta: 1.0 + rng.Float64()})
 }
 
 // matchArms are the intersection arms of step-time re-materialization:
@@ -150,29 +122,29 @@ func TestQuickMatchArmsAgree(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		base := strategyInput(rng)
 		// One parameter draw shared by the reference run and every variant.
-		ref := strategyEntryPoints(base, rand.New(rand.NewSource(seed+1)))
+		specs := strategySpecs(len(base.Rows), rand.New(rand.NewSource(seed+1)))
 		for _, idx := range armIndexes(base) {
 			for _, arm := range matchArms {
-				runs := strategyEntryPoints(withArm(base, arm.bm, idx.ix), rand.New(rand.NewSource(seed+1)))
-				for name, run := range runs {
-					want, err := ref[name](ctx, 1)
+				in := withArm(base, arm.bm, idx.ix)
+				for name, spec := range specs {
+					want, err := Search(ctx, base, spec)
 					if err != nil {
 						t.Logf("seed %d %s reference: %v", seed, name, err)
 						return false
 					}
-					for _, workers := range []int{1, 3} {
-						got, err := run(ctx, workers)
+					for _, w := range []int{1, 3} {
+						got, err := Search(ctx, in, workers(spec, w))
 						if err != nil {
-							t.Logf("seed %d %s %s/%s workers=%d: %v", seed, name, arm.name, idx.name, workers, err)
+							t.Logf("seed %d %s %s/%s workers=%d: %v", seed, name, arm.name, idx.name, w, err)
 							return false
 						}
 						if !reflect.DeepEqual(want.Groups, got.Groups) {
-							t.Logf("seed %d %s %s/%s workers=%d: groups diverge from the reference", seed, name, arm.name, idx.name, workers)
+							t.Logf("seed %d %s %s/%s workers=%d: groups diverge from the reference", seed, name, arm.name, idx.name, w)
 							return false
 						}
 						if want.Stats != got.Stats {
 							t.Logf("seed %d %s %s/%s workers=%d: stats diverge: reference %+v got %+v",
-								seed, name, arm.name, idx.name, workers, want.Stats, got.Stats)
+								seed, name, arm.name, idx.name, w, want.Stats, got.Stats)
 							return false
 						}
 					}
@@ -194,13 +166,12 @@ func TestQuickMatchArmsAgree(t *testing.T) {
 func TestStrategyCanceledRunsAgree(t *testing.T) {
 	base := denseCancelInput(12, 1500)
 	indexes := armIndexes(base)
-	for name := range strategyEntryPoints(base, rand.New(rand.NewSource(31))) {
+	for name, spec := range strategySpecs(len(base.Rows), rand.New(rand.NewSource(31))) {
 		for _, budget := range []int64{1, 5} {
 			want := int64(-1)
 			for _, idx := range indexes {
 				for _, arm := range matchArms {
-					run := strategyEntryPoints(withArm(base, arm.bm, idx.ix), rand.New(rand.NewSource(31)))[name]
-					res, err := run(newBudgetCtx(budget), 1)
+					res, err := Search(newBudgetCtx(budget), withArm(base, arm.bm, idx.ix), spec)
 					if res != nil {
 						t.Errorf("%s budget=%d %s/%s: canceled run returned a result", name, budget, arm.name, idx.name)
 						continue

@@ -12,9 +12,9 @@ type measure interface {
 }
 
 // globalMeasure implements Problem 3.1: cnt < L_k.
-type globalMeasure struct{ params *GlobalParams }
+type globalMeasure struct{ spec *Spec }
 
-func (m globalMeasure) biased(sD, cnt, k int) bool { return cnt < m.params.lowerAt(k) }
+func (m globalMeasure) biased(sD, cnt, k int) bool { return cnt < m.spec.lowerAt(k) }
 
 // propMeasure implements Problem 3.2: cnt < α·sD·k/|D|.
 type propMeasure struct {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"rankfair/internal/pattern"
 )
@@ -19,51 +18,16 @@ import (
 // size ≥ τs and count above the bound (the most specific members of the
 // substantial-and-exceeding set).
 
-// GlobalUpperParams parameterizes upper-bound detection for the global
-// measure: a pattern exceeds at k when its top-k count is > U_k.
-type GlobalUpperParams struct {
-	// MinSize is the size threshold τs on s_D(p).
-	MinSize int
-	// KMin, KMax delimit the inclusive range of k values.
-	KMin, KMax int
-	// Upper holds U_k for each k, indexed k-KMin.
-	Upper []int
-}
-
-func (p *GlobalUpperParams) validate() error {
-	if p.KMin < 1 || p.KMax < p.KMin {
-		return fmt.Errorf("core: invalid k range [%d,%d]", p.KMin, p.KMax)
-	}
-	if p.MinSize < 0 {
-		return fmt.Errorf("core: negative size threshold %d", p.MinSize)
-	}
-	if len(p.Upper) != p.KMax-p.KMin+1 {
-		return fmt.Errorf("core: %d upper bounds for k range [%d,%d]", len(p.Upper), p.KMin, p.KMax)
-	}
-	return nil
-}
-
-// IterTDGlobalUpper detects, for each k, the most specific substantial
+// iterTDGlobalUpper detects, for each k, the most specific substantial
 // patterns whose top-k count exceeds U_k. Exceeding is downward closed
 // (every subset of an exceeding pattern exceeds too), so the search prunes
 // subtrees whose root no longer exceeds, and maximality reduces to having
 // no exceeding pattern-graph child.
-func IterTDGlobalUpper(in *Input, params GlobalUpperParams) (*Result, error) {
-	return IterTDGlobalUpperCtx(context.Background(), in, params, 1)
-}
-
-// IterTDGlobalUpperCtx is IterTDGlobalUpper with cancellation and per-k
-// fan-out: ctx aborts the search mid-lattice with a CanceledError, and the
-// independent per-k searches spread over workers goroutines (<= 0 means
-// GOMAXPROCS, 1 is serial). Results are identical for every worker count.
-func IterTDGlobalUpperCtx(ctx context.Context, in *Input, params GlobalUpperParams, workers int) (*Result, error) {
-	if err := prepare(in, params.KMax, params.validate()); err != nil {
-		return nil, err
-	}
+func iterTDGlobalUpper(ctx context.Context, in *Input, s *Spec) (*Result, error) {
 	eng := newEngine(in)
-	return runPerK(ctx, eng, params.KMin, params.KMax, workers, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
-		u := params.Upper[k-params.KMin]
-		cands := collectExceeding(cn, eng, params.MinSize, k, st, ss, func(sD, cnt int) (candidate, descend bool) {
+	return runPerK(ctx, eng, s, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
+		u := s.upperAt(k)
+		cands := collectExceeding(cn, eng, s.MinSize, k, st, ss, func(sD, cnt int) (candidate, descend bool) {
 			c := cnt > u
 			return c, c // prune when not exceeding: children have count <= cnt
 		})
@@ -73,52 +37,19 @@ func IterTDGlobalUpperCtx(ctx context.Context, in *Input, params GlobalUpperPara
 	})
 }
 
-// PropUpperParams parameterizes upper-bound detection for the proportional
-// measure: a pattern exceeds at k when its top-k count is > β·s_D(p)·k/|D|.
-type PropUpperParams struct {
-	// MinSize is the size threshold τs on s_D(p).
-	MinSize int
-	// KMin, KMax delimit the inclusive range of k values.
-	KMin, KMax int
-	// Beta is the proportionality slack, > Alpha of the lower-bound side.
-	Beta float64
-}
-
-func (p *PropUpperParams) validate() error {
-	if p.KMin < 1 || p.KMax < p.KMin {
-		return fmt.Errorf("core: invalid k range [%d,%d]", p.KMin, p.KMax)
-	}
-	if p.MinSize < 0 {
-		return fmt.Errorf("core: negative size threshold %d", p.MinSize)
-	}
-	if p.Beta <= 0 {
-		return fmt.Errorf("core: beta must be positive, got %v", p.Beta)
-	}
-	return nil
-}
-
-// IterTDPropUpper detects, for each k, the most specific substantial
+// iterTDPropUpper detects, for each k, the most specific substantial
 // patterns whose top-k count exceeds β·s_D(p)·k/|D|. Exceeding is not
 // downward closed for the proportional measure, so the search only prunes
 // subtrees that provably contain no candidate (count ≤ β·τs·k/|D| bounds
 // every descendant's count below every descendant's bound) and maximality
 // uses a full superset check.
-func IterTDPropUpper(in *Input, params PropUpperParams) (*Result, error) {
-	return IterTDPropUpperCtx(context.Background(), in, params, 1)
-}
-
-// IterTDPropUpperCtx is IterTDPropUpper with cancellation and per-k
-// fan-out (see IterTDGlobalUpperCtx).
-func IterTDPropUpperCtx(ctx context.Context, in *Input, params PropUpperParams, workers int) (*Result, error) {
-	if err := prepare(in, params.KMax, params.validate()); err != nil {
-		return nil, err
-	}
+func iterTDPropUpper(ctx context.Context, in *Input, s *Spec) (*Result, error) {
 	n := float64(len(in.Rows))
 	eng := newEngine(in)
-	return runPerK(ctx, eng, params.KMin, params.KMax, workers, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
-		floor := params.Beta * float64(params.MinSize) * float64(k) / n
-		cands := collectExceeding(cn, eng, params.MinSize, k, st, ss, func(sD, cnt int) (candidate, descend bool) {
-			c := float64(cnt) > params.Beta*float64(sD)*float64(k)/n
+	return runPerK(ctx, eng, s, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
+		floor := s.Beta * float64(s.MinSize) * float64(k) / n
+		cands := collectExceeding(cn, eng, s.MinSize, k, st, ss, func(sD, cnt int) (candidate, descend bool) {
+			c := float64(cnt) > s.Beta*float64(sD)*float64(k)/n
 			return c, float64(cnt) > floor
 		})
 		groups := pattern.MostSpecific(cands)

@@ -6,7 +6,7 @@ import (
 	"rankfair/internal/pattern"
 )
 
-// GlobalUpperBounds is the incremental counterpart of IterTDGlobalUpper,
+// globalUpperBounds is the incremental counterpart of iterTDGlobalUpper,
 // adapting the Algorithm 2 idea to the upper-bound problem. Within a
 // segment of constant U_k, counts only grow with k, so the candidate set
 // (substantial patterns exceeding the bound — a downward-closed family)
@@ -16,39 +16,30 @@ import (
 // maintained incrementally: a new candidate starts maximal and de-maximizes
 // its pattern-graph parents. When U_k changes, a fresh search runs (the
 // analogue of the paper's rebuild on bound change).
-func GlobalUpperBounds(in *Input, params GlobalUpperParams) (*Result, error) {
-	return GlobalUpperBoundsCtx(context.Background(), in, params, 1)
-}
-
-// GlobalUpperBoundsCtx is GlobalUpperBounds with cancellation and
-// intra-search fan-out: independent subtrees build on workers goroutines
-// (<= 0 means GOMAXPROCS, 1 is serial), each collecting its candidates in
-// traversal order into a sink; the merge admits them in the serial order,
-// so the maximality bookkeeping — and therefore the result — is
-// byte-identical to the serial path. A canceled ctx aborts mid-lattice
-// with a CanceledError.
-func GlobalUpperBoundsCtx(ctx context.Context, in *Input, params GlobalUpperParams, workers int) (*Result, error) {
-	if err := prepare(in, params.KMax, params.validate()); err != nil {
-		return nil, err
-	}
+//
+// Independent subtrees build on s.Workers goroutines, each collecting its
+// candidates in traversal order into a sink; the merge admits them in the
+// serial order, so the maximality bookkeeping — and therefore the result —
+// is byte-identical to the serial path.
+func globalUpperBounds(ctx context.Context, in *Input, s *Spec) (*Result, error) {
 	if err := preflight(ctx); err != nil {
 		return nil, err
 	}
-	res := &Result{KMin: params.KMin, KMax: params.KMax, Groups: make([][]Pattern, params.KMax-params.KMin+1)}
-	st := &upperState{in: in, eng: newEngine(in), params: &params, stats: &res.Stats, ctx: ctx, workers: normWorkers(workers)}
-	st.search = st.eng.newSearchStats(st.workers)
+	res := &Result{KMin: s.KMin, KMax: s.KMax, Groups: make([][]Pattern, s.KMax-s.KMin+1)}
+	st := &upperState{in: in, eng: newEngine(in), spec: s, stats: &res.Stats, ctx: ctx}
+	st.search = st.eng.newSearchStats(s.Workers)
 	res.Search = st.search
 
-	if !st.fullBuild(params.KMin) {
+	if !st.fullBuild(s.KMin) {
 		return nil, canceledErr(ctx, res.Stats.NodesExamined)
 	}
 	res.Groups[0] = st.snapshot()
-	for k := params.KMin + 1; k <= params.KMax; k++ {
-		if params.Upper[k-params.KMin] != params.Upper[k-params.KMin-1] {
+	for k := s.KMin + 1; k <= s.KMax; k++ {
+		if s.upperAt(k) != s.upperAt(k-1) {
 			if !st.fullBuild(k) {
 				return nil, canceledErr(ctx, res.Stats.NodesExamined)
 			}
-			res.Groups[k-params.KMin] = st.snapshot()
+			res.Groups[k-s.KMin] = st.snapshot()
 			continue
 		}
 		changed, ok := st.step(k)
@@ -56,15 +47,15 @@ func GlobalUpperBoundsCtx(ctx context.Context, in *Input, params GlobalUpperPara
 			return nil, canceledErr(ctx, res.Stats.NodesExamined)
 		}
 		if changed {
-			res.Groups[k-params.KMin] = st.snapshot()
+			res.Groups[k-s.KMin] = st.snapshot()
 		} else {
-			res.Groups[k-params.KMin] = res.Groups[k-params.KMin-1]
+			res.Groups[k-s.KMin] = res.Groups[k-s.KMin-1]
 		}
 	}
 	return res, nil
 }
 
-// unode is a node of the persistent tree maintained by GlobalUpperBounds.
+// unode is a node of the persistent tree maintained by globalUpperBounds.
 type unode struct {
 	p         pattern.Pattern
 	sD        int
@@ -86,12 +77,11 @@ type usink struct {
 }
 
 type upperState struct {
-	in      *Input
-	eng     *engine
-	params  *GlobalUpperParams
-	stats   *Stats
-	ctx     context.Context
-	workers int
+	in    *Input
+	eng   *engine
+	spec  *Spec
+	stats *Stats
+	ctx   context.Context
 	// search accumulates the run's SearchStats; nil when disabled.
 	search *SearchStats
 
@@ -101,8 +91,6 @@ type upperState struct {
 	candidates map[string]*unode
 	maximal    map[*unode]struct{}
 }
-
-func (s *upperState) upperAt(k int) int { return s.params.Upper[k-s.params.KMin] }
 
 // fullBuild runs a complete search at k: candidates are explored, frontier
 // nodes (substantial, not exceeding) stop the descent. Root subtrees build
@@ -115,11 +103,11 @@ func (s *upperState) fullBuild(k int) bool {
 	s.candidates = make(map[string]*unode)
 	s.maximal = make(map[*unode]struct{})
 
-	u := s.upperAt(k)
+	u := s.spec.upperAt(k)
 	units := s.eng.rootUnits()
 	sinks := make([]usink, len(units))
 	children := make([]*unode, len(units))
-	fanOut(s.workers, len(units), func(i int) {
+	fanOut(s.spec.Workers, len(units), func(i int) {
 		un := &units[i]
 		sk := &sinks[i]
 		sk.cn = canceler{ctx: s.ctx}
@@ -130,7 +118,7 @@ func (s *upperState) fullBuild(k int) bool {
 		}
 		sk.stats.NodesExamined++
 		sD := len(un.m.all)
-		if sD < s.params.MinSize {
+		if sD < s.spec.MinSize {
 			sk.sr.ss.prunedSize()
 			return
 		}
@@ -174,7 +162,7 @@ func (s *upperState) buildChildrenInto(parent *unode, m matchSet, k, u int, sk *
 			}
 			sk.stats.NodesExamined++
 			sD := cs.size(v)
-			if sD < s.params.MinSize {
+			if sD < s.spec.MinSize {
 				sk.sr.ss.prunedSize()
 				continue
 			}
@@ -233,7 +221,7 @@ scan:
 // the candidate set changed, and false in ok when the step was abandoned
 // because the context was canceled.
 func (s *upperState) step(k int) (changed, ok bool) {
-	u := s.upperAt(k)
+	u := s.spec.upperAt(k)
 	newRow := s.in.Rows[s.in.Ranking[k-1]]
 	cn := canceler{ctx: s.ctx}
 	var crossed []*unode
@@ -281,7 +269,7 @@ func (s *upperState) step(k int) (changed, ok bool) {
 		}
 	}
 	sinks := make([]usink, len(resumed))
-	fanOut(s.workers, len(resumed), func(i int) {
+	fanOut(s.spec.Workers, len(resumed), func(i int) {
 		nd := resumed[i]
 		sk := &sinks[i]
 		sk.cn = canceler{ctx: s.ctx}
@@ -322,7 +310,7 @@ func (s *upperState) expandWithInto(nd *unode, m matchSet, k, u int, sk *usink) 
 			}
 			sk.stats.NodesExamined++
 			sD := cs.size(v)
-			if sD < s.params.MinSize {
+			if sD < s.spec.MinSize {
 				sk.sr.ss.prunedSize()
 				continue
 			}

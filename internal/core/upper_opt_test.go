@@ -33,13 +33,13 @@ func TestQuickGlobalUpperBoundsMatchesIterTD(t *testing.T) {
 			}
 			upper[i] = u
 		}
-		params := core.GlobalUpperParams{MinSize: minSize, KMin: kMin, KMax: kMax, Upper: upper}
-		base, err := core.IterTDGlobalUpper(in, params)
+		params := core.Spec{Measure: core.MeasureGlobalUpper, MinSize: minSize, KMin: kMin, KMax: kMax, Upper: upper}
+		base, err := core.Search(bg, in, baseline(params))
 		if err != nil {
 			t.Logf("IterTDGlobalUpper: %v", err)
 			return false
 		}
-		opt, err := core.GlobalUpperBounds(in, params)
+		opt, err := core.Search(bg, in, params)
 		if err != nil {
 			t.Logf("GlobalUpperBounds: %v", err)
 			return false
@@ -67,12 +67,12 @@ func TestGlobalUpperBoundsExaminesFewerNodes(t *testing.T) {
 	if kMax > n {
 		kMax = n
 	}
-	params := core.GlobalUpperParams{MinSize: 1, KMin: 2, KMax: kMax, Upper: core.ConstantBounds(2, kMax, 2)}
-	base, err := core.IterTDGlobalUpper(in, params)
+	params := core.Spec{Measure: core.MeasureGlobalUpper, MinSize: 1, KMin: 2, KMax: kMax, Upper: core.ConstantBounds(2, kMax, 2)}
+	base, err := core.Search(bg, in, baseline(params))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := core.GlobalUpperBounds(in, params)
+	opt, err := core.Search(bg, in, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +86,12 @@ func TestGlobalUpperBoundsExaminesFewerNodes(t *testing.T) {
 
 func TestGlobalUpperBoundsRunningExample(t *testing.T) {
 	in := runningInput(t)
-	params := core.GlobalUpperParams{MinSize: 4, KMin: 4, KMax: 8, Upper: core.ConstantBounds(4, 8, 2)}
-	base, err := core.IterTDGlobalUpper(in, params)
+	params := core.Spec{Measure: core.MeasureGlobalUpper, MinSize: 4, KMin: 4, KMax: 8, Upper: core.ConstantBounds(4, 8, 2)}
+	base, err := core.Search(bg, in, baseline(params))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := core.GlobalUpperBounds(in, params)
+	opt, err := core.Search(bg, in, params)
 	if err != nil {
 		t.Fatal(err)
 	}

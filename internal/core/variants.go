@@ -21,26 +21,17 @@ import (
 //     patterns, so a below pattern is most *specific* exactly when none of
 //     its pattern-graph children clears the size threshold.
 
-// IterTDGlobalUpperMostGeneral reports, for each k, the most general
-// patterns with size >= τs whose top-k count exceeds U_k. Because every
-// subset of an exceeding pattern also exceeds, the result consists of
-// single-attribute patterns; the function computes it generically (collect
-// the downward-closed candidate set, filter to its most general members) so
-// it stays correct for any future measure plugged into the same skeleton.
-func IterTDGlobalUpperMostGeneral(in *Input, params GlobalUpperParams) (*Result, error) {
-	return IterTDGlobalUpperMostGeneralCtx(context.Background(), in, params, 1)
-}
-
-// IterTDGlobalUpperMostGeneralCtx is IterTDGlobalUpperMostGeneral with
-// cancellation and per-k fan-out (see IterTDGlobalCtx).
-func IterTDGlobalUpperMostGeneralCtx(ctx context.Context, in *Input, params GlobalUpperParams, workers int) (*Result, error) {
-	if err := prepare(in, params.KMax, params.validate()); err != nil {
-		return nil, err
-	}
+// iterTDUpperGeneral reports, for each k, the most general patterns with
+// size >= τs whose top-k count exceeds U_k. Because every subset of an
+// exceeding pattern also exceeds, the result consists of single-attribute
+// patterns; the function computes it generically (collect the
+// downward-closed candidate set, filter to its most general members) so it
+// stays correct for any future measure plugged into the same skeleton.
+func iterTDUpperGeneral(ctx context.Context, in *Input, s *Spec) (*Result, error) {
 	eng := newEngine(in)
-	return runPerK(ctx, eng, params.KMin, params.KMax, workers, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
-		u := params.Upper[k-params.KMin]
-		cands := collectExceeding(cn, eng, params.MinSize, k, st, ss, func(sD, cnt int) (candidate, descend bool) {
+	return runPerK(ctx, eng, s, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
+		u := s.upperAt(k)
+		cands := collectExceeding(cn, eng, s.MinSize, k, st, ss, func(sD, cnt int) (candidate, descend bool) {
 			c := cnt > u
 			return c, c
 		})
@@ -50,24 +41,15 @@ func IterTDGlobalUpperMostGeneralCtx(ctx context.Context, in *Input, params Glob
 	})
 }
 
-// IterTDGlobalLowerMostSpecific reports, for each k, the most specific
-// substantial patterns whose top-k count falls below L_k: below patterns p
-// with s_D(p) >= τs none of whose pattern-graph children is substantial
-// (any substantial child is automatically below as well, by count
+// iterTDLowerSpecific reports, for each k, the most specific substantial
+// patterns whose top-k count falls below L_k: below patterns p with
+// s_D(p) >= τs none of whose pattern-graph children is substantial (any
+// substantial child is automatically below as well, by count
 // monotonicity, so it would always dominate p).
-func IterTDGlobalLowerMostSpecific(in *Input, params GlobalParams) (*Result, error) {
-	return IterTDGlobalLowerMostSpecificCtx(context.Background(), in, params, 1)
-}
-
-// IterTDGlobalLowerMostSpecificCtx is IterTDGlobalLowerMostSpecific with
-// cancellation and per-k fan-out (see IterTDGlobalCtx).
-func IterTDGlobalLowerMostSpecificCtx(ctx context.Context, in *Input, params GlobalParams, workers int) (*Result, error) {
-	if err := prepare(in, params.KMax, params.validate()); err != nil {
-		return nil, err
-	}
+func iterTDLowerSpecific(ctx context.Context, in *Input, s *Spec) (*Result, error) {
 	eng := newEngine(in)
-	return runPerK(ctx, eng, params.KMin, params.KMax, workers, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
-		l := params.lowerAt(k)
+	return runPerK(ctx, eng, s, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
+		l := s.lowerAt(k)
 		// Traverse every substantial pattern: below-ness is not prunable
 		// top-down (an above-bound parent can have below children), so
 		// only the size threshold prunes.
@@ -82,7 +64,7 @@ func IterTDGlobalLowerMostSpecificCtx(ctx context.Context, in *Input, params Glo
 			}
 			u := q.pop()
 			st.NodesExamined++
-			if len(u.m.all) < params.MinSize {
+			if len(u.m.all) < s.MinSize {
 				ss.prunedSize()
 				continue
 			}

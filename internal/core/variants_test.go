@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -26,8 +25,8 @@ func TestQuickUpperMostGeneralMatchesOracle(t *testing.T) {
 		for i := range upper {
 			upper[i] = 1 + rng.Intn(4)
 		}
-		params := core.GlobalUpperParams{MinSize: minSize, KMin: kMin, KMax: kMax, Upper: upper}
-		got, err := core.IterTDGlobalUpperMostGeneral(in, params)
+		params := core.Spec{Measure: core.MeasureGlobalUpper, MinSize: minSize, KMin: kMin, KMax: kMax, Upper: upper}
+		got, err := core.Search(bg, in, as(core.MeasureUpperGeneral, params))
 		if err != nil {
 			return false
 		}
@@ -72,8 +71,8 @@ func TestQuickLowerMostSpecificMatchesOracle(t *testing.T) {
 			kMax = n
 		}
 		minSize := 1 + rng.Intn(4)
-		params := core.GlobalParams{MinSize: minSize, KMin: kMin, KMax: kMax, Lower: core.ConstantBounds(kMin, kMax, 1+rng.Intn(3))}
-		got, err := core.IterTDGlobalLowerMostSpecific(in, params)
+		params := core.Spec{Measure: core.MeasureGlobal, MinSize: minSize, KMin: kMin, KMax: kMax, Lower: core.ConstantBounds(kMin, kMax, 1+rng.Intn(3))}
+		got, err := core.Search(bg, in, as(core.MeasureLowerSpecific, params))
 		if err != nil {
 			return false
 		}
@@ -113,8 +112,8 @@ func TestQuickExposureMatchesOracle(t *testing.T) {
 		}
 		minSize := 1 + rng.Intn(4)
 		alpha := 0.3 + rng.Float64()*0.8
-		params := core.ExposureParams{MinSize: minSize, KMin: kMin, KMax: kMax, Alpha: alpha}
-		got, err := core.IterTDExposure(in, params)
+		params := core.Spec{Measure: core.MeasureExposure, MinSize: minSize, KMin: kMin, KMax: kMax, Alpha: alpha}
+		got, err := core.Search(bg, in, baseline(params))
 		if err != nil {
 			return false
 		}
@@ -187,7 +186,7 @@ func TestExposureDistinguishesPositions(t *testing.T) {
 	ek := e0 + e1
 	share := e1 / (ek * 0.5) // e1 relative to its proportional share
 	alpha := share + (e0/(ek*0.5)-share)/2
-	res, err := core.IterTDExposure(in, core.ExposureParams{MinSize: 1, KMin: 10, KMax: 10, Alpha: alpha})
+	res, err := core.Search(bg, in, core.Spec{Measure: core.MeasureExposure, Baseline: true, MinSize: 1, KMin: 10, KMax: 10, Alpha: alpha})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,31 +204,31 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if kMax > n {
 		kMax = n
 	}
-	gp := core.GlobalParams{MinSize: 2, KMin: 2, KMax: kMax, Lower: core.ConstantBounds(2, kMax, 2)}
-	seq, err := core.IterTDGlobal(in, gp)
+	gp := core.Spec{Measure: core.MeasureGlobal, MinSize: 2, KMin: 2, KMax: kMax, Lower: core.ConstantBounds(2, kMax, 2)}
+	seq, err := core.Search(bg, in, baseline(gp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 3, runtime.GOMAXPROCS(0) + 2} {
-		par, err := core.IterTDGlobalCtx(context.Background(), in, gp, workers)
+	for _, w := range []int{0, 1, 3, runtime.GOMAXPROCS(0) + 2} {
+		par, err := core.Search(bg, in, workers(baseline(gp), w))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if par.Stats.NodesExamined != seq.Stats.NodesExamined {
-			t.Errorf("workers=%d: nodes %d != %d", workers, par.Stats.NodesExamined, seq.Stats.NodesExamined)
+			t.Errorf("workers=%d: nodes %d != %d", w, par.Stats.NodesExamined, seq.Stats.NodesExamined)
 		}
 		for k := gp.KMin; k <= gp.KMax; k++ {
 			if !sameGroups(par.At(k), seq.At(k)) {
-				t.Fatalf("workers=%d k=%d: %v != %v", workers, k, par.At(k), seq.At(k))
+				t.Fatalf("workers=%d k=%d: %v != %v", w, k, par.At(k), seq.At(k))
 			}
 		}
 	}
-	pp := core.PropParams{MinSize: 2, KMin: 2, KMax: kMax, Alpha: 0.8}
-	seqP, err := core.IterTDProp(in, pp)
+	pp := core.Spec{Measure: core.MeasureProp, MinSize: 2, KMin: 2, KMax: kMax, Alpha: 0.8}
+	seqP, err := core.Search(bg, in, baseline(pp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parP, err := core.IterTDPropCtx(context.Background(), in, pp, 4)
+	parP, err := core.Search(bg, in, workers(baseline(pp), 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +238,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 	}
 	// Validation errors propagate.
-	if _, err := core.IterTDGlobalCtx(context.Background(), in, core.GlobalParams{KMin: 0, KMax: 1}, 2); err == nil {
+	if _, err := core.Search(bg, in, core.Spec{Measure: core.MeasureGlobal, Baseline: true, KMin: 0, KMax: 1, Workers: 2}); err == nil {
 		t.Error("invalid params should fail")
 	}
-	if _, err := core.IterTDPropCtx(context.Background(), in, core.PropParams{KMin: 1, KMax: 1, Alpha: -1}, 2); err == nil {
+	if _, err := core.Search(bg, in, core.Spec{Measure: core.MeasureProp, Baseline: true, KMin: 1, KMax: 1, Alpha: -1, Workers: 2}); err == nil {
 		t.Error("invalid params should fail")
 	}
 }
@@ -260,7 +259,7 @@ func TestQuickThresholdMonotonicity(t *testing.T) {
 		tau1 := 1 + rng.Intn(3)
 		tau2 := tau1 + 1 + rng.Intn(4)
 		run := func(tau int) []pattern.Pattern {
-			res, err := core.GlobalBounds(in, core.GlobalParams{MinSize: tau, KMin: k, KMax: k, Lower: []int{l}})
+			res, err := core.Search(bg, in, core.Spec{Measure: core.MeasureGlobal, MinSize: tau, KMin: k, KMax: k, Lower: []int{l}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,14 +283,14 @@ func TestQuickThresholdMonotonicity(t *testing.T) {
 func TestExposureParamValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	in := randomInput(rng)
-	cases := []core.ExposureParams{
-		{MinSize: 1, KMin: 0, KMax: 5, Alpha: 0.5},
-		{MinSize: -1, KMin: 1, KMax: 5, Alpha: 0.5},
-		{MinSize: 1, KMin: 1, KMax: 5, Alpha: 0},
-		{MinSize: 1, KMin: 1, KMax: 10_000, Alpha: 0.5},
+	cases := []core.Spec{
+		{Measure: core.MeasureExposure, MinSize: 1, KMin: 0, KMax: 5, Alpha: 0.5},
+		{Measure: core.MeasureExposure, MinSize: -1, KMin: 1, KMax: 5, Alpha: 0.5},
+		{Measure: core.MeasureExposure, MinSize: 1, KMin: 1, KMax: 5, Alpha: 0},
+		{Measure: core.MeasureExposure, MinSize: 1, KMin: 1, KMax: 10_000, Alpha: 0.5},
 	}
 	for i, p := range cases {
-		if _, err := core.IterTDExposure(in, p); err == nil {
+		if _, err := core.Search(bg, in, baseline(p)); err == nil {
 			t.Errorf("case %d: want error", i)
 		}
 	}

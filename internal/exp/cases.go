@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -80,8 +81,7 @@ func (c Config) ShapleyCases(bundles []*synth.Bundle) ([]*ShapleyCase, error) {
 		if k > len(in.Rows) {
 			k = len(in.Rows) / 2
 		}
-		params := core.GlobalParams{MinSize: c.Tau, KMin: k, KMax: k, Lower: []int{40}}
-		res, err := core.GlobalBounds(in, params)
+		res, err := core.Search(context.Background(), in, core.Spec{Measure: core.MeasureGlobal, MinSize: c.Tau, KMin: k, KMax: k, Lower: []int{40}})
 		if err != nil {
 			return nil, err
 		}
@@ -144,11 +144,11 @@ func (c Config) CaseStudy(student *synth.Bundle) (*Figure, error) {
 		return strings.Join(parts, " ")
 	}
 
-	gRes, err := core.GlobalBounds(in, core.GlobalParams{MinSize: c.Tau, KMin: k, KMax: k, Lower: []int{10}})
+	gRes, err := core.Search(context.Background(), in, core.Spec{Measure: core.MeasureGlobal, MinSize: c.Tau, KMin: k, KMax: k, Lower: []int{10}})
 	if err != nil {
 		return nil, err
 	}
-	pRes, err := core.PropBounds(in, core.PropParams{MinSize: c.Tau, KMin: k, KMax: k, Alpha: c.Alpha})
+	pRes, err := core.Search(context.Background(), in, core.Spec{Measure: core.MeasureProp, MinSize: c.Tau, KMin: k, KMax: k, Alpha: c.Alpha})
 	if err != nil {
 		return nil, err
 	}

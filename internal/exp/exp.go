@@ -12,7 +12,9 @@
 package exp
 
 import (
+	"context"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -157,32 +159,24 @@ func (f *Figure) RenderCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// runDetector executes one detection run under the configured timeout. A
-// timed-out run keeps executing in the background (its goroutine cannot be
-// cancelled) but is reported as TimedOut, mirroring the paper's policy of
-// plotting timeouts as censored points.
-func runDetector(name string, timeout time.Duration, f func() (*core.Result, error)) Measurement {
-	type outcome struct {
-		res *core.Result
-		err error
-		dur time.Duration
+// runDetector executes one detection run under the configured timeout.
+// The search is canceled at the deadline and the run is reported as
+// TimedOut, mirroring the paper's policy of plotting timeouts as censored
+// points.
+func runDetector(name string, timeout time.Duration, in *core.Input, s core.Spec) Measurement {
+	ctx := context.Background()
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	ch := make(chan outcome, 1)
 	start := time.Now()
-	go func() {
-		res, err := f()
-		ch <- outcome{res: res, err: err, dur: time.Since(start)}
-	}()
-	if timeout <= 0 {
-		o := <-ch
-		return measurementFrom(name, o.res, o.err, o.dur)
-	}
-	select {
-	case o := <-ch:
-		return measurementFrom(name, o.res, o.err, o.dur)
-	case <-time.After(timeout):
+	res, err := core.Search(ctx, in, s)
+	dur := time.Since(start)
+	if timeout > 0 && (errors.Is(err, context.DeadlineExceeded) || dur > timeout) {
 		return Measurement{Algorithm: name, Duration: timeout, TimedOut: true}
 	}
+	return measurementFrom(name, res, err, dur)
 }
 
 func measurementFrom(name string, res *core.Result, err error, dur time.Duration) Measurement {

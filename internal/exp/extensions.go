@@ -26,17 +26,17 @@ func (c Config) ExtensionSweep(b *synth.Bundle, attrs int, kMaxes []int) (*Figur
 		if kMax > b.Table.NumRows() {
 			break
 		}
-		expParams := core.ExposureParams{MinSize: c.Tau, KMin: c.KMin, KMax: kMax, Alpha: c.Alpha}
-		base := runDetector("IterTDExposure", c.Timeout, func() (*core.Result, error) { return core.IterTDExposure(in, expParams) })
-		opt := runDetector("ExposureBounds", c.Timeout, func() (*core.Result, error) { return core.ExposureBounds(in, expParams) })
+		base, opt := c.pair(in, core.Spec{
+			Measure: core.MeasureExposure, MinSize: c.Tau, KMin: c.KMin, KMax: kMax, Alpha: c.Alpha,
+		}, "IterTDExposure", "ExposureBounds")
 		fig.Rows = append(fig.Rows, []string{
 			fmt.Sprintf("%d", kMax), "exposure",
 			fmtDur(base), fmtDur(opt), speedup(base, opt), fmtNodes(base), fmtNodes(opt),
 		})
 
-		upParams := core.GlobalUpperParams{MinSize: c.Tau, KMin: c.KMin, KMax: kMax, Upper: core.ConstantBounds(c.KMin, kMax, c.LowerBase)}
-		ubase := runDetector("IterTDGlobalUpper", c.Timeout, func() (*core.Result, error) { return core.IterTDGlobalUpper(in, upParams) })
-		uopt := runDetector("GlobalUpperBounds", c.Timeout, func() (*core.Result, error) { return core.GlobalUpperBounds(in, upParams) })
+		ubase, uopt := c.pair(in, core.Spec{
+			Measure: core.MeasureGlobalUpper, MinSize: c.Tau, KMin: c.KMin, KMax: kMax, Upper: core.ConstantBounds(c.KMin, kMax, c.LowerBase),
+		}, "IterTDGlobalUpper", "GlobalUpperBounds")
 		fig.Rows = append(fig.Rows, []string{
 			fmt.Sprintf("%d", kMax), "global-upper",
 			fmtDur(ubase), fmtDur(uopt), speedup(ubase, uopt), fmtNodes(ubase), fmtNodes(uopt),

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"rankfair/internal/core"
@@ -10,16 +11,19 @@ import (
 // pairAt runs baseline and optimized detection on one input and parameter
 // setting, for the selected fairness measure.
 func (c Config) pairAt(in *core.Input, tau, kMin, kMax int, proportional bool) (base, opt Measurement) {
+	s := core.Spec{Measure: core.MeasureGlobal, MinSize: tau, KMin: kMin, KMax: kMax, Lower: c.lower(kMin, kMax)}
 	if proportional {
-		params := core.PropParams{MinSize: tau, KMin: kMin, KMax: kMax, Alpha: c.Alpha}
-		base = runDetector("IterTD", c.Timeout, func() (*core.Result, error) { return core.IterTDProp(in, params) })
-		opt = runDetector("PropBounds", c.Timeout, func() (*core.Result, error) { return core.PropBounds(in, params) })
-		return base, opt
+		s = core.Spec{Measure: core.MeasureProp, MinSize: tau, KMin: kMin, KMax: kMax, Alpha: c.Alpha}
 	}
-	params := core.GlobalParams{MinSize: tau, KMin: kMin, KMax: kMax, Lower: c.lower(kMin, kMax)}
-	base = runDetector("IterTD", c.Timeout, func() (*core.Result, error) { return core.IterTDGlobal(in, params) })
-	opt = runDetector("GlobalBounds", c.Timeout, func() (*core.Result, error) { return core.GlobalBounds(in, params) })
-	return base, opt
+	return c.pair(in, s, "IterTD", optName(proportional))
+}
+
+// pair measures s on the ITERTD baseline (named baseName), then on the
+// incremental search (named incName).
+func (c Config) pair(in *core.Input, s core.Spec, baseName, incName string) (base, opt Measurement) {
+	b := s
+	b.Baseline = true
+	return runDetector(baseName, c.Timeout, in, b), runDetector(incName, c.Timeout, in, s)
 }
 
 func measureName(proportional bool) string {
@@ -177,8 +181,9 @@ func (c Config) ResultSizeSurvey(bundles []*synth.Bundle, attrs int) (*Figure, e
 		}
 		var gSlices, gSmall, gSettings int
 		for _, tau := range taus {
-			params := core.GlobalParams{MinSize: tau, KMin: c.KMin, KMax: c.KMax, Lower: c.lower(c.KMin, c.KMax)}
-			res, err := core.GlobalBounds(in, params)
+			res, err := core.Search(context.Background(), in, core.Spec{
+				Measure: core.MeasureGlobal, MinSize: tau, KMin: c.KMin, KMax: c.KMax, Lower: c.lower(c.KMin, c.KMax),
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -197,8 +202,9 @@ func (c Config) ResultSizeSurvey(bundles []*synth.Bundle, attrs int) (*Figure, e
 		})
 		var pSlices, pSmall, pSettings int
 		for _, alpha := range alphas {
-			params := core.PropParams{MinSize: c.Tau, KMin: c.KMin, KMax: c.KMax, Alpha: alpha}
-			res, err := core.PropBounds(in, params)
+			res, err := core.Search(context.Background(), in, core.Spec{
+				Measure: core.MeasureProp, MinSize: c.Tau, KMin: c.KMin, KMax: c.KMax, Alpha: alpha,
+			})
 			if err != nil {
 				return nil, err
 			}

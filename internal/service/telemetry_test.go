@@ -187,8 +187,17 @@ func TestWideEventAuditLog(t *testing.T) {
 	if err := json.Unmarshal(raw, &view); err != nil {
 		t.Fatal(err)
 	}
+	// A record is written just after its job turns terminal, so it can
+	// trail the report: wait for it rather than race the worker.
+	awaitRecords := func(n int) {
+		for deadline := time.Now().Add(5 * time.Second); strings.Count(sink.String(), "\n") < n && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
 	awaitReport(t, ts, view.ID)
+	awaitRecords(1)
 	awaitReport(t, ts, submitAudit(t, ts, info.ID, params).ID) // cache hit
+	awaitRecords(2)
 
 	var events []map[string]any
 	for _, line := range strings.Split(strings.TrimSpace(sink.String()), "\n") {
@@ -385,10 +394,17 @@ type collectorState struct {
 	mu     sync.Mutex
 	traces int
 	stall  chan struct{} // non-nil: every request blocks until closed
+	// first, when non-nil, is closed as the first request arrives: with
+	// stall set, the exporter is then wedged in that request.
+	first     chan struct{}
+	firstOnce sync.Once
 }
 
 func (c *collectorState) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if c.first != nil {
+			c.firstOnce.Do(func() { close(c.first) })
+		}
 		if c.stall != nil {
 			<-c.stall
 		}
@@ -454,13 +470,14 @@ func TestExporterDoesNotChangeReports(t *testing.T) {
 // one-slot export queue, audits must keep completing at full speed and
 // the overflow must surface as drops, not latency.
 func TestStalledCollectorNeverBlocksAudits(t *testing.T) {
-	collector := &collectorState{stall: make(chan struct{})}
+	collector := &collectorState{stall: make(chan struct{}), first: make(chan struct{})}
 	cts := httptest.NewServer(collector.handler())
 	t.Cleanup(cts.Close)
 
 	// The aggressive metric interval wedges the export goroutine in a
-	// stalled POST almost immediately, so finished-audit traces pile into
-	// the one-slot queue with nothing draining it.
+	// stalled POST almost immediately; audits start only once it is, so
+	// finished-audit traces pile into the one-slot queue with nothing
+	// draining it.
 	svc := mustNew(t, Config{
 		Workers: 2, CacheEntries: 8, MaxDatasets: 4,
 		OTLPEndpoint: cts.URL, OTLPQueue: 1, OTLPInterval: time.Millisecond,
@@ -477,6 +494,11 @@ func TestStalledCollectorNeverBlocksAudits(t *testing.T) {
 	t.Cleanup(func() { close(collector.stall) })
 
 	info := upload(t, ts, biasedCSV(120))
+	select {
+	case <-collector.first:
+	case <-time.After(10 * time.Second):
+		t.Fatal("exporter never reached the collector")
+	}
 	start := time.Now()
 	for i := 0; i < 8; i++ {
 		// Distinct KMax per audit defeats the result cache: every audit

@@ -9,8 +9,8 @@
 //	a, err := rankfair.New(table, &rankfair.ByColumns{
 //		Keys: []rankfair.ColumnKey{{Column: "score", Descending: true}},
 //	})
-//	report, err := a.DetectProportional(rankfair.PropParams{
-//		MinSize: 50, KMin: 10, KMax: 49, Alpha: 0.8,
+//	report, err := a.Detect(rankfair.AuditParams{
+//		Measure: rankfair.MeasureProp, MinSize: 50, KMin: 10, KMax: 49, Alpha: 0.8,
 //	})
 //	for _, g := range report.At(20) {
 //		fmt.Println(report.Format(g)) // e.g. {sex=F, address=R}
@@ -67,17 +67,6 @@ type (
 
 	// Input is the algorithm-level dataset view (rows, space, ranking).
 	Input = core.Input
-	// GlobalParams parameterizes Problem 3.1 (global bounds, lower side).
-	GlobalParams = core.GlobalParams
-	// PropParams parameterizes Problem 3.2 (proportional, lower side).
-	PropParams = core.PropParams
-	// GlobalUpperParams parameterizes upper-bound detection, global.
-	GlobalUpperParams = core.GlobalUpperParams
-	// PropUpperParams parameterizes upper-bound detection, proportional.
-	PropUpperParams = core.PropUpperParams
-	// ExposureParams parameterizes proportional-exposure detection (the
-	// position-discounted measure of Singh & Joachims).
-	ExposureParams = core.ExposureParams
 	// Result holds per-k result sets and work statistics.
 	Result = core.Result
 	// CanceledError is the partial-work error a detection run returns when
@@ -118,7 +107,7 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Dataset, error) {
 func WriteCSV(w io.Writer, t *Dataset) error { return dataset.WriteCSV(w, t) }
 
 // StaircaseBounds builds the paper's default non-decreasing lower-bound
-// sequence for GlobalParams.
+// sequence for AuditParams.Lower.
 func StaircaseBounds(kMin, kMax, base, step, width int) []int {
 	return core.StaircaseBounds(kMin, kMax, base, step, width)
 }
@@ -322,16 +311,6 @@ func (a *Analyst) extendsTable(table *Dataset) bool {
 	return true
 }
 
-// searchInput returns the algorithm-level input with the counting index
-// attached (built on first use): every facade detection entry point runs
-// its lattice search through this, so a warm Analyst — the service layer
-// caches them per (dataset hash, ranker key) — starts each search in rank
-// space over the posting lists with zero setup scans.
-func (a *Analyst) searchInput() *core.Input {
-	a.index()
-	return a.in
-}
-
 // Space exposes the categorical attribute universe.
 func (a *Analyst) Space() *Space { return a.in.Space }
 
@@ -363,17 +342,12 @@ func (a *Analyst) Bind(p Pattern, attr, label string) (Pattern, error) {
 func (a *Analyst) Format(p Pattern) string { return p.Format(a.in.Space, a.dicts) }
 
 // Report pairs a detection result with its analyst for rendering and with
-// the bound parameters for bias-magnitude computations (see InfoAt).
+// the parameters it was detected with for bias-magnitude computations (see
+// InfoAt).
 type Report struct {
 	*Result
 	analyst *Analyst
-
-	kind     reportKind
-	gParams  core.GlobalParams
-	pParams  core.PropParams
-	guParams core.GlobalUpperParams
-	puParams core.PropUpperParams
-	eParams  core.ExposureParams
+	spec    AuditParams
 
 	// Materialization state (see materialized / exposurePrefixLocked):
 	// per-level (key, count-vector) slices aligned with Result.Groups,
@@ -383,124 +357,16 @@ type Report struct {
 	levels     [][]levelEntry
 	expWeights []float64
 	expPrefix  []float64
-
-	// naiveCounts forces the pre-index scan path in InfoAt; it exists so
-	// differential tests and benchmarks can compare the two pipelines.
-	naiveCounts bool
 }
 
 // Format renders a group with attribute names and value labels.
 func (r *Report) Format(p Pattern) string { return r.analyst.Format(p) }
 
-// DetectGlobal runs GLOBALBOUNDS (Algorithm 2): most general groups whose
-// top-k count falls below L_k, for every k in range.
-func (a *Analyst) DetectGlobal(params GlobalParams) (*Report, error) {
-	res, err := core.GlobalBounds(a.searchInput(), params)
-	if err != nil {
-		return nil, err
-	}
-	return (&Report{Result: res, analyst: a}).attachGlobal(params), nil
-}
-
-// DetectGlobalBaseline runs the ITERTD baseline for global bounds. Unlike
-// DetectGlobal it accepts non-monotone bound sequences.
-func (a *Analyst) DetectGlobalBaseline(params GlobalParams) (*Report, error) {
-	res, err := core.IterTDGlobal(a.searchInput(), params)
-	if err != nil {
-		return nil, err
-	}
-	return (&Report{Result: res, analyst: a}).attachGlobal(params), nil
-}
-
-// DetectProportional runs PROPBOUNDS (Algorithm 3): most general groups
-// whose top-k count falls below α·s_D(p)·k/|D|, for every k in range.
-func (a *Analyst) DetectProportional(params PropParams) (*Report, error) {
-	res, err := core.PropBounds(a.searchInput(), params)
-	if err != nil {
-		return nil, err
-	}
-	return (&Report{Result: res, analyst: a}).attachProp(params), nil
-}
-
-// DetectProportionalBaseline runs the ITERTD baseline for proportional
-// representation.
-func (a *Analyst) DetectProportionalBaseline(params PropParams) (*Report, error) {
-	res, err := core.IterTDProp(a.searchInput(), params)
-	if err != nil {
-		return nil, err
-	}
-	return (&Report{Result: res, analyst: a}).attachProp(params), nil
-}
-
-// DetectGlobalUpper finds the most specific substantial groups exceeding
-// the upper bounds U_k (Section III, "Upper bounds").
-func (a *Analyst) DetectGlobalUpper(params GlobalUpperParams) (*Report, error) {
-	res, err := core.IterTDGlobalUpper(a.searchInput(), params)
-	if err != nil {
-		return nil, err
-	}
-	return (&Report{Result: res, analyst: a}).attachGlobalUpper(params), nil
-}
-
-// DetectProportionalUpper finds the most specific substantial groups
-// exceeding β·s_D(p)·k/|D|.
-func (a *Analyst) DetectProportionalUpper(params PropUpperParams) (*Report, error) {
-	res, err := core.IterTDPropUpper(a.searchInput(), params)
-	if err != nil {
-		return nil, err
-	}
-	return (&Report{Result: res, analyst: a}).attachPropUpper(params), nil
-}
-
-// DetectExposure finds the most general groups whose position-discounted
-// exposure in the top-k falls below α times their proportional exposure
-// share, for every k in range. Exposure distinguishes *where* in the prefix
-// a group sits, not just how often it appears (an extension measure from
-// the fairness-in-ranking literature the paper builds on). It runs the
-// incremental ExposureBounds algorithm.
-func (a *Analyst) DetectExposure(params ExposureParams) (*Report, error) {
-	res, err := core.ExposureBounds(a.searchInput(), params)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{Result: res, analyst: a, kind: kindExposure, eParams: params}, nil
-}
-
-// DetectExposureBaseline runs the per-k baseline for the exposure measure.
-func (a *Analyst) DetectExposureBaseline(params ExposureParams) (*Report, error) {
-	res, err := core.IterTDExposure(a.searchInput(), params)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{Result: res, analyst: a, kind: kindExposure, eParams: params}, nil
-}
-
-// DetectGlobalLowerMostSpecific reports the most specific substantial
-// groups below the lower bounds — the alternate report semantics Section
-// III sketches for analysts who want maximal detail rather than concise
-// descriptions.
-func (a *Analyst) DetectGlobalLowerMostSpecific(params GlobalParams) (*Report, error) {
-	res, err := core.IterTDGlobalLowerMostSpecific(a.searchInput(), params)
-	if err != nil {
-		return nil, err
-	}
-	return (&Report{Result: res, analyst: a}).attachGlobal(params), nil
-}
-
-// DetectGlobalUpperMostGeneral reports the most general groups exceeding
-// the upper bounds (by count monotonicity these bind a single attribute).
-func (a *Analyst) DetectGlobalUpperMostGeneral(params GlobalUpperParams) (*Report, error) {
-	res, err := core.IterTDGlobalUpperMostGeneral(a.searchInput(), params)
-	if err != nil {
-		return nil, err
-	}
-	return (&Report{Result: res, analyst: a}).attachGlobalUpper(params), nil
-}
-
-// Detect dispatches a measure-tagged AuditParams to the matching typed
-// detection entry point. It is the single entry the rankfaird audit
-// service drives; library callers with static measure choices should
-// prefer the typed methods.
+// Detect runs the detection params describes: for every k in
+// [KMin, KMax], the groups whose top-k representation violates the
+// measure's bound. params.Baseline selects the ITERTD baseline where the
+// measure has an incremental algorithm (global, prop, global-upper,
+// exposure); both return the same groups.
 func (a *Analyst) Detect(params AuditParams) (*Report, error) {
 	return a.DetectCtx(context.Background(), params)
 }
@@ -514,70 +380,15 @@ func (a *Analyst) Detect(params AuditParams) (*Report, error) {
 // (params.Workers of 0 runs serially here — the rankfaird service
 // substitutes its own default before calling).
 func (a *Analyst) DetectCtx(ctx context.Context, params AuditParams) (*Report, error) {
-	if err := params.Validate(); err != nil {
+	// The search runs in rank space over the analyst's counting index, so
+	// a warm Analyst — the service layer caches them per (dataset hash,
+	// ranker key) — starts it with zero setup scans.
+	a.index()
+	res, err := core.Search(ctx, a.in, params)
+	if err != nil {
 		return nil, err
 	}
-	w := params.Workers
-	if w == 0 {
-		w = 1
-	}
-	switch params.Measure {
-	case MeasureGlobal:
-		gp := GlobalParams{MinSize: params.MinSize, KMin: params.KMin, KMax: params.KMax, Lower: params.Lower}
-		var res *Result
-		var err error
-		if params.Baseline {
-			res, err = core.IterTDGlobalCtx(ctx, a.searchInput(), gp, w)
-		} else {
-			res, err = core.GlobalBoundsCtx(ctx, a.searchInput(), gp, w)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return (&Report{Result: res, analyst: a}).attachGlobal(gp), nil
-	case MeasureProp:
-		pp := PropParams{MinSize: params.MinSize, KMin: params.KMin, KMax: params.KMax, Alpha: params.Alpha}
-		var res *Result
-		var err error
-		if params.Baseline {
-			res, err = core.IterTDPropCtx(ctx, a.searchInput(), pp, w)
-		} else {
-			res, err = core.PropBoundsCtx(ctx, a.searchInput(), pp, w)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return (&Report{Result: res, analyst: a}).attachProp(pp), nil
-	case MeasureGlobalUpper:
-		up := GlobalUpperParams{MinSize: params.MinSize, KMin: params.KMin, KMax: params.KMax, Upper: params.Upper}
-		res, err := core.IterTDGlobalUpperCtx(ctx, a.searchInput(), up, w)
-		if err != nil {
-			return nil, err
-		}
-		return (&Report{Result: res, analyst: a}).attachGlobalUpper(up), nil
-	case MeasurePropUpper:
-		up := PropUpperParams{MinSize: params.MinSize, KMin: params.KMin, KMax: params.KMax, Beta: params.Beta}
-		res, err := core.IterTDPropUpperCtx(ctx, a.searchInput(), up, w)
-		if err != nil {
-			return nil, err
-		}
-		return (&Report{Result: res, analyst: a}).attachPropUpper(up), nil
-	case MeasureExposure:
-		ep := ExposureParams{MinSize: params.MinSize, KMin: params.KMin, KMax: params.KMax, Alpha: params.Alpha}
-		var res *Result
-		var err error
-		if params.Baseline {
-			res, err = core.IterTDExposureCtx(ctx, a.searchInput(), ep, w)
-		} else {
-			res, err = core.ExposureBoundsCtx(ctx, a.searchInput(), ep, w)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Report{Result: res, analyst: a, kind: kindExposure, eParams: ep}, nil
-	default:
-		return nil, fmt.Errorf("rankfair: unknown measure %q", params.Measure)
-	}
+	return &Report{Result: res, analyst: a, spec: params}, nil
 }
 
 // Explain runs the Section V pipeline on a detected group: it trains a

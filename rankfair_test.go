@@ -51,7 +51,8 @@ func TestNewErrors(t *testing.T) {
 
 func TestDetectGlobalFacade(t *testing.T) {
 	a := runningAnalyst(t)
-	report, err := a.DetectGlobal(rankfair.GlobalParams{
+	report, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureGlobal,
 		MinSize: 4, KMin: 4, KMax: 5, Lower: []int{2, 2},
 	})
 	if err != nil {
@@ -73,7 +74,8 @@ func TestDetectGlobalFacade(t *testing.T) {
 		}
 	}
 	// Baseline agrees.
-	base, err := a.DetectGlobalBaseline(rankfair.GlobalParams{
+	base, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureGlobal, Baseline: true,
 		MinSize: 4, KMin: 4, KMax: 5, Lower: []int{2, 2},
 	})
 	if err != nil {
@@ -86,10 +88,10 @@ func TestDetectGlobalFacade(t *testing.T) {
 
 func TestDetectProportionalFacade(t *testing.T) {
 	a := runningAnalyst(t)
-	for _, run := range []func(rankfair.PropParams) (*rankfair.Report, error){
-		a.DetectProportional, a.DetectProportionalBaseline,
-	} {
-		report, err := run(rankfair.PropParams{MinSize: 5, KMin: 4, KMax: 5, Alpha: 0.9})
+	for _, baseline := range []bool{false, true} {
+		report, err := a.Detect(rankfair.AuditParams{
+			Measure: rankfair.MeasureProp, Baseline: baseline, MinSize: 5, KMin: 4, KMax: 5, Alpha: 0.9,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +124,8 @@ func TestBindAndFormat(t *testing.T) {
 
 func TestUpperFacade(t *testing.T) {
 	a := runningAnalyst(t)
-	up, err := a.DetectGlobalUpper(rankfair.GlobalUpperParams{
+	up, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureGlobalUpper,
 		MinSize: 4, KMin: 5, KMax: 5, Upper: []int{2},
 	})
 	if err != nil {
@@ -133,7 +136,8 @@ func TestUpperFacade(t *testing.T) {
 	if len(up.At(5)) == 0 {
 		t.Error("expected over-represented groups at k=5")
 	}
-	pu, err := a.DetectProportionalUpper(rankfair.PropUpperParams{
+	pu, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasurePropUpper,
 		MinSize: 4, KMin: 5, KMax: 5, Beta: 1.2,
 	})
 	if err != nil {

@@ -84,12 +84,13 @@ func TestMetricsFacade(t *testing.T) {
 
 func TestExposureBaselineAgreesWithOptimized(t *testing.T) {
 	a := runningAnalyst(t)
-	params := rankfair.ExposureParams{MinSize: 4, KMin: 4, KMax: 8, Alpha: 0.8}
-	opt, err := a.DetectExposure(params)
+	params := rankfair.AuditParams{Measure: rankfair.MeasureExposure, MinSize: 4, KMin: 4, KMax: 8, Alpha: 0.8}
+	opt, err := a.Detect(params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := a.DetectExposureBaseline(params)
+	params.Baseline = true
+	base, err := a.Detect(params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package rankfair
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -31,17 +30,6 @@ type GroupInfo struct {
 	Bias float64
 }
 
-// reportKind identifies which bound a Report's groups violate.
-type reportKind int
-
-const (
-	kindGlobalLower reportKind = iota
-	kindPropLower
-	kindGlobalUpper
-	kindPropUpper
-	kindExposure
-)
-
 // groupCounts is one distinct group's materialized count vector: its size
 // in the dataset plus, for every k in the report's range, its top-k count
 // (and, for exposure reports, its top-k exposure). Built in one pass per
@@ -53,7 +41,7 @@ const (
 type groupCounts struct {
 	sD     int
 	counts []int32   // counts[k-KMin] = s_{R_k(D)}(p)
-	exps   []float64 // exposure kind only: exps[k-KMin] = exposure_k(p)
+	exps   []float64 // exposure reports only: exps[k-KMin] = exposure_k(p)
 	// labels maps attribute names to value labels (GroupJSON.Pattern);
 	// shared read-only across every k-level entry of the group. pairs is
 	// the same assignment as sorted key/value pairs, the iteration order
@@ -106,7 +94,7 @@ func (r *Report) materialized() [][]levelEntry {
 	}
 	ix := r.analyst.index()
 	var w []float64
-	if r.kind == kindExposure {
+	if r.spec.Measure == MeasureExposure {
 		r.exposurePrefixLocked()
 		w = r.expWeights
 	}
@@ -123,7 +111,7 @@ func (r *Report) materialized() [][]levelEntry {
 			if !ok {
 				ranks := ix.MatchRanks(g)
 				gc = &groupCounts{sD: len(ranks), counts: count.CountsOver(ranks, r.KMin, r.KMax)}
-				if r.kind == kindExposure {
+				if r.spec.Measure == MeasureExposure {
 					gc.exps = count.ExposuresOver(ranks, w, r.KMin, r.KMax)
 				}
 				gc.labels, gc.pairs = r.groupLabels(g)
@@ -138,39 +126,35 @@ func (r *Report) materialized() [][]levelEntry {
 }
 
 // bound computes the violated bound for a pattern of size sD at prefix k.
-// expPrefix is the cumulative exposure table, consulted only by
-// exposure-kind reports; callers fetch it once per batch (exposurePrefix)
-// rather than per (group, k), keeping the hot serialization loop free of
-// lock round-trips.
+// expPrefix is the cumulative exposure table, consulted only by exposure
+// reports; callers fetch it once per batch (exposurePrefix) rather than
+// per (group, k), keeping the hot serialization loop free of lock
+// round-trips.
 func (r *Report) bound(sD, k int, expPrefix []float64) float64 {
 	n := float64(len(r.analyst.in.Rows))
-	switch r.kind {
-	case kindGlobalLower:
-		return float64(r.gParams.Lower[k-r.gParams.KMin])
-	case kindPropLower:
-		return r.pParams.Alpha * float64(sD) * float64(k) / n
-	case kindGlobalUpper:
-		return float64(r.guParams.Upper[k-r.guParams.KMin])
-	case kindExposure:
-		return r.eParams.Alpha * float64(sD) * expPrefix[k] / n
+	s := &r.spec
+	switch s.Measure {
+	case MeasureGlobal, MeasureLowerSpecific:
+		return float64(s.Lower[k-s.KMin])
+	case MeasureGlobalUpper, MeasureUpperGeneral:
+		return float64(s.Upper[k-s.KMin])
+	case MeasureProp:
+		return s.Alpha * float64(sD) * float64(k) / n
+	case MeasureExposure:
+		return s.Alpha * float64(sD) * expPrefix[k] / n
 	default:
-		return r.puParams.Beta * float64(sD) * float64(k) / n
+		return s.Beta * float64(sD) * float64(k) / n
 	}
 }
 
-// boundNaive is the pre-index bound computation, kept as the differential
-// and benchmark baseline: for exposure reports it re-sums the position
-// series on every call (O(k) per call, O(K²) per report).
-func (r *Report) boundNaive(sD, k int) float64 {
-	if r.kind != kindExposure {
-		return r.bound(sD, k, nil)
+// upper reports whether the report's groups exceed an upper bound (bias
+// TopK-Required) rather than fall below a lower one.
+func (r *Report) upper() bool {
+	switch r.spec.Measure {
+	case MeasureGlobalUpper, MeasurePropUpper, MeasureUpperGeneral:
+		return true
 	}
-	n := float64(len(r.analyst.in.Rows))
-	ek := 0.0
-	for i := 1; i <= k; i++ {
-		ek += core.PositionExposure(i)
-	}
-	return r.eParams.Alpha * float64(sD) * ek / n
+	return false
 }
 
 // groupLabels renders a group's attribute→label assignment once per
@@ -213,8 +197,9 @@ func (r *Report) enrichedAt(k int) []keyedInfo {
 		return nil
 	}
 	level := r.materialized()[k-r.KMin]
+	exposure, upper := r.spec.Measure == MeasureExposure, r.upper()
 	var expPrefix []float64
-	if r.kind == kindExposure {
+	if exposure {
 		expPrefix = r.exposurePrefix()
 	}
 	items := make([]keyedInfo, len(groups))
@@ -224,10 +209,10 @@ func (r *Report) enrichedAt(k int) []keyedInfo {
 		cnt := int(le.gc.counts[k-r.KMin])
 		req := r.bound(sD, k, expPrefix)
 		var bias float64
-		switch r.kind {
-		case kindGlobalUpper, kindPropUpper:
+		switch {
+		case upper:
 			bias = float64(cnt) - req
-		case kindExposure:
+		case exposure:
 			bias = req - le.gc.exps[k-r.KMin]
 		default:
 			bias = req - float64(cnt)
@@ -258,12 +243,6 @@ func (r *Report) enrichedAt(k int) []keyedInfo {
 // per-group vectors (see materialized); outputs are byte-identical to the
 // naive dataset scans they replaced.
 func (r *Report) InfoAt(k int) []GroupInfo {
-	if r.naiveCounts {
-		if r.At(k) == nil {
-			return nil
-		}
-		return r.infoAtNaive(k)
-	}
 	items := r.enrichedAt(k)
 	if items == nil {
 		return nil
@@ -275,47 +254,9 @@ func (r *Report) InfoAt(k int) []GroupInfo {
 	return infos
 }
 
-// infoAtNaive is the pre-index InfoAt, preserved verbatim as the
-// differential-test and benchmark baseline: one full dataset scan per
-// group for s_D(p), one top-k scan per group for s_{R_k(D)}(p), and key
-// rebuilding inside the sort comparator.
-func (r *Report) infoAtNaive(k int) []GroupInfo {
-	groups := r.At(k)
-	if groups == nil {
-		return nil
-	}
-	in := r.analyst.in
-	infos := make([]GroupInfo, len(groups))
-	for i, g := range groups {
-		sD := g.Count(in.Rows)
-		cnt := g.CountTopK(in.Rows, in.Ranking, k)
-		req := r.boundNaive(sD, k)
-		var bias float64
-		switch r.kind {
-		case kindGlobalUpper, kindPropUpper:
-			bias = float64(cnt) - req
-		case kindExposure:
-			bias = req - core.PatternExposure(in, g, k)
-		default:
-			bias = req - float64(cnt)
-		}
-		infos[i] = GroupInfo{Pattern: g, Size: sD, TopK: cnt, Required: req, Bias: bias}
-	}
-	sort.Slice(infos, func(a, b int) bool {
-		if infos[a].Bias != infos[b].Bias {
-			return infos[a].Bias > infos[b].Bias
-		}
-		if infos[a].Size != infos[b].Size {
-			return infos[a].Size > infos[b].Size
-		}
-		return infos[a].Pattern.Key() < infos[b].Pattern.Key()
-	})
-	return infos
-}
-
 // Measure returns the report's measure name as serialized in ReportJSON
 // (e.g. "proportional-lower"). It identifies which bound the report's
-// groups violate without exposing the parameter structs.
+// groups violate.
 func (r *Report) Measure() string { return r.measureName() }
 
 // Describe renders one enriched group as a human-readable line, e.g.
@@ -327,7 +268,7 @@ func (r *Report) Describe(info GroupInfo, k int) string {
 }
 
 // SuggestLowerBounds proposes a non-decreasing lower-bound staircase for
-// DetectGlobal from a target share: L_k = floor(share·k), clamped to at
+// the global measure from a target share: L_k = floor(share·k), clamped to at
 // least 1 once share·k reaches 1. It addresses the paper's future-work item
 // of automatic threshold suggestion with the simplest useful policy: "every
 // substantial group should hold at least `share` of every prefix".
@@ -343,30 +284,4 @@ func SuggestLowerBounds(kMin, kMax int, share float64) ([]int, error) {
 		out[k-kMin] = int(share * float64(k))
 	}
 	return out, nil
-}
-
-// attachKind records the bound parameters on a freshly built report so
-// InfoAt can recompute per-group bounds.
-func (r *Report) attachGlobal(p core.GlobalParams) *Report {
-	r.kind = kindGlobalLower
-	r.gParams = p
-	return r
-}
-
-func (r *Report) attachProp(p core.PropParams) *Report {
-	r.kind = kindPropLower
-	r.pParams = p
-	return r
-}
-
-func (r *Report) attachGlobalUpper(p core.GlobalUpperParams) *Report {
-	r.kind = kindGlobalUpper
-	r.guParams = p
-	return r
-}
-
-func (r *Report) attachPropUpper(p core.PropUpperParams) *Report {
-	r.kind = kindPropUpper
-	r.puParams = p
-	return r
 }

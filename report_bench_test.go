@@ -25,7 +25,7 @@ func wideReport(b *testing.B) *Report {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep, err := a.DetectProportional(PropParams{MinSize: 10, KMin: 10, KMax: 300, Alpha: 0.8})
+	rep, err := a.Detect(AuditParams{Measure: MeasureProp, MinSize: 10, KMin: 10, KMax: 300, Alpha: 0.8})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func resetMaterialization(rep *Report, dropIndex bool) {
 // BenchmarkReportToJSON compares report serialization over the naive
 // per-(group, k) dataset scans against the posting-list materializer.
 //
-//   - naive: the pre-index pipeline (kept behind Report.naiveCounts).
+//   - naive: the pre-index pipeline (naive_report_test.go).
 //   - indexed-cold: rebuilds the counting index and the per-group vectors
 //     every iteration — the first serialization ever seen for a dataset.
 //   - indexed: index warm on the analyst (the cached-Analyst serving
@@ -56,11 +56,8 @@ func resetMaterialization(rep *Report, dropIndex bool) {
 func BenchmarkReportToJSON(b *testing.B) {
 	rep := wideReport(b)
 	b.Run("naive", func(b *testing.B) {
-		rep.naiveCounts = true
-		defer func() { rep.naiveCounts = false }()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if out := rep.ToJSON(); len(out.Results) == 0 {
+			if out := rep.toJSONNaive(); len(out.Results) == 0 {
 				b.Fatal("empty report")
 			}
 		}
@@ -123,11 +120,8 @@ func BenchmarkReportWriteJSON(b *testing.B) {
 func BenchmarkInfoAt(b *testing.B) {
 	rep := wideReport(b)
 	b.Run("naive", func(b *testing.B) {
-		rep.naiveCounts = true
-		defer func() { rep.naiveCounts = false }()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if infos := rep.InfoAt(150); len(infos) == 0 {
+			if infos := rep.infoAtNaive(150); len(infos) == 0 {
 				b.Fatal("empty result set")
 			}
 		}

@@ -9,7 +9,8 @@ import (
 
 func TestInfoAtGlobalBiasRanking(t *testing.T) {
 	a := runningAnalyst(t)
-	report, err := a.DetectGlobal(rankfair.GlobalParams{
+	report, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureGlobal,
 		MinSize: 4, KMin: 4, KMax: 5, Lower: []int{2, 2},
 	})
 	if err != nil {
@@ -51,7 +52,8 @@ func TestInfoAtGlobalBiasRanking(t *testing.T) {
 
 func TestInfoAtProportional(t *testing.T) {
 	a := runningAnalyst(t)
-	report, err := a.DetectProportional(rankfair.PropParams{
+	report, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureProp,
 		MinSize: 5, KMin: 4, KMax: 5, Alpha: 0.9,
 	})
 	if err != nil {
@@ -71,7 +73,8 @@ func TestInfoAtProportional(t *testing.T) {
 
 func TestInfoAtUpper(t *testing.T) {
 	a := runningAnalyst(t)
-	report, err := a.DetectGlobalUpper(rankfair.GlobalUpperParams{
+	report, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureGlobalUpper,
 		MinSize: 4, KMin: 5, KMax: 5, Upper: []int{2},
 	})
 	if err != nil {
@@ -85,7 +88,8 @@ func TestInfoAtUpper(t *testing.T) {
 			t.Errorf("upper bias mismatch: %+v", info)
 		}
 	}
-	prop, err := a.DetectProportionalUpper(rankfair.PropUpperParams{
+	prop, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasurePropUpper,
 		MinSize: 4, KMin: 5, KMax: 5, Beta: 1.2,
 	})
 	if err != nil {
@@ -120,7 +124,7 @@ func TestSuggestLowerBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.DetectGlobal(rankfair.GlobalParams{MinSize: 4, KMin: 4, KMax: 8, Lower: lower}); err != nil {
+	if _, err := a.Detect(rankfair.AuditParams{Measure: rankfair.MeasureGlobal, MinSize: 4, KMin: 4, KMax: 8, Lower: lower}); err != nil {
 		t.Fatalf("suggested bounds rejected: %v", err)
 	}
 	if _, err := rankfair.SuggestLowerBounds(5, 4, 0.5); err == nil {

@@ -22,7 +22,8 @@ func TestFullScaleCOMPAS(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	global, err := a.DetectGlobal(rankfair.GlobalParams{
+	global, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureGlobal,
 		MinSize: 50, KMin: 10, KMax: 49,
 		Lower: rankfair.StaircaseBounds(10, 49, 10, 10, 10),
 	})
@@ -32,7 +33,8 @@ func TestFullScaleCOMPAS(t *testing.T) {
 	globalDur := time.Since(start)
 
 	start = time.Now()
-	prop, err := a.DetectProportional(rankfair.PropParams{
+	prop, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureProp,
 		MinSize: 50, KMin: 10, KMax: 49, Alpha: 0.8,
 	})
 	if err != nil {

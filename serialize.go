@@ -3,148 +3,44 @@ package rankfair
 import (
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
+	"rankfair/internal/core"
 	"rankfair/internal/pattern"
 )
 
-// Measure names for AuditParams.Measure, matching the biasdetect CLI
-// vocabulary and the rankfaird audit API.
+// Measure names for AuditParams.Measure: the vocabulary of the rankfaird
+// audit API and of the biasdetect -measure flag.
 const (
-	MeasureGlobal      = "global"
-	MeasureProp        = "prop"
-	MeasureGlobalUpper = "global-upper"
-	MeasurePropUpper   = "prop-upper"
-	MeasureExposure    = "exposure"
+	MeasureGlobal      = core.MeasureGlobal
+	MeasureProp        = core.MeasureProp
+	MeasureGlobalUpper = core.MeasureGlobalUpper
+	MeasurePropUpper   = core.MeasurePropUpper
+	MeasureExposure    = core.MeasureExposure
+	// MeasureLowerSpecific and MeasureUpperGeneral are the alternate
+	// report semantics of Section III: the most specific groups below the
+	// lower bounds, the most general groups above the upper bounds. Their
+	// reports' Measure() names are the bound's: global-lower, global-upper.
+	MeasureLowerSpecific = core.MeasureLowerSpecific
+	MeasureUpperGeneral  = core.MeasureUpperGeneral
 )
 
 // Measures lists every measure name accepted by AuditParams, in a stable
 // order.
 func Measures() []string {
-	return []string{MeasureGlobal, MeasureProp, MeasureGlobalUpper, MeasurePropUpper, MeasureExposure}
+	return []string{MeasureGlobal, MeasureProp, MeasureGlobalUpper, MeasurePropUpper, MeasureExposure,
+		MeasureLowerSpecific, MeasureUpperGeneral}
 }
 
-// AuditParams is the measure-tagged, JSON-serializable union of the five
-// detection parameter sets. It is the wire format shared by the rankfaird
-// audit service and any tooling that persists or replays detection
-// requests; Analyst.Detect dispatches it to the matching typed entry point.
-type AuditParams struct {
-	// Measure selects the fairness measure: one of Measures().
-	Measure string `json:"measure"`
-	// MinSize is the size threshold τs on s_D(p).
-	MinSize int `json:"min_size"`
-	// KMin, KMax delimit the inclusive range of k values.
-	KMin int `json:"kmin"`
-	KMax int `json:"kmax"`
-	// Alpha is the proportional lower slack (prop, exposure).
-	Alpha float64 `json:"alpha,omitempty"`
-	// Beta is the proportional upper slack (prop-upper).
-	Beta float64 `json:"beta,omitempty"`
-	// Lower holds L_k per k, indexed k-KMin (global).
-	Lower []int `json:"lower,omitempty"`
-	// Upper holds U_k per k, indexed k-KMin (global-upper).
-	Upper []int `json:"upper,omitempty"`
-	// Baseline selects the ITERTD baseline over the optimized algorithm
-	// where both exist (global, prop, exposure).
-	Baseline bool `json:"baseline,omitempty"`
-	// Workers caps the goroutines one detection run may fan its lattice
-	// search out over: 0 defers to the caller's default (rankfaird
-	// substitutes its configured per-audit default; direct library calls
-	// run serially), 1 forces the serial path, and larger values enable
-	// the parallel search, whose results are byte-identical to serial.
-	// Because it never changes results — only wall clock — Workers is
-	// deliberately excluded from CacheKey.
-	Workers int `json:"workers,omitempty"`
-}
+// AuditParams is the measure-tagged, JSON-serializable parameter set of one
+// detection run: the wire format shared by the rankfaird audit service and
+// any tooling that persists or replays detection requests, and the one
+// argument of Analyst.Detect. Its Validate and CacheKey methods let servers
+// reject bad requests before queueing work and key result caches.
+type AuditParams = core.Spec
 
 // MaxWorkers bounds AuditParams.Workers; it exists so a malformed request
 // cannot make the daemon spawn an absurd number of goroutines.
-const MaxWorkers = 256
-
-// Validate checks the parameter set for structural errors without touching
-// a dataset, so servers can reject bad requests before queueing work.
-func (p *AuditParams) Validate() error {
-	if p.KMin < 1 || p.KMax < p.KMin {
-		return fmt.Errorf("rankfair: invalid k range [%d,%d]", p.KMin, p.KMax)
-	}
-	if p.MinSize < 0 {
-		return fmt.Errorf("rankfair: negative size threshold %d", p.MinSize)
-	}
-	if p.Workers < 0 || p.Workers > MaxWorkers {
-		return fmt.Errorf("rankfair: workers must be in [0,%d], got %d", MaxWorkers, p.Workers)
-	}
-	switch p.Measure {
-	case MeasureGlobal:
-		if len(p.Lower) != p.KMax-p.KMin+1 {
-			return fmt.Errorf("rankfair: %d lower bounds for k range [%d,%d]", len(p.Lower), p.KMin, p.KMax)
-		}
-	case MeasureGlobalUpper:
-		if len(p.Upper) != p.KMax-p.KMin+1 {
-			return fmt.Errorf("rankfair: %d upper bounds for k range [%d,%d]", len(p.Upper), p.KMin, p.KMax)
-		}
-		if p.Baseline {
-			return fmt.Errorf("rankfair: measure %q has no baseline variant", p.Measure)
-		}
-	case MeasureProp, MeasureExposure:
-		if p.Alpha <= 0 {
-			return fmt.Errorf("rankfair: alpha must be positive, got %v", p.Alpha)
-		}
-	case MeasurePropUpper:
-		if p.Beta <= 0 {
-			return fmt.Errorf("rankfair: beta must be positive, got %v", p.Beta)
-		}
-		if p.Baseline {
-			return fmt.Errorf("rankfair: measure %q has no baseline variant", p.Measure)
-		}
-	default:
-		return fmt.Errorf("rankfair: unknown measure %q (want %s)", p.Measure, strings.Join(Measures(), "|"))
-	}
-	return nil
-}
-
-// CacheKey renders the parameter set as a canonical string: equal keys iff
-// the parameters select the same computation. Result caches combine it
-// with a dataset content hash and a ranker key. Workers is intentionally
-// absent: the parallel search returns byte-identical results, so audits
-// differing only in fan-out must share one cache entry.
-func (p *AuditParams) CacheKey() string {
-	var b strings.Builder
-	b.WriteString(p.Measure)
-	b.WriteString("|ts=")
-	b.WriteString(strconv.Itoa(p.MinSize))
-	b.WriteString("|k=")
-	b.WriteString(strconv.Itoa(p.KMin))
-	b.WriteByte(':')
-	b.WriteString(strconv.Itoa(p.KMax))
-	switch p.Measure {
-	case MeasureProp, MeasureExposure:
-		b.WriteString("|a=")
-		b.WriteString(strconv.FormatFloat(p.Alpha, 'g', -1, 64))
-	case MeasurePropUpper:
-		b.WriteString("|b=")
-		b.WriteString(strconv.FormatFloat(p.Beta, 'g', -1, 64))
-	case MeasureGlobal:
-		b.WriteString("|L=")
-		writeIntSeq(&b, p.Lower)
-	case MeasureGlobalUpper:
-		b.WriteString("|U=")
-		writeIntSeq(&b, p.Upper)
-	}
-	if p.Baseline {
-		b.WriteString("|base")
-	}
-	return b.String()
-}
-
-func writeIntSeq(b *strings.Builder, xs []int) {
-	for i, x := range xs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(x))
-	}
-}
+const MaxWorkers = core.MaxWorkers
 
 // ReportJSON is the serialized form of a detection report, suitable for
 // dashboards and downstream tooling. Groups carry both machine-readable
@@ -223,29 +119,29 @@ type GroupJSON struct {
 	Bias     float64 `json:"bias"`
 }
 
-// measureName renders the report kind.
+// measureName names the bound the report's groups violate. The alternate
+// Section III semantics share the name of the bound they report against.
 func (r *Report) measureName() string {
-	switch r.kind {
-	case kindGlobalLower:
+	switch r.spec.Measure {
+	case MeasureGlobal, MeasureLowerSpecific:
 		return "global-lower"
-	case kindPropLower:
+	case MeasureProp:
 		return "proportional-lower"
-	case kindGlobalUpper:
+	case MeasureGlobalUpper, MeasureUpperGeneral:
 		return "global-upper"
-	case kindPropUpper:
+	case MeasurePropUpper:
 		return "proportional-upper"
-	case kindExposure:
+	case MeasureExposure:
 		return "exposure"
 	default:
 		return "unknown"
 	}
 }
 
-// ToJSON converts the report to its serializable form. On the indexed path
-// every per-group constant — canonical key, attribute→label map, size — is
-// precomputed once per distinct group (see groupCounts), so a k level
-// costs struct copies plus the per-k numbers; the naive path rebuilds
-// everything per (group, k) and is kept as the differential baseline.
+// ToJSON converts the report to its serializable form. Every per-group
+// constant — canonical key, attribute→label map, size — is precomputed
+// once per distinct group (see groupCounts), so a k level costs struct
+// copies plus the per-k numbers.
 // Returned Pattern maps are independent copies, safe for callers to
 // mutate, exactly as before the per-group precomputation.
 func (r *Report) ToJSON() *ReportJSON {
@@ -280,28 +176,20 @@ func (r *Report) toJSONShared() *ReportJSON {
 		Stats:         r.SearchStatsJSON(),
 	}
 	for k := r.KMin; k <= r.KMax; k++ {
-		var kg KGroupsJSON
-		if r.naiveCounts {
-			kg = r.kGroupsNaive(k)
-		} else {
-			items := r.enrichedAt(k)
-			if len(items) == 0 {
-				continue
-			}
-			kg = KGroupsJSON{K: k, Groups: make([]GroupJSON, len(items))}
-			for i, it := range items {
-				kg.Groups[i] = GroupJSON{
-					Pattern:  it.le.gc.labels,
-					Key:      it.le.key,
-					Size:     it.info.Size,
-					TopK:     it.info.TopK,
-					Required: it.info.Required,
-					Bias:     it.info.Bias,
-				}
-			}
-		}
-		if len(kg.Groups) == 0 {
+		items := r.enrichedAt(k)
+		if len(items) == 0 {
 			continue
+		}
+		kg := KGroupsJSON{K: k, Groups: make([]GroupJSON, len(items))}
+		for i, it := range items {
+			kg.Groups[i] = GroupJSON{
+				Pattern:  it.le.gc.labels,
+				Key:      it.le.key,
+				Size:     it.info.Size,
+				TopK:     it.info.TopK,
+				Required: it.info.Required,
+				Bias:     it.info.Bias,
+			}
 		}
 		out.Results = append(out.Results, kg)
 	}
@@ -332,35 +220,6 @@ func (r *Report) SearchStatsJSON() *SearchStatsJSON {
 		out.FrontierByLevel = append([]int64(nil), s.FrontierByLevel...)
 	}
 	return out
-}
-
-// kGroupsNaive is the pre-index per-k serialization, preserved verbatim as
-// the differential baseline: label maps and keys rebuilt per (group, k).
-func (r *Report) kGroupsNaive(k int) KGroupsJSON {
-	infos := r.InfoAt(k)
-	if len(infos) == 0 {
-		return KGroupsJSON{}
-	}
-	kg := KGroupsJSON{K: k, Groups: make([]GroupJSON, len(infos))}
-	for i, info := range infos {
-		assigns := make(map[string]string, info.Pattern.NumAttrs())
-		for _, a := range info.Pattern.Attrs() {
-			label := strconv.Itoa(int(info.Pattern[a]))
-			if r.analyst.dicts != nil && a < len(r.analyst.dicts) && int(info.Pattern[a]) < len(r.analyst.dicts[a]) {
-				label = r.analyst.dicts[a][info.Pattern[a]]
-			}
-			assigns[r.analyst.in.Space.Names[a]] = label
-		}
-		kg.Groups[i] = GroupJSON{
-			Pattern:  assigns,
-			Key:      info.Pattern.Key(),
-			Size:     info.Size,
-			TopK:     info.TopK,
-			Required: info.Required,
-			Bias:     info.Bias,
-		}
-	}
-	return kg
 }
 
 // WriteJSON writes the report as indented JSON: one pooled buffer, one

@@ -12,7 +12,8 @@ import (
 
 func TestReportJSONRoundTrip(t *testing.T) {
 	a := runningAnalyst(t)
-	report, err := a.DetectGlobal(rankfair.GlobalParams{
+	report, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureGlobal,
 		MinSize: 4, KMin: 4, KMax: 5, Lower: []int{2, 2},
 	})
 	if err != nil {
@@ -65,13 +66,13 @@ func TestReportJSONAllMeasures(t *testing.T) {
 	a := runningAnalyst(t)
 	reports := map[string]*rankfair.Report{}
 	var err error
-	if reports["proportional-lower"], err = a.DetectProportional(rankfair.PropParams{MinSize: 5, KMin: 4, KMax: 5, Alpha: 0.9}); err != nil {
+	if reports["proportional-lower"], err = a.Detect(rankfair.AuditParams{Measure: rankfair.MeasureProp, MinSize: 5, KMin: 4, KMax: 5, Alpha: 0.9}); err != nil {
 		t.Fatal(err)
 	}
-	if reports["global-upper"], err = a.DetectGlobalUpper(rankfair.GlobalUpperParams{MinSize: 4, KMin: 5, KMax: 5, Upper: []int{2}}); err != nil {
+	if reports["global-upper"], err = a.Detect(rankfair.AuditParams{Measure: rankfair.MeasureGlobalUpper, MinSize: 4, KMin: 5, KMax: 5, Upper: []int{2}}); err != nil {
 		t.Fatal(err)
 	}
-	if reports["exposure"], err = a.DetectExposure(rankfair.ExposureParams{MinSize: 4, KMin: 5, KMax: 5, Alpha: 0.8}); err != nil {
+	if reports["exposure"], err = a.Detect(rankfair.AuditParams{Measure: rankfair.MeasureExposure, MinSize: 4, KMin: 5, KMax: 5, Alpha: 0.8}); err != nil {
 		t.Fatal(err)
 	}
 	for want, r := range reports {
@@ -108,48 +109,74 @@ func TestAuditParamsJSONRoundTrip(t *testing.T) {
 func TestAuditParamsValidate(t *testing.T) {
 	bad := []rankfair.AuditParams{
 		{Measure: "bogus", MinSize: 1, KMin: 1, KMax: 2},
-		{Measure: rankfair.MeasureProp, MinSize: 1, KMin: 1, KMax: 2},                                         // no alpha
-		{Measure: rankfair.MeasurePropUpper, MinSize: 1, KMin: 1, KMax: 2},                                    // no beta
-		{Measure: rankfair.MeasureGlobal, MinSize: 1, KMin: 1, KMax: 2},                                       // no bounds
-		{Measure: rankfair.MeasureGlobalUpper, MinSize: 1, KMin: 1, KMax: 2},                                  // no bounds
-		{Measure: rankfair.MeasureGlobal, MinSize: 1, KMin: 3, KMax: 2},                                       // bad range
-		{Measure: rankfair.MeasureProp, MinSize: -1, KMin: 1, KMax: 2, Alpha: 0.8},                            // bad tau
-		{Measure: rankfair.MeasureGlobal, MinSize: 1, KMin: 1, KMax: 2, Lower: []int{1}},                      // short bounds
-		{Measure: rankfair.MeasureGlobalUpper, MinSize: 1, KMin: 1, KMax: 1, Upper: []int{2}, Baseline: true}, // no baseline variant
-		{Measure: rankfair.MeasurePropUpper, MinSize: 1, KMin: 1, KMax: 2, Beta: 1.2, Baseline: true},         // no baseline variant
+		{Measure: rankfair.MeasureProp, MinSize: 1, KMin: 1, KMax: 2},                                           // no alpha
+		{Measure: rankfair.MeasurePropUpper, MinSize: 1, KMin: 1, KMax: 2},                                      // no beta
+		{Measure: rankfair.MeasureGlobal, MinSize: 1, KMin: 1, KMax: 2},                                         // no bounds
+		{Measure: rankfair.MeasureGlobalUpper, MinSize: 1, KMin: 1, KMax: 2},                                    // no bounds
+		{Measure: rankfair.MeasureGlobal, MinSize: 1, KMin: 3, KMax: 2},                                         // bad range
+		{Measure: rankfair.MeasureProp, MinSize: -1, KMin: 1, KMax: 2, Alpha: 0.8},                              // bad tau
+		{Measure: rankfair.MeasureGlobal, MinSize: 1, KMin: 1, KMax: 2, Lower: []int{1}},                        // short bounds
+		{Measure: rankfair.MeasurePropUpper, MinSize: 1, KMin: 1, KMax: 2, Beta: 1.2, Baseline: true},           // no baseline variant
+		{Measure: rankfair.MeasureLowerSpecific, MinSize: 1, KMin: 1, KMax: 2},                                  // no bounds
+		{Measure: rankfair.MeasureUpperGeneral, MinSize: 1, KMin: 1, KMax: 2, Lower: []int{1, 1}},               // no upper bounds
+		{Measure: rankfair.MeasureLowerSpecific, MinSize: 1, KMin: 1, KMax: 1, Lower: []int{1}, Baseline: true}, // no baseline variant
+		{Measure: rankfair.MeasureUpperGeneral, MinSize: 1, KMin: 1, KMax: 1, Upper: []int{1}, Baseline: true},  // no baseline variant
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d (%+v): Validate accepted invalid params", i, p)
 		}
 	}
-	good := rankfair.AuditParams{Measure: rankfair.MeasureExposure, MinSize: 0, KMin: 2, KMax: 5, Alpha: 0.8}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid params rejected: %v", err)
+	good := []rankfair.AuditParams{
+		{Measure: rankfair.MeasureExposure, MinSize: 0, KMin: 2, KMax: 5, Alpha: 0.8},
+		{Measure: rankfair.MeasureGlobalUpper, MinSize: 1, KMin: 1, KMax: 1, Upper: []int{2}, Baseline: true},
+		{Measure: rankfair.MeasureLowerSpecific, MinSize: 1, KMin: 1, KMax: 1, Lower: []int{1}},
+		{Measure: rankfair.MeasureUpperGeneral, MinSize: 1, KMin: 1, KMax: 1, Upper: []int{1}},
+	}
+	for _, p := range good {
+		if err := p.Validate(); err != nil {
+			t.Errorf("valid params %+v rejected: %v", p, err)
+		}
+	}
+	global := rankfair.AuditParams{Measure: rankfair.MeasureGlobal, MinSize: 1, KMin: 1, KMax: 2, Lower: []int{1, 2}}
+	specific := global
+	specific.Measure = rankfair.MeasureLowerSpecific
+	if global.CacheKey() == specific.CacheKey() {
+		t.Errorf("global and lower-specific share cache key %q", global.CacheKey())
 	}
 }
 
-// TestDetectDispatchMatchesTyped checks the measure-tagged entry point
-// agrees with the typed methods it routes to.
+// TestDetectDispatchMatchesTyped checks that both searches Detect routes a
+// measure to — the ITERTD baseline and the incremental algorithm — report
+// identical groups, and that every measure dispatches.
 func TestDetectDispatchMatchesTyped(t *testing.T) {
 	a := runningAnalyst(t)
-	typed, err := a.DetectProportional(rankfair.PropParams{MinSize: 5, KMin: 4, KMax: 5, Alpha: 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dispatched, err := a.Detect(rankfair.AuditParams{
-		Measure: rankfair.MeasureProp, MinSize: 5, KMin: 4, KMax: 5, Alpha: 0.9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tj, _ := json.Marshal(typed.ToJSON())
-	dj, _ := json.Marshal(dispatched.ToJSON())
-	if !bytes.Equal(tj, dj) {
-		t.Errorf("Detect(prop) report differs from DetectProportional:\n%s\nvs\n%s", dj, tj)
-	}
-	if dispatched.Measure() != "proportional-lower" {
-		t.Errorf("Measure() = %q", dispatched.Measure())
+	for _, p := range []rankfair.AuditParams{
+		{Measure: rankfair.MeasureGlobal, MinSize: 4, KMin: 4, KMax: 5, Lower: []int{2, 2}},
+		{Measure: rankfair.MeasureProp, MinSize: 5, KMin: 4, KMax: 5, Alpha: 0.9},
+		{Measure: rankfair.MeasureGlobalUpper, MinSize: 2, KMin: 3, KMax: 10, Upper: rankfair.ConstantBounds(3, 10, 2)},
+		{Measure: rankfair.MeasureExposure, MinSize: 4, KMin: 4, KMax: 8, Alpha: 0.8},
+	} {
+		incremental, err := a.Detect(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Baseline = true
+		baseline, err := a.Detect(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ij, _ := json.Marshal(incremental.ToJSON().Results)
+		bj, _ := json.Marshal(baseline.ToJSON().Results)
+		if !bytes.Equal(ij, bj) {
+			t.Errorf("%s: baseline groups differ from the incremental search:\n%s\nvs\n%s", p.Measure, bj, ij)
+		}
+		if incremental.TotalGroups() == 0 {
+			t.Errorf("%s: no groups; the comparison is vacuous", p.Measure)
+		}
+		if incremental.Measure() != baseline.Measure() {
+			t.Errorf("%s: Measure() %q vs %q", p.Measure, incremental.Measure(), baseline.Measure())
+		}
 	}
 
 	for _, m := range rankfair.Measures() {

@@ -8,7 +8,8 @@ import (
 
 func TestDetectExposureFacade(t *testing.T) {
 	a := runningAnalyst(t)
-	report, err := a.DetectExposure(rankfair.ExposureParams{
+	report, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureExposure,
 		MinSize: 4, KMin: 5, KMax: 10, Alpha: 0.8,
 	})
 	if err != nil {
@@ -32,7 +33,7 @@ func TestDetectExposureFacade(t *testing.T) {
 			t.Errorf("reported exposure group with non-positive bias: %+v", info)
 		}
 	}
-	if _, err := a.DetectExposure(rankfair.ExposureParams{MinSize: 1, KMin: 1, KMax: 5, Alpha: 0}); err == nil {
+	if _, err := a.Detect(rankfair.AuditParams{Measure: rankfair.MeasureExposure, MinSize: 1, KMin: 1, KMax: 5, Alpha: 0}); err == nil {
 		t.Error("invalid alpha should fail")
 	}
 }
@@ -40,7 +41,8 @@ func TestDetectExposureFacade(t *testing.T) {
 func TestDetectAlternateSemanticsFacade(t *testing.T) {
 	a := runningAnalyst(t)
 
-	spec, err := a.DetectGlobalLowerMostSpecific(rankfair.GlobalParams{
+	spec, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureLowerSpecific,
 		MinSize: 4, KMin: 4, KMax: 4, Lower: []int{2},
 	})
 	if err != nil {
@@ -57,7 +59,8 @@ func TestDetectAlternateSemanticsFacade(t *testing.T) {
 		t.Fatal("expected most-specific below-bound groups")
 	}
 
-	gen, err := a.DetectGlobalUpperMostGeneral(rankfair.GlobalUpperParams{
+	gen, err := a.Detect(rankfair.AuditParams{
+		Measure: rankfair.MeasureUpperGeneral,
 		MinSize: 4, KMin: 5, KMax: 5, Upper: []int{2},
 	})
 	if err != nil {
@@ -86,12 +89,13 @@ func TestDetectAlternateSemanticsFacade(t *testing.T) {
 // biased region from opposite ends.
 func TestSemanticsRelationship(t *testing.T) {
 	a := runningAnalyst(t)
-	params := rankfair.GlobalParams{MinSize: 4, KMin: 4, KMax: 5, Lower: []int{2, 2}}
-	gen, err := a.DetectGlobal(params)
+	params := rankfair.AuditParams{Measure: rankfair.MeasureGlobal, MinSize: 4, KMin: 4, KMax: 5, Lower: []int{2, 2}}
+	gen, err := a.Detect(params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := a.DetectGlobalLowerMostSpecific(params)
+	params.Measure = rankfair.MeasureLowerSpecific
+	spec, err := a.Detect(params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,25 +12,24 @@ import (
 
 // BenchmarkIndexedSearch is the rank-space search series: the same
 // GLOBALBOUNDS/PROPBOUNDS workloads over synthetic german (1000 rows, 8
-// attributes), at 1/2/4/8 workers, from three starting conditions:
+// attributes), at 1/2/4/8 workers, from two starting conditions:
 //
 //   - index-cold: the search builds its posting-list index itself (a
 //     fresh Input nobody indexed before).
 //   - index-warm: a pre-built index (the cached-Analyst serving case) —
 //     root nodes alias posting lists, so the search starts with zero
 //     setup scans.
-//   - bitmap-warm: the same pre-built index with bitmap counting forced —
-//     step-time re-materialization runs word-wise AND + popcount over the
-//     index's roaring-style bitmaps wherever every bound value has one.
 //
 // The light workload (high threshold, narrow k range) isolates setup
 // cost; the sweep workloads measure the lattice walk itself. The
 // prop-staircase series runs the Section VI defaults on synthetic
 // students (395 rows): ~2.5k flips per k on a ~20k-node biased frontier
 // whose Res holds a few hundred patterns, so the per-k domination settle
-// is a large share of its cost. Every arm
-// returns byte-identical results (TestQuickMatchArmsAgree), so only wall
-// clock and allocations differ.
+// is a large share of its cost. The prop-compas series runs the same
+// defaults on synthetic COMPAS (6889 rows), where re-materializing
+// resumed frontier nodes dominates. Both conditions return
+// byte-identical results (TestQuickMatchArmsAgree), so only wall clock
+// and allocations differ.
 func BenchmarkIndexedSearch(b *testing.B) {
 	ctx := context.Background()
 	german, err := synth.GermanCredit(1000, 3).InputAttrs(8)
@@ -43,18 +42,21 @@ func BenchmarkIndexedSearch(b *testing.B) {
 		b.Fatal(err)
 	}
 	studentsIx := count.Build(students.Rows, students.Space, students.Ranking)
+	compas, err := synth.COMPAS(6889, 1).Input()
+	if err != nil {
+		b.Fatal(err)
+	}
+	compas.Index = count.Build(compas.Rows, compas.Space, compas.Ranking)
 	staircase := core.Spec{Measure: core.MeasureProp, MinSize: 50, KMin: 10, KMax: 49, Alpha: 0.8}
 	gp := core.Spec{Measure: core.MeasureGlobal, MinSize: 10, KMin: 10, KMax: 49, Lower: core.StaircaseBounds(10, 49, 10, 10, 10)}
 	pp := core.Spec{Measure: core.MeasureProp, MinSize: 10, KMin: 10, KMax: 49, Alpha: 0.8}
 	lightParams := core.Spec{Measure: core.MeasureProp, MinSize: 200, KMin: 10, KMax: 12, Alpha: 0.8}
 	engines := []struct {
-		name    string
-		ix      *count.Index
-		bitmaps bool
+		name string
+		ix   *count.Index
 	}{
-		{"index-cold", nil, false},
-		{"index-warm", ix, false},
-		{"bitmap-warm", ix, true},
+		{"index-cold", nil},
+		{"index-warm", ix},
 	}
 	for _, eng := range engines {
 		in := *german
@@ -62,10 +64,6 @@ func BenchmarkIndexedSearch(b *testing.B) {
 		st := *students
 		if eng.ix != nil {
 			st.Index = studentsIx
-		}
-		if eng.bitmaps {
-			core.ForceBitmaps(&in)
-			core.ForceBitmaps(&st)
 		}
 		for _, w := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("global/%s/workers=%d", eng.name, w), func(b *testing.B) {
@@ -109,4 +107,11 @@ func BenchmarkIndexedSearch(b *testing.B) {
 			}
 		})
 	}
+	b.Run("prop-compas/index-warm", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Search(ctx, compas, staircase); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -225,12 +225,12 @@ func (q *bfs) expand(u *bfsUnit, p pattern.Pattern) {
 	space := e.in.Space
 	n := space.NumAttrs()
 	batch := q.ring.allocSeq
-	rowAt := e.rowAt
 	for a := int(u.a) + 1; a < n; a++ {
 		card := space.Cards[a]
+		col := e.ix.Column(a)
 		cnt := countBuf(&q.cnt, card)
 		for _, r := range u.m.all {
-			cnt[rowAt[r][a]]++
+			cnt[col[r]]++
 		}
 		flat := q.ring.alloc(len(u.m.all))
 		cur := cursorBuf(&q.cur, card)
@@ -240,7 +240,7 @@ func (q *bfs) expand(u *bfsUnit, p pattern.Pattern) {
 			off += cnt[v]
 		}
 		for _, r := range u.m.all {
-			v := rowAt[r][a]
+			v := col[r]
 			flat[cur[v]] = r
 			cur[v]++
 		}

@@ -64,12 +64,6 @@ type Input struct {
 	// input across goroutines, like every other Input field.
 	DisableStats bool
 
-	// bitmaps pins the intersection arm of step-time re-materialization;
-	// the zero value leaves the choice to the per-node cost model. Only
-	// package tests set it, to hold the slice and bitmap arms to identical
-	// results.
-	bitmaps bitmapMode
-
 	// validated memoizes a successful Validate: repeated searches over one
 	// input (the Analyst serving path runs many audits against one dataset)
 	// skip the O(n·attrs) re-validation, which otherwise dominates light

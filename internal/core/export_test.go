@@ -2,10 +2,6 @@ package core
 
 import "context"
 
-// ForceBitmaps pins in's step-time intersections to the bitmap arm, so the
-// package's external benchmarks can run it beside the cost model's picks.
-func ForceBitmaps(in *Input) { in.bitmaps = bmForce }
-
 // bg is the context of searches a test does not cancel.
 var bg = context.Background()
 

@@ -17,31 +17,13 @@ import (
 // length, the count at any k is one binary search (count.PrefixCount), root
 // nodes alias the posting lists outright (a warm index starts a search with
 // zero setup scans), and step-time re-materialization is a posting-list
-// intersection instead of a dataset scan. Child generation partitions one
+// probe instead of a dataset scan. Child generation partitions one
 // list, and the partitions live in per-worker scratch arenas instead of
 // per-node allocations.
 //
-// Each re-materialization picks its intersection arm per node: the
-// galloping slice merge for short lists, word-wise bitmap AND + popcount
-// once the shortest list reaches bitmapPassMin and every bound value has a
-// bitmap. The arms return identical rank lists; only tests force one.
-
-// bitmapMode is the per-node intersection policy. The zero value is the
-// automatic cost model; the forcing modes exist for package tests, which
-// set Input.bitmaps to pin one arm of a differential.
-type bitmapMode uint8
-
-const (
-	bmAuto  bitmapMode = iota // per-node cost model
-	bmOff                     // pure slice intersections
-	bmForce                   // bitmaps whenever representable
-)
-
-// bitmapPassMin is the auto cost-model cut for one intersection pass: the
-// galloping merge touches O(shortest) entries with branchy compares, so it
-// stays the winner for short lists; past ~1k entries the straight-line
-// word AND + popcount pass wins even counting the materialization scatter.
-const bitmapPassMin = 1024
+// A re-materialization probes the shortest bound posting list once and
+// verifies the other bound attributes against the index's rank columns
+// (count.Index.MatchRanksInto), straight into the worker's arena.
 
 // matchSet is one node's match representation: all holds the ascending
 // rank positions matching the pattern.
@@ -63,9 +45,6 @@ type unit struct {
 type engine struct {
 	in *Input
 	ix *count.Index
-	// rowAt is ix.RowsByRank(): the rank-major row view the partitions
-	// read attribute values through.
-	rowAt [][]int32
 	// weightByRank is set by the exposure searches: the position-exposure
 	// weight of each rank position, summed in ascending rank order.
 	weightByRank []float64
@@ -73,7 +52,6 @@ type engine struct {
 	// newSearchStats returns nil under it, which disarms every nil-checked
 	// counter increment downstream.
 	statsOff bool
-	bm       bitmapMode
 }
 
 // newEngine binds a search to the input's attached index, building one
@@ -83,7 +61,7 @@ func newEngine(in *Input) *engine {
 	if ix == nil {
 		ix = count.Build(in.Rows, in.Space, in.Ranking)
 	}
-	return &engine{in: in, ix: ix, rowAt: ix.RowsByRank(), statsOff: in.DisableStats, bm: in.bitmaps}
+	return &engine{in: in, ix: ix, statsOff: in.DisableStats}
 }
 
 // newSearchStats returns the run's SearchStats accumulator stamped with
@@ -175,24 +153,24 @@ type childStats struct {
 func (sr searcher) childStats(m matchSet, a, card, k int, wantExposure bool) childStats {
 	cs := childStats{sr: sr, m: m, a: a, card: card}
 	sr.ss.countOnlyPass()
-	rowAt := sr.rowAt
+	col := sr.ix.Column(a)
 	cs.sD = sr.scr.ints.allocZero(card)
 	cs.cnt = sr.scr.ints.allocZero(card)
 	for _, r := range m.all {
-		cs.sD[rowAt[r][a]]++
+		cs.sD[col[r]]++
 	}
 	cut := count.PrefixCount(m.all, k)
 	if wantExposure {
 		cs.wsum = sr.scr.floats.allocZero(card)
 		w := sr.weightByRank
 		for _, r := range m.all[:cut] {
-			v := rowAt[r][a]
+			v := col[r]
 			cs.cnt[v]++
 			cs.wsum[v] += w[r]
 		}
 	} else {
 		for _, r := range m.all[:cut] {
-			cs.cnt[rowAt[r][a]]++
+			cs.cnt[col[r]]++
 		}
 	}
 	return cs
@@ -223,9 +201,9 @@ func (cs *childStats) at(v int) matchSet {
 		flat := cs.sr.scr.ints.alloc(len(cs.m.all))
 		cur := cs.sr.scr.cursors(cs.card)
 		copy(cur, offs[:cs.card])
-		rowAt := cs.sr.rowAt
+		col := cs.sr.ix.Column(cs.a)
 		for _, r := range cs.m.all {
-			val := rowAt[r][cs.a]
+			val := col[r]
 			flat[cur[val]] = r
 			cur[val]++
 		}
@@ -248,105 +226,19 @@ func (sr searcher) release(mk arenaMark) {
 type arenaMark struct{ i, f arenaPos }
 
 // materialize rebuilds a node's match set from scratch — the step-time
-// re-derivation when an unexplored frontier node resumes its subtree. It
-// intersects the pattern's bound posting lists, shortest pair first, into
-// the worker's arena (the caller's mark/release owns the result's
-// lifetime).
+// re-derivation when an unexplored frontier node resumes its subtree — as
+// one probe-and-verify over the index into the worker's arena (the
+// caller's mark/release owns the result's lifetime).
 func (sr searcher) materialize(p pattern.Pattern) matchSet {
-	lists := sr.scr.lists[:0]
-	bms := sr.scr.bms[:0]
-	for a, v := range p {
-		if v != pattern.Unbound {
-			lists = append(lists, sr.ix.Postings(a, v))
-			if sr.bm != bmOff {
-				bms = append(bms, sr.ix.Bitmap(a, v))
-			}
-		}
-	}
-	sr.scr.lists = lists[:0] // retain the backing arrays for reuse
-	sr.scr.bms = bms[:0]
-	switch len(lists) {
-	case 0:
-		all := sr.scr.ints.alloc(len(sr.in.Rows))
-		for i := range all {
-			all[i] = int32(i)
-		}
-		return matchSet{all: all}
-	case 1:
-		return matchSet{all: lists[0]}
-	}
-	// Shortest pair first: every step's output is bounded by its shortest
-	// input, so later intersections only get cheaper. Bitmaps ride the
-	// same permutation so the two representations stay aligned.
-	for i := 1; i < len(lists); i++ {
-		for j := i; j > 0 && len(lists[j]) < len(lists[j-1]); j-- {
-			lists[j], lists[j-1] = lists[j-1], lists[j]
-			if sr.bm != bmOff {
-				bms[j], bms[j-1] = bms[j-1], bms[j]
-			}
-		}
-	}
-	if sr.useBitmaps(lists, bms) {
-		return matchSet{all: sr.intersectBitmaps(bms)}
-	}
-	sr.ss.intersection()
-	sr.ss.slicePass()
-	res := count.IntersectInto(sr.scr.ints.alloc(len(lists[0]))[:0], lists[0], lists[1])
-	for _, b := range lists[2:] {
-		if len(res) == 0 {
-			break
-		}
-		sr.ss.intersection()
-		sr.ss.slicePass()
-		res = count.IntersectInto(sr.scr.ints.alloc(len(res))[:0], res, b)
-	}
-	return matchSet{all: res}
+	sr.ss.verifyPasses(p.NumAttrs() - 1)
+	n := sr.ix.MatchBound(p)
+	return matchSet{all: sr.ix.MatchRanksInto(sr.scr.ints.alloc(n)[:0:n], p)}
 }
 
-// useBitmaps is the per-node arm of the cost model: bitmaps carry the
-// intersection only when every bound value has one (availability), and —
-// under auto — when the shortest list is long enough that the word-wise
-// AND beats the galloping merge (profitability). Forced bitmap mode skips
-// the profitability cut but still needs availability.
-func (sr searcher) useBitmaps(lists [][]int32, bms []*count.Bitmap) bool {
-	if sr.bm == bmOff {
-		return false
-	}
-	for _, bm := range bms {
-		if bm == nil {
-			return false
-		}
-	}
-	return sr.bm == bmForce || len(lists[0]) >= bitmapPassMin
-}
-
-// intersectBitmaps runs the pattern's intersection as a word-wise AND
-// chain over the pre-sorted bitmaps and materializes the surviving ranks
-// into the worker's arena. Every pairwise AND counts as one posting
-// intersection (so the totals stay comparable across arms) plus one
-// bitmap pass.
-func (sr searcher) intersectBitmaps(bms []*count.Bitmap) []int32 {
-	sr.ss.intersection()
-	sr.ss.bitmapPass()
-	acc := bms[0].And(bms[1])
-	for _, b := range bms[2:] {
-		if acc.Cardinality() == 0 {
-			break
-		}
-		sr.ss.intersection()
-		sr.ss.bitmapPass()
-		acc = acc.And(b)
-	}
-	n := acc.Cardinality()
-	return acc.AppendRanks(sr.scr.ints.alloc(n)[:0:n])
-}
-
-// scratch is the per-worker allocation pool: scatter cursors, the
-// partition arenas, and reusable posting-list and bitmap header slices.
+// scratch is the per-worker allocation pool: scatter cursors and the
+// partition arenas.
 type scratch struct {
 	cur    []int32
-	lists  [][]int32
-	bms    []*count.Bitmap
 	ints   arena[int32]
 	floats arena[float64]
 }

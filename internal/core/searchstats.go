@@ -5,12 +5,11 @@ import "rankfair/internal/pattern"
 // SearchStats records per-run observability counters of the lattice
 // search: how much of the lattice was expanded versus pruned and by which
 // rule, how often the engine's count-only and lazy-scatter shortcuts
-// fired, which intersection arm each re-materialization took and how wide
-// the fan-out ran. Unlike Stats — whose NodesExamined/FullSearches are
-// part of the byte-identity contract across intersection arms and worker
-// counts — SearchStats records engine internals (a forced arm shifts the
-// bitmap/slice split) and lives in a separate Result field, excluded from
-// every equivalence comparison.
+// fired, how many bound attributes re-materialization verified and how
+// wide the fan-out ran. Unlike Stats — whose NodesExamined/FullSearches
+// are part of the byte-identity contract across index conditions and
+// worker counts — SearchStats records engine internals and lives in a
+// separate Result field, excluded from every equivalence comparison.
 //
 // Accumulation is contention-free: every fan-out worker counts into its
 // sink's local SearchStats (one plain increment behind a nil check, no
@@ -37,8 +36,9 @@ type SearchStats struct {
 	// domination filter (per normalization pass, so a node re-checked at
 	// several k values counts each time).
 	PrunedDominated int64
-	// PostingIntersections counts pairwise posting-list intersections
-	// performed by step-time re-materialization.
+	// PostingIntersections counts the bound attributes step-time
+	// re-materialization verified beyond the posting list it probed: a
+	// node binding b attributes adds b-1, one column pass each.
 	PostingIntersections int64
 	// CountOnlyPasses counts child-statistics computations served by
 	// count-only tallies over the parent's rank list without
@@ -48,10 +48,12 @@ type SearchStats struct {
 	// scatter the parent's rank list after all, because the search
 	// descended into at least one child.
 	LazyScatters int64
-	// BitmapPasses counts the pairwise intersections carried by word-wise
-	// bitmap AND + popcount; SlicePasses counts the ones carried by the
-	// galloping posting-list merge. Together they partition
-	// PostingIntersections, exposing what the per-node cost model picked.
+	// BitmapPasses and SlicePasses split PostingIntersections by
+	// representation. Searches verify every bound attribute against a
+	// rank column, so SlicePasses equals PostingIntersections and
+	// BitmapPasses stays 0; both remain for the served stats format,
+	// where audit documents persisted by older releases carry word-wise
+	// bitmap AND passes in BitmapPasses.
 	BitmapPasses int64
 	SlicePasses  int64
 	// FrontierByLevel[l] counts frontier admissions of patterns binding l
@@ -89,9 +91,12 @@ func (s *SearchStats) addDominated(n int64) {
 	}
 }
 
-func (s *SearchStats) intersection() {
-	if s != nil {
-		s.PostingIntersections++
+// verifyPasses records one re-materialization that verified n bound
+// attributes beyond the probed posting list.
+func (s *SearchStats) verifyPasses(n int) {
+	if s != nil && n > 0 {
+		s.PostingIntersections += int64(n)
+		s.SlicePasses += int64(n)
 	}
 }
 
@@ -104,18 +109,6 @@ func (s *SearchStats) countOnlyPass() {
 func (s *SearchStats) lazyScatter() {
 	if s != nil {
 		s.LazyScatters++
-	}
-}
-
-func (s *SearchStats) bitmapPass() {
-	if s != nil {
-		s.BitmapPasses++
-	}
-}
-
-func (s *SearchStats) slicePass() {
-	if s != nil {
-		s.SlicePasses++
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 
 // strategyInput builds a random dataset + ranking, mirroring the
 // equivalence-suite generator but available inside the package so the
-// arm tests can force intersection arms and reuse the cancellation
-// harness.
+// index-condition tests can reuse the cancellation harness.
 func strategyInput(rng *rand.Rand) *Input {
 	nAttrs := 2 + rng.Intn(4) // 2..5
 	cards := make([]int, nAttrs)
@@ -41,7 +40,7 @@ func strategyInput(rng *rand.Rand) *Input {
 }
 
 // strategySpecs names every search with randomized parameters for an
-// input of n rows, so the intersection arms can be compared wholesale.
+// input of n rows, so the index conditions can be compared wholesale.
 func strategySpecs(n int, rng *rand.Rand) map[string]Spec {
 	kMin := 1 + rng.Intn(5)
 	kMax := kMin + rng.Intn(15)
@@ -69,18 +68,11 @@ func strategySpecs(n int, rng *rand.Rand) map[string]Spec {
 		Spec{Measure: MeasurePropUpper, MinSize: minSize, KMin: kMin, KMax: kMax, Beta: 1.0 + rng.Float64()})
 }
 
-// matchArms are the intersection arms of step-time re-materialization:
-// the per-node cost model and the two arms it chooses between, forced.
-var matchArms = []struct {
-	name string
-	bm   bitmapMode
-}{{"auto", bmAuto}, {"slices", bmOff}, {"bitmaps", bmForce}}
-
-// armIndexes returns the index conditions a search can start from: none
+// indexConditions returns the index conditions a search can start from: none
 // attached (the search builds its own), a pre-built index, and an index
 // derived by count.Index.Extend from a prefix of the rows — the streaming
 // append path.
-func armIndexes(in *Input) []struct {
+func indexConditions(in *Input) []struct {
 	name string
 	ix   *count.Index
 } {
@@ -102,20 +94,18 @@ func armIndexes(in *Input) []struct {
 	}
 }
 
-// withArm returns a shallow copy of in pinned to one intersection arm over
-// the given index.
-func withArm(in *Input, bm bitmapMode, ix *count.Index) *Input {
+// withIndex returns a shallow copy of in over the given index.
+func withIndex(in *Input, ix *count.Index) *Input {
 	cp := *in
-	cp.bitmaps = bm
 	cp.Index = ix
 	return &cp
 }
 
-// TestQuickMatchArmsAgree is the engine's arm differential: for every
-// entry point, the slice-forced, bitmap-forced and auto arms over cold,
-// warm and extended indexes, serial and fanned out, return Groups and
-// Stats byte-identical to the serial auto run over a cold index. The
-// brute-force oracles of the equivalence suites pin that reference run.
+// TestQuickMatchArmsAgree is the engine's index-condition differential:
+// for every entry point, searches over cold, warm and extended indexes,
+// serial and fanned out, return Groups and Stats byte-identical to the
+// serial run over a cold index. The brute-force oracles of the
+// equivalence suites pin that reference run.
 func TestQuickMatchArmsAgree(t *testing.T) {
 	ctx := context.Background()
 	prop := func(seed int64) bool {
@@ -123,30 +113,28 @@ func TestQuickMatchArmsAgree(t *testing.T) {
 		base := strategyInput(rng)
 		// One parameter draw shared by the reference run and every variant.
 		specs := strategySpecs(len(base.Rows), rand.New(rand.NewSource(seed+1)))
-		for _, idx := range armIndexes(base) {
-			for _, arm := range matchArms {
-				in := withArm(base, arm.bm, idx.ix)
-				for name, spec := range specs {
-					want, err := Search(ctx, base, spec)
+		for _, idx := range indexConditions(base) {
+			in := withIndex(base, idx.ix)
+			for name, spec := range specs {
+				want, err := Search(ctx, base, spec)
+				if err != nil {
+					t.Logf("seed %d %s reference: %v", seed, name, err)
+					return false
+				}
+				for _, w := range []int{1, 3} {
+					got, err := Search(ctx, in, workers(spec, w))
 					if err != nil {
-						t.Logf("seed %d %s reference: %v", seed, name, err)
+						t.Logf("seed %d %s %s workers=%d: %v", seed, name, idx.name, w, err)
 						return false
 					}
-					for _, w := range []int{1, 3} {
-						got, err := Search(ctx, in, workers(spec, w))
-						if err != nil {
-							t.Logf("seed %d %s %s/%s workers=%d: %v", seed, name, arm.name, idx.name, w, err)
-							return false
-						}
-						if !reflect.DeepEqual(want.Groups, got.Groups) {
-							t.Logf("seed %d %s %s/%s workers=%d: groups diverge from the reference", seed, name, arm.name, idx.name, w)
-							return false
-						}
-						if want.Stats != got.Stats {
-							t.Logf("seed %d %s %s/%s workers=%d: stats diverge: reference %+v got %+v",
-								seed, name, arm.name, idx.name, w, want.Stats, got.Stats)
-							return false
-						}
+					if !reflect.DeepEqual(want.Groups, got.Groups) {
+						t.Logf("seed %d %s %s workers=%d: groups diverge from the reference", seed, name, idx.name, w)
+						return false
+					}
+					if want.Stats != got.Stats {
+						t.Logf("seed %d %s %s workers=%d: stats diverge: reference %+v got %+v",
+							seed, name, idx.name, w, want.Stats, got.Stats)
+						return false
 					}
 				}
 			}
@@ -158,35 +146,33 @@ func TestQuickMatchArmsAgree(t *testing.T) {
 	}
 }
 
-// TestStrategyCanceledRunsAgree drives every arm over every index
-// condition into the same deterministic cancellation (a poll-budget
+// TestStrategyCanceledRunsAgree drives every index condition into the
+// same deterministic cancellation (a poll-budget
 // context, serial workers) and asserts they abandon the search at the
 // same point: each reports a CanceledError carrying the same partial-work
 // count.
 func TestStrategyCanceledRunsAgree(t *testing.T) {
 	base := denseCancelInput(12, 1500)
-	indexes := armIndexes(base)
+	indexes := indexConditions(base)
 	for name, spec := range strategySpecs(len(base.Rows), rand.New(rand.NewSource(31))) {
 		for _, budget := range []int64{1, 5} {
 			want := int64(-1)
 			for _, idx := range indexes {
-				for _, arm := range matchArms {
-					res, err := Search(newBudgetCtx(budget), withArm(base, arm.bm, idx.ix), spec)
-					if res != nil {
-						t.Errorf("%s budget=%d %s/%s: canceled run returned a result", name, budget, arm.name, idx.name)
-						continue
-					}
-					var ce *CanceledError
-					if !errors.As(err, &ce) {
-						t.Errorf("%s budget=%d %s/%s: want CanceledError, got %v", name, budget, arm.name, idx.name, err)
-						continue
-					}
-					if want < 0 {
-						want = ce.NodesExamined
-					} else if ce.NodesExamined != want {
-						t.Errorf("%s budget=%d %s/%s: examined %d nodes before the halt, first arm %d",
-							name, budget, arm.name, idx.name, ce.NodesExamined, want)
-					}
+				res, err := Search(newBudgetCtx(budget), withIndex(base, idx.ix), spec)
+				if res != nil {
+					t.Errorf("%s budget=%d %s: canceled run returned a result", name, budget, idx.name)
+					continue
+				}
+				var ce *CanceledError
+				if !errors.As(err, &ce) {
+					t.Errorf("%s budget=%d %s: want CanceledError, got %v", name, budget, idx.name, err)
+					continue
+				}
+				if want < 0 {
+					want = ce.NodesExamined
+				} else if ce.NodesExamined != want {
+					t.Errorf("%s budget=%d %s: examined %d nodes before the halt, first index %d",
+						name, budget, idx.name, ce.NodesExamined, want)
 				}
 			}
 		}

@@ -33,18 +33,17 @@ func (ix *Index) Extend(rows [][]int32, space *pattern.Space, ranking []int) *In
 		ranking:  ranking,
 		space:    space,
 		rankOf:   make([]int32, total),
-		rowAt:    make([][]int32, total),
+		cols:     newColumns(space.NumAttrs(), total),
 		postings: make([][][]int32, space.NumAttrs()),
 		bitmaps:  make([][]*Bitmap, space.NumAttrs()),
 	}
-	// One pass over the new ranking: the rank-major views, the monotone
-	// old-rank → new-rank map, and the appended rows' insertion positions
-	// (ascending by construction).
+	// One pass over the new ranking: the rank map, the monotone old-rank →
+	// new-rank map, and the appended rows' insertion positions (ascending
+	// by construction).
 	newRankOfOld := make([]int32, n)
 	inserted := make([]int32, 0, total-n)
 	for rank, ri := range ranking {
 		out.rankOf[ri] = int32(rank)
-		out.rowAt[rank] = rows[ri]
 		if ri < n {
 			newRankOfOld[ix.rankOf[ri]] = int32(rank)
 		} else {
@@ -56,6 +55,20 @@ func (ix *Index) Extend(rows [][]int32, space *pattern.Space, ranking []int) *In
 	minIns := total
 	if len(inserted) > 0 {
 		minIns = int(inserted[0])
+	}
+	// Each rank column keeps the parent's prefix below the first insertion
+	// position. Above it, the parent's codes between two insertions move
+	// up as one block (old ranks keep their relative order), and each
+	// insertion writes the appended row's code.
+	for a, col := range out.cols {
+		pos := copy(col[:minIns], ix.cols[a])
+		rest := ix.cols[a][minIns:]
+		for _, q := range inserted {
+			rest = rest[copy(col[pos:q], rest):]
+			col[q] = rows[ranking[q]][a]
+			pos = int(q) + 1
+		}
+		copy(col[pos:], rest)
 	}
 
 	// Per attribute: bucket the appended rows' ranks by value (ascending,
@@ -72,7 +85,7 @@ func (ix *Index) Extend(rows [][]int32, space *pattern.Space, ranking []int) *In
 		}
 		newPer := make([][]int32, card)
 		for _, rank := range inserted {
-			v := out.rowAt[rank][a]
+			v := out.cols[a][rank]
 			newPer[v] = append(newPer[v], rank)
 		}
 		for v := 0; v < card; v++ {

@@ -53,10 +53,13 @@ func assertIndexEqual(t *testing.T, got, want *Index) {
 			t.Fatalf("rankOf[%d]: %d vs %d", r, got.rankOf[r], want.rankOf[r])
 		}
 	}
-	for r := range want.rowAt {
-		for a := range want.rowAt[r] {
-			if got.rowAt[r][a] != want.rowAt[r][a] {
-				t.Fatalf("rowAt[%d][%d]: %d vs %d", r, a, got.rowAt[r][a], want.rowAt[r][a])
+	for a := range want.cols {
+		if len(got.cols[a]) != len(want.cols[a]) {
+			t.Fatalf("cols[%d]: len %d vs %d", a, len(got.cols[a]), len(want.cols[a]))
+		}
+		for r := range want.cols[a] {
+			if got.cols[a][r] != want.cols[a][r] {
+				t.Fatalf("cols[%d][%d]: %d vs %d", a, r, got.cols[a][r], want.cols[a][r])
 			}
 		}
 	}
@@ -79,7 +82,8 @@ func assertIndexEqual(t *testing.T, got, want *Index) {
 }
 
 // TestExtendMatchesBuild: the derived index must be structurally identical
-// to a from-scratch Build over the appended input.
+// to a from-scratch Build over the appended input, and SizeBytes must count
+// the rank columns of both.
 func TestExtendMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 120; trial++ {
@@ -93,6 +97,15 @@ func TestExtendMatchesBuild(t *testing.T) {
 		got := old.Extend(full, space, fullRank)
 		want := Build(full, space, fullRank)
 		assertIndexEqual(t, got, want)
+		// SizeBytes counts the rank columns: 4 bytes per code, n+b codes
+		// per attribute, plus one slice header per column.
+		for _, ix := range []*Index{got, want} {
+			noCols := *ix
+			noCols.cols = nil
+			if diff, cols := ix.SizeBytes()-noCols.SizeBytes(), int64((n+b)*attrs*4+attrs*24); diff != cols {
+				t.Fatalf("trial %d: SizeBytes counts %d bytes of columns, want %d", trial, diff, cols)
+			}
+		}
 	}
 }
 

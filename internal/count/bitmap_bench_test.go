@@ -13,11 +13,11 @@ var (
 )
 
 // BenchmarkBitmapIntersect is the dense-intersection microbench behind the
-// lattice search's per-node cost model: the same two posting lists
-// intersected by the galloping slice merge (IntersectInto, the slice arm)
-// and by the word-wise AND + popcount bitmap kernels, across densities.
-// stride=2 is the dense regime the bitmapPassMin cut targets; stride=32
-// approaches the sparse crossover where the slice walk stays competitive.
+// bitmap probes of Index.Count/CountTopK: the same two posting lists
+// intersected by the galloping slice merge (IntersectInto) and by the
+// word-wise AND + popcount bitmap kernels, across densities. stride=2 is
+// the dense regime bitmaps target; stride=32 approaches the sparse
+// crossover where the slice walk stays competitive.
 func BenchmarkBitmapIntersect(b *testing.B) {
 	const n = 1 << 17 // rank universe: two containers
 	for _, stride := range []int{2, 8, 32} {

@@ -141,8 +141,7 @@ func TestBitmapAndForms(t *testing.T) {
 }
 
 // TestBuildBitmapCut pins the Build-side cost model: posting lists at or
-// above bitmapMinLen get a bitmap, shorter ones stay slice-only, and the
-// accessor mirrors that.
+// above bitmapMinLen get a bitmap, shorter ones stay slice-only.
 func TestBuildBitmapCut(t *testing.T) {
 	// Attribute 0: value 0 appears bitmapMinLen times, value 1 once.
 	n := bitmapMinLen + 1
@@ -158,12 +157,12 @@ func TestBuildBitmapCut(t *testing.T) {
 	}
 	space := &pattern.Space{Names: []string{"A"}, Cards: []int{2}}
 	ix := Build(rows, space, ranking)
-	if bm := ix.Bitmap(0, 0); bm == nil {
+	if bm := ix.bitmaps[0][0]; bm == nil {
 		t.Fatalf("Bitmap(0,0) = nil, want bitmap for list of len %d", bitmapMinLen)
 	} else if got := bm.AppendRanks(nil); !ranksEqual(got, ix.Postings(0, 0)) {
 		t.Fatalf("Bitmap(0,0) ranks %v != postings %v", got, ix.Postings(0, 0))
 	}
-	if bm := ix.Bitmap(0, 1); bm != nil {
+	if bm := ix.bitmaps[0][1]; bm != nil {
 		t.Fatalf("Bitmap(0,1) = %v, want nil below the bitmapMinLen cut", bm)
 	}
 }

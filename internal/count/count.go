@@ -23,7 +23,9 @@
 package count
 
 import (
+	"slices"
 	"sort"
+	"sync"
 
 	"rankfair/internal/pattern"
 )
@@ -38,12 +40,11 @@ type Index struct {
 	space   *pattern.Space
 	// rankOf[row] is the 0-based position of row in the ranking.
 	rankOf []int32
-	// rowAt[rank] is the encoded row at that rank position — the rank-major
-	// view of the dataset. Consumers that walk rank lists (the rank-space
-	// lattice search, the multi-attribute probes below) read attribute
-	// values as rowAt[r][a], one indirection instead of the
-	// rows[ranking[r]] double hop.
-	rowAt [][]int32
+	// cols[a][r] is the code of attribute a at rank position r — the
+	// rank-major dataset stored column-wise. The probe-and-verify walk and
+	// the lattice search's per-attribute partitions read one attribute
+	// across many ranks, so each reads one column.
+	cols [][]int32
 	// postings[a][v] holds the rank positions of rows with row[a] == v,
 	// ascending. The per-(a,v) lists partition [0, n).
 	postings [][][]int32
@@ -63,7 +64,7 @@ func Build(rows [][]int32, space *pattern.Space, ranking []int) *Index {
 		ranking:  ranking,
 		space:    space,
 		rankOf:   make([]int32, len(rows)),
-		rowAt:    make([][]int32, len(rows)),
+		cols:     newColumns(space.NumAttrs(), len(rows)),
 		postings: make([][][]int32, space.NumAttrs()),
 	}
 	// Size the posting lists exactly before filling them, so Build does no
@@ -85,13 +86,24 @@ func Build(rows [][]int32, space *pattern.Space, ranking []int) *Index {
 	}
 	for rank, ri := range ranking {
 		ix.rankOf[ri] = int32(rank)
-		ix.rowAt[rank] = rows[ri]
 		for a, v := range rows[ri] {
+			ix.cols[a][rank] = v
 			ix.postings[a][v] = append(ix.postings[a][v], int32(rank))
 		}
 	}
 	ix.bitmaps = buildBitmaps(ix.postings)
 	return ix
+}
+
+// newColumns allocates attrs rank columns of n codes over one backing
+// array.
+func newColumns(attrs, n int) [][]int32 {
+	flat := make([]int32, attrs*n)
+	cols := make([][]int32, attrs)
+	for a := range cols {
+		cols[a] = flat[a*n : (a+1)*n : (a+1)*n]
+	}
+	return cols
 }
 
 // NumRows returns the number of indexed rows.
@@ -100,38 +112,27 @@ func (ix *Index) NumRows() int { return len(ix.rows) }
 // RankOf returns the 0-based rank position of a row.
 func (ix *Index) RankOf(row int) int { return int(ix.rankOf[row]) }
 
-// RowsByRank exposes the rank-major row view: element r is the encoded row
-// at rank position r. Callers must not mutate it. The rank-space lattice
-// search partitions posting lists by attribute value through this view.
-func (ix *Index) RowsByRank() [][]int32 { return ix.rowAt }
+// Column returns attribute attr's rank column: element r is the code of
+// attr at rank position r. Callers must not mutate it. The rank-space
+// lattice search partitions posting lists by attribute value through it.
+func (ix *Index) Column(attr int) []int32 { return ix.cols[attr] }
 
 // Postings returns the posting list of (attr, value): the ascending rank
 // positions of the rows holding that value. Callers must not mutate it.
 func (ix *Index) Postings(attr int, val int32) []int32 { return ix.postings[attr][val] }
 
-// Bitmap returns the bitmap form of the (attr, value) posting list, or nil
-// when the list sits below the bitmap cost-model cut (callers fall back to
-// the slice walk). Callers must not mutate it.
-func (ix *Index) Bitmap(attr int, val int32) *Bitmap {
-	if attr < 0 || attr >= len(ix.bitmaps) {
-		return nil
-	}
-	bs := ix.bitmaps[attr]
-	if val < 0 || int(val) >= len(bs) {
-		return nil
-	}
-	return bs[val]
-}
-
 // SizeBytes estimates the heap footprint of the index's owned structures:
-// the rank map, the rank-major row view headers, and the posting lists
-// (counting capacity, since extended indexes share list backing arrays
-// copy-on-write). Rows and ranking are excluded — the index aliases the
-// caller's slices. The estimate feeds observability gauges; it is not an
-// exact allocator accounting.
+// the rank map, the rank columns, the posting lists (counting capacity,
+// since extended indexes share list backing arrays copy-on-write) and
+// their bitmap mirrors. Rows and ranking are excluded — the index aliases
+// the caller's slices. The estimate feeds observability gauges; it is not
+// an exact allocator accounting.
 func (ix *Index) SizeBytes() int64 {
 	const sliceHeader = 24
-	size := int64(len(ix.rankOf))*4 + int64(len(ix.rowAt))*sliceHeader
+	size := int64(len(ix.rankOf))*4 + int64(len(ix.cols))*sliceHeader
+	for _, col := range ix.cols {
+		size += int64(len(col)) * 4
+	}
 	for _, lists := range ix.postings {
 		size += int64(len(lists)) * sliceHeader
 		for _, l := range lists {
@@ -187,17 +188,6 @@ func (ix *Index) shortestBound(p pattern.Pattern) (attr int, empty, bound bool) 
 	return best, false, best >= 0
 }
 
-// matchesExcept reports whether row satisfies every bound attribute of p
-// other than skip (already known to match via the posting list probed).
-func matchesExcept(p pattern.Pattern, row []int32, skip int) bool {
-	for a, v := range p {
-		if a != skip && v != pattern.Unbound && row[a] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // Count returns s_D(p), the number of rows matching p.
 func (ix *Index) Count(p pattern.Pattern) int {
 	probe, empty, ok := ix.shortestBound(p)
@@ -216,13 +206,7 @@ func (ix *Index) Count(p pattern.Pattern) int {
 			return andCardinalityAll(bms, -1)
 		}
 	}
-	n := 0
-	for _, rk := range list {
-		if matchesExcept(p, ix.rowAt[rk], probe) {
-			n++
-		}
-	}
-	return n
+	return ix.countVerified(list, p, probe)
 }
 
 // CountTopK returns s_{R_k(D)}(p), the number of rows among the top k of
@@ -251,41 +235,105 @@ func (ix *Index) CountTopK(p pattern.Pattern, k int) int {
 			return andCardinalityAll(bms, k)
 		}
 	}
-	n := 0
-	for _, rk := range list[:cut] {
-		if matchesExcept(p, ix.rowAt[rk], probe) {
-			n++
-		}
-	}
-	return n
+	return ix.countVerified(list[:cut], p, probe)
 }
 
 // MatchRanks returns the ascending rank positions of every row matching p.
 // Single-attribute patterns alias the posting list directly; callers must
 // treat the result as read-only.
 func (ix *Index) MatchRanks(p pattern.Pattern) []int32 {
+	if probe, empty, ok := ix.shortestBound(p); ok && !empty && p.NumAttrs() == 1 {
+		return ix.postings[probe][p[probe]]
+	}
+	return ix.MatchRanksInto(nil, p)
+}
+
+// MatchBound returns the length of the posting list MatchRanksInto probes
+// for p — an upper bound on its match count, and the spare capacity dst
+// needs for MatchRanksInto not to grow it: n when p binds nothing, 0 when
+// it binds a value outside its attribute's domain.
+func (ix *Index) MatchBound(p pattern.Pattern) int {
 	probe, empty, ok := ix.shortestBound(p)
-	if !ok {
-		all := make([]int32, len(ix.rows))
-		for i := range all {
-			all[i] = int32(i)
+	switch {
+	case !ok:
+		return len(ix.rows)
+	case empty:
+		return 0
+	}
+	return len(ix.postings[probe][p[probe]])
+}
+
+// MatchRanksInto appends the ascending rank positions of every row matching
+// p onto dst and returns the extended slice; the result never aliases the
+// index, and dst must not alias a list the index returned. It probes the
+// shortest bound posting list and verifies the other bound attributes
+// against their rank columns.
+func (ix *Index) MatchRanksInto(dst []int32, p pattern.Pattern) []int32 {
+	probe, empty, ok := ix.shortestBound(p)
+	switch {
+	case !ok:
+		dst = slices.Grow(dst, len(ix.rows))
+		for r := range len(ix.rows) {
+			dst = append(dst, int32(r))
 		}
-		return all
+		return dst
+	case empty:
+		return dst
 	}
-	if empty {
-		return nil
+	return ix.verifyInto(dst, ix.postings[probe][p[probe]], p, probe)
+}
+
+// verifyInto appends onto dst the entries of list — a posting list of p's
+// bound attribute skip, or a prefix of one — whose rows match p on every
+// other bound attribute. Each of those attributes is one branch-free pass
+// over its rank column: the pass writes every surviving rank
+// unconditionally and advances the output by its 0/1 match flag,
+// compacting the survivors in place.
+func (ix *Index) verifyInto(dst, list []int32, p pattern.Pattern, skip int) []int32 {
+	type check struct {
+		col []int32
+		v   int32
 	}
-	list := ix.postings[probe][p[probe]]
-	if p.NumAttrs() == 1 {
-		return list
-	}
-	out := make([]int32, 0, len(list))
-	for _, rk := range list {
-		if matchesExcept(p, ix.rowAt[rk], probe) {
-			out = append(out, rk)
+	var buf [8]check
+	checks := buf[:0]
+	for a, v := range p {
+		if a != skip && v != pattern.Unbound {
+			checks = append(checks, check{col: ix.cols[a], v: v})
 		}
 	}
-	return out
+	base := len(dst)
+	dst = slices.Grow(dst, len(list))
+	out := dst[base : base+len(list)]
+	if len(checks) == 0 {
+		return dst[:base+copy(out, list)]
+	}
+	src := list
+	for _, c := range checks {
+		n := 0
+		for _, r := range src {
+			out[n] = r
+			// Codes are non-negative, so col[r]^v is 0 on a match and
+			// positive otherwise: uint32(x-1)>>31 is the match flag.
+			n += int(uint32((c.col[r]^c.v)-1) >> 31)
+		}
+		src = out[:n]
+		if n == 0 {
+			break
+		}
+	}
+	return dst[:base+len(src)]
+}
+
+// verifyBufs pools the scratch rank buffers of the counting walks.
+var verifyBufs = sync.Pool{New: func() any { return new([]int32) }}
+
+// countVerified returns how many entries of list verifyInto keeps.
+func (ix *Index) countVerified(list []int32, p pattern.Pattern, skip int) int {
+	buf := verifyBufs.Get().(*[]int32)
+	*buf = ix.verifyInto((*buf)[:0], list, p, skip)
+	n := len(*buf)
+	verifyBufs.Put(buf)
+	return n
 }
 
 // MatchRows returns the row indices matching p in ascending row order —

@@ -57,13 +57,25 @@ func FuzzIndexedCounts(f *testing.F) {
 		}
 		ix := Build(rows, space, ranking)
 
-		// Derive patterns of every arity from the data tail and compare.
-		// checkIndex also drives the bitmap counting chain directly — the
-		// Count/CountTopK cost model only routes through bitmaps for lists
-		// past bitmapProbeMin, far larger than any fuzz dataset, so the
-		// bitmap arm is asserted at the andCardinalityAll level instead.
+		// Check the rank columns, then derive patterns of every arity from
+		// the data tail and compare. checkIndex also drives the bitmap
+		// counting chain directly — the Count/CountTopK cost model only
+		// routes through bitmaps for lists past bitmapProbeMin, far larger
+		// than any fuzz dataset, so the bitmap arm is asserted at the
+		// andCardinalityAll level instead.
 		checkIndex := func(ix *Index, rows [][]int32, ranking []int) {
 			nRows := len(rows)
+			for a := 0; a < nAttrs; a++ {
+				col := ix.Column(a)
+				if len(col) != nRows {
+					t.Fatalf("Column(%d) has %d ranks, want %d", a, len(col), nRows)
+				}
+				for r, ri := range ranking {
+					if col[r] != rows[ri][a] {
+						t.Fatalf("Column(%d)[%d] = %d, want rows[%d][%d] = %d", a, r, col[r], ri, a, rows[ri][a])
+					}
+				}
+			}
 			for arity := 0; arity <= nAttrs; arity++ {
 				p := pattern.Empty(nAttrs)
 				for a := 0; a < arity; a++ {
@@ -100,7 +112,9 @@ func FuzzIndexedCounts(f *testing.F) {
 
 		// Append-then-count: extend the index with a derived batch (the
 		// streaming path, which aliases untouched bitmaps and rebuilds
-		// perturbed ones) and re-assert every count on the grown dataset.
+		// perturbed ones, and keeps the column prefix above the first
+		// insertion) and re-assert the columns and every count on the
+		// grown dataset.
 		nExtra := 1 + int(data[len(data)-1]%4)
 		rows2 := append(make([][]int32, 0, nRows+nExtra), rows...)
 		for e := 0; e < nExtra; e++ {

@@ -6,11 +6,11 @@ import (
 	"rankfair/internal/pattern"
 )
 
-// This file holds the posting-list intersection primitives behind the
-// rank-space lattice search in internal/core: a pattern's match set is the
-// intersection of its bound attributes' posting lists, all ascending rank
-// lists, so set algebra over sorted int32 slices is the entire per-node
-// workload of that engine.
+// This file holds the posting-list intersection primitives: a pattern's
+// match set is the intersection of its bound attributes' posting lists,
+// all ascending rank lists. The lattice search rebuilds match sets with
+// the column probe of MatchRanksInto instead; these merges stay as the
+// reference its tests compare against.
 
 // gallopRatio is the length ratio between the two input lists beyond which
 // IntersectInto abandons the linear merge for galloping search: probing the

@@ -131,3 +131,70 @@ func TestIntersectPostingsMatchesMatchRanks(t *testing.T) {
 		}
 	}
 }
+
+// TestMatchRanksIntoMatchesIntersections holds the column probe behind
+// MatchRanksInto to both intersection references — the galloping
+// IntersectPostings and a bitmap And chain read back with AppendRanks —
+// over built and extended indexes, for patterns binding zero, one or
+// several attributes, some with out-of-domain values. It also pins the
+// append contract: the prefix of dst survives, and spare capacity
+// MatchBound(p) is enough for MatchRanksInto not to grow dst.
+func TestMatchRanksIntoMatchesIntersections(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 60; trial++ {
+		attrs := 1 + rng.Intn(4)
+		base, full, space, baseRank, fullRank := randAppendCase(rng, 1+rng.Intn(150), rng.Intn(40), attrs, 1+rng.Intn(4))
+		indexes := map[string]*Index{
+			"built":    Build(full, space, fullRank),
+			"extended": Build(base, space, baseRank).Extend(full, space, fullRank),
+		}
+		for name, ix := range indexes {
+			for pi := 0; pi < 30; pi++ {
+				p := randPattern(rng, space, 0.3+0.1*float64(pi%5))
+				if pi%7 == 0 {
+					a := rng.Intn(attrs)
+					p[a] = []int32{int32(space.Cards[a]), 99, -2}[rng.Intn(3)]
+				}
+				want := ix.IntersectPostings(p)
+				var bitmapWant []int32
+				outOfDomain := false
+				var acc *Bitmap
+				for a, v := range p {
+					switch {
+					case v == pattern.Unbound:
+					case v < 0 || int(v) >= space.Cards[a]:
+						outOfDomain = true
+					case acc == nil:
+						acc = BitmapFromRanks(ix.Postings(a, v))
+					default:
+						acc = acc.And(BitmapFromRanks(ix.Postings(a, v)))
+					}
+				}
+				if acc != nil && !outOfDomain {
+					bitmapWant = acc.AppendRanks(nil)
+				}
+
+				bound := ix.MatchBound(p)
+				dst := make([]int32, 1, 1+bound)
+				dst[0] = -7
+				got := ix.MatchRanksInto(dst, p)
+				if got[0] != -7 {
+					t.Fatalf("%s trial %d: MatchRanksInto(%v) overwrote the prefix of dst", name, trial, p)
+				}
+				if cap(got) != cap(dst) || &got[0] != &dst[0] {
+					t.Fatalf("%s trial %d: MatchRanksInto(%v) grew dst of spare capacity MatchBound = %d", name, trial, p, bound)
+				}
+				got = got[1:]
+				if len(got) == 0 && len(want) == 0 {
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s trial %d: MatchRanksInto(%v) = %v, IntersectPostings %v", name, trial, p, got, want)
+				}
+				if p.NumAttrs() > 0 && !reflect.DeepEqual(got, bitmapWant) {
+					t.Fatalf("%s trial %d: MatchRanksInto(%v) = %v, bitmap And chain %v", name, trial, p, got, bitmapWant)
+				}
+			}
+		}
+	}
+}

@@ -169,9 +169,9 @@ func newObsState(s *Service, traceEntries int) *obsState {
 	o.searchRuns = r.NewCounterVec("rankfaird_search_total", "Lattice searches computed (cache misses), by counting strategy.", "strategy")
 	o.searchExpanded = r.NewCounter("rankfaird_search_nodes_expanded_total", "Lattice nodes expanded across all searches.")
 	o.searchPruned = r.NewCounterVec("rankfaird_search_pruned_total", "Lattice nodes pruned without expansion, by reason.", "reason")
-	o.searchIntersections = r.NewCounter("rankfaird_search_posting_intersections_total", "Posting-list intersections materialized during searches.")
-	o.searchBitmapPasses = r.NewCounter("rankfaird_search_bitmap_passes_total", "Posting intersections carried by word-wise bitmap AND + popcount passes.")
-	o.searchSlicePasses = r.NewCounter("rankfaird_search_slice_passes_total", "Posting intersections carried by galloping slice-merge passes.")
+	o.searchIntersections = r.NewCounter("rankfaird_search_posting_intersections_total", "Bound attributes verified beyond the probed posting list when searches re-materialize match sets.")
+	o.searchBitmapPasses = r.NewCounter("rankfaird_search_bitmap_passes_total", "Re-materialization passes carried by word-wise bitmap AND; searches no longer take this arm, so it stays 0.")
+	o.searchSlicePasses = r.NewCounter("rankfaird_search_slice_passes_total", "Re-materialization passes carried by rank-column verify passes, one per verified bound attribute.")
 	o.searchCountOnly = r.NewCounter("rankfaird_search_count_only_passes_total", "Count-only posting passes that avoided materializing a match list.")
 	o.searchLazy = r.NewCounter("rankfaird_search_lazy_scatters_total", "Lazy rank-partition scatters performed on first touch.")
 	r.NewGaugeFunc("rankfaird_analyst_index_bytes", "Estimated heap bytes held by cached analysts' counting indexes.", func() int64 {

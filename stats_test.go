@@ -30,8 +30,8 @@ func statsAnalyst(t *testing.T, b *synth.Bundle) *rankfair.Analyst {
 // engineLabels is the middle level of the TestStatsInvariance and
 // TestAppendDifferential subtest IDs: the match-set engine labels of
 // earlier releases, kept so the IDs stay comparable across versions. Every
-// label now runs the one rank-space engine; the differentials between its
-// intersection arms live in internal/core, where the arms can be forced.
+// label now runs the one rank-space engine; its differential across index
+// conditions lives in internal/core (TestQuickMatchArmsAgree).
 var engineLabels = []string{"lists", "index", "bitmap"}
 
 // statsCases is one audit per measure over a shared k range.

@@ -25,7 +25,7 @@ import (
 // scanTopDownSearch is Algorithm 1 with per-pattern dataset scans: the
 // straightforward implementation whose cost the match-list partitioning
 // avoids. Results are identical to topDownSearch.
-func scanTopDownSearch(in *Input, minSize, k int, meas measure, stats *Stats) (res, dres []pattern.Pattern) {
+func scanTopDownSearch(in *Input, minSize, k int, b *lowerBound, stats *Stats) (res, dres []pattern.Pattern) {
 	stats.FullSearches++
 	n := in.Space.NumAttrs()
 	queue := pattern.Empty(n).Children(in.Space)
@@ -37,7 +37,7 @@ func scanTopDownSearch(in *Input, minSize, k int, meas measure, stats *Stats) (r
 			continue
 		}
 		cnt := p.CountTopK(in.Rows, in.Ranking, k)
-		if meas.biased(sD, cnt, k) {
+		if b.biased(sD, float64(cnt), k) {
 			if hasProperSubset(res, p) {
 				dres = append(dres, p)
 			} else {
@@ -75,10 +75,10 @@ func TestScanSearchMatchesPartitionedSearch(t *testing.T) {
 		k := 1 + rng.Intn(nRows)
 		minSize := 1 + rng.Intn(4)
 		l := 1 + rng.Intn(3)
-		meas := globalMeasure{spec: &Spec{Measure: MeasureGlobal, KMin: k, KMax: k, Lower: []int{l}, MinSize: minSize}}
+		b := newLowerBound(in, &Spec{Measure: MeasureGlobal, KMin: k, KMax: k, Lower: []int{l}, MinSize: minSize})
 		var s1, s2 Stats
-		res1, dres1 := topDownSearch(&canceler{}, newEngine(in), minSize, k, meas, &s1, nil)
-		res2, dres2 := scanTopDownSearch(in, minSize, k, meas, &s2)
+		res1, dres1 := topDownSearch(&canceler{}, newEngine(in), minSize, k, &b, &s1, nil)
+		res2, dres2 := scanTopDownSearch(in, minSize, k, &b, &s2)
 		return samePatternSet(res1, res2) && samePatternSet(dres1, dres2) &&
 			s1.NodesExamined == s2.NodesExamined
 	}
@@ -152,17 +152,17 @@ func ablationInput(b *testing.B) *Input {
 // match-list partitioning (used everywhere) vs per-pattern dataset scans.
 func BenchmarkAblationCounting(b *testing.B) {
 	in := ablationInput(b)
-	meas := globalMeasure{spec: &Spec{Measure: MeasureGlobal, KMin: 40, KMax: 40, Lower: []int{20}, MinSize: 20}}
+	lb := newLowerBound(in, &Spec{Measure: MeasureGlobal, KMin: 40, KMax: 40, Lower: []int{20}, MinSize: 20})
 	b.Run("partitioned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var s Stats
-			topDownSearch(&canceler{}, newEngine(in), 20, 40, meas, &s, nil)
+			topDownSearch(&canceler{}, newEngine(in), 20, 40, &lb, &s, nil)
 		}
 	})
 	b.Run("scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var s Stats
-			scanTopDownSearch(in, 20, 40, meas, &s)
+			scanTopDownSearch(in, 20, 40, &lb, &s)
 		}
 	})
 }

@@ -8,12 +8,12 @@
 //
 //   - ITERTD (Section IV-A): the baseline that re-runs the top-down search
 //     of Algorithm 1 for every k, for every measure.
-//   - GLOBALBOUNDS (Algorithm 2, Section IV-B): the optimized incremental
-//     algorithm for global representation bounds (Problem 3.1), also
-//     adapted to global upper bounds.
-//   - PROPBOUNDS (Algorithm 3, Section IV-C): the optimized incremental
-//     algorithm for proportional representation (Problem 3.2), also
-//     adapted to the exposure measure.
+//   - GLOBALBOUNDS (Algorithm 2, Section IV-B) and PROPBOUNDS (Algorithm
+//     3, Section IV-C): the optimized incremental algorithms for global
+//     (Problem 3.1) and proportional (Problem 3.2) representation, run by
+//     one engine over a lower-bound type that also covers the exposure
+//     measure (lower.go). An adaptation of GLOBALBOUNDS serves global
+//     upper bounds (upper_opt.go).
 //
 // Besides the paper's two lower-bound measures, Spec covers the upper-bound
 // variants of Section III (most-specific substantial patterns exceeding an

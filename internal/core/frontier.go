@@ -10,7 +10,7 @@ import (
 )
 
 // domFrontier maintains the Res/DRes split of the biased frontier across
-// k. The incremental searches carry the frontier from k to k+1 and flip
+// k. The incremental search carries the frontier from k to k+1 and flips
 // only the patterns whose bias status changed; the frontier buffers those
 // flips and settle() applies them as one sorted delta, so the per-k cost
 // follows the flip set and the members whose status it can change, not a
@@ -49,28 +49,23 @@ import (
 // flipped node, sorts only the adds and merges them into the survivors,
 // which are already in order; the attrMask prefilter is carried alongside.
 // The member columns are double-buffered and every scratch array is reused
-// across settles. The struct is generic over the node type because the
-// three incremental searches each have their own node struct with an
-// interned key field.
+// across settles.
 //
 // Cancellation: settle polls the context per level, then every 64 scans
 // and every 4096 subset checks. A halted settle keeps the merged
 // membership and marks the split stale; the next settle recomputes the
 // split over that membership, so no flip is lost.
-type domFrontier[N any] struct {
-	pat func(*N) pattern.Pattern
-	key func(*N) *string
+type domFrontier struct {
+	frontCols // the members, in sorted order
+	ndom      int
+	stale     bool // a halted settle left the split unknown
 
-	frontCols[N] // the members, in sorted order
-	ndom         int
-	stale        bool // a halted settle left the split unknown
-
-	ops []frontOp[N] // flips buffered until the next settle
+	ops []frontOp // flips buffered until the next settle
 
 	// Settle scratch, reused across settles.
-	spare   frontCols[N]
-	last    map[*N]bool
-	adds    []frontAdd[N]
+	spare   frontCols
+	last    map[*node]bool
+	adds    []frontAdd
 	remap   []int32 // old member index → new index, or -1 when removed
 	state   []uint8
 	work    []int32
@@ -79,8 +74,8 @@ type domFrontier[N any] struct {
 }
 
 // frontCols holds the members as parallel columns.
-type frontCols[N any] struct {
-	nodes []*N
+type frontCols struct {
+	nodes []*node
 	keys  []string // the interned keys, so lookups never chase a node
 	masks []uint64
 	attrs []int32
@@ -88,12 +83,12 @@ type frontCols[N any] struct {
 	wit   []int32 // index of the member proving dom[i]; -1 otherwise
 }
 
-func (c *frontCols[N]) reset() {
+func (c *frontCols) reset() {
 	c.nodes, c.keys, c.masks, c.attrs = c.nodes[:0], c.keys[:0], c.masks[:0], c.attrs[:0]
 	c.dom, c.wit = c.dom[:0], c.wit[:0]
 }
 
-func (c *frontCols[N]) push(nd *N, key string, mask uint64, attrs int32, dom bool, wit int32) {
+func (c *frontCols) push(nd *node, key string, mask uint64, attrs int32, dom bool, wit int32) {
 	c.nodes = append(c.nodes, nd)
 	c.keys = append(c.keys, key)
 	c.masks = append(c.masks, mask)
@@ -103,14 +98,14 @@ func (c *frontCols[N]) push(nd *N, key string, mask uint64, attrs int32, dom boo
 }
 
 // frontOp is one buffered membership flip.
-type frontOp[N any] struct {
-	nd  *N
+type frontOp struct {
+	nd  *node
 	add bool
 }
 
 // frontAdd is a node joining the members at insertion index pos.
-type frontAdd[N any] struct {
-	nd    *N
+type frontAdd struct {
+	nd    *node
 	pos   int32
 	attrs int32
 	key   string
@@ -131,21 +126,21 @@ const (
 	stAdd                 // new member
 )
 
-func newDomFrontier[N any](pat func(*N) pattern.Pattern, key func(*N) *string) *domFrontier[N] {
-	return &domFrontier[N]{pat: pat, key: key, last: map[*N]bool{}}
+func newDomFrontier() *domFrontier {
+	return &domFrontier{last: map[*node]bool{}}
 }
 
 // add buffers the admission of nd for the next settle().
-func (f *domFrontier[N]) add(nd *N) { f.ops = append(f.ops, frontOp[N]{nd: nd, add: true}) }
+func (f *domFrontier) add(nd *node) { f.ops = append(f.ops, frontOp{nd: nd, add: true}) }
 
 // remove buffers the eviction of nd for the next settle().
-func (f *domFrontier[N]) remove(nd *N) { f.ops = append(f.ops, frontOp[N]{nd: nd}) }
+func (f *domFrontier) remove(nd *node) { f.ops = append(f.ops, frontOp{nd: nd}) }
 
 // settle applies the buffered flips, leaving the split current. It
 // reports halted=true when the update was abandoned because ctx was
 // canceled (the split is stale until the next settle; callers abandon the
 // search).
-func (f *domFrontier[N]) settle(ctx context.Context, workers int) (halted bool) {
+func (f *domFrontier) settle(ctx context.Context, workers int) (halted bool) {
 	if len(f.ops) == 0 && !f.stale {
 		return false
 	}
@@ -159,7 +154,7 @@ func (f *domFrontier[N]) settle(ctx context.Context, workers int) (halted bool) 
 // order with their insertion index; the evicted members get remap -1. The
 // searches build each pattern at one node, so no two members share a key
 // and a node is a member iff it sits at its key's insertion index.
-func (f *domFrontier[N]) fold() {
+func (f *domFrontier) fold() {
 	f.remap = slices.Grow(f.remap[:0], len(f.nodes))[:len(f.nodes)]
 	clear(f.remap)
 	for _, op := range f.ops {
@@ -172,17 +167,16 @@ func (f *domFrontier[N]) fold() {
 			continue
 		}
 		delete(f.last, op.nd)
-		p := f.pat(op.nd)
-		kp := f.key(op.nd)
-		if *kp == "" {
-			*kp = p.Key()
+		nd := op.nd
+		if nd.key == "" {
+			nd.key = nd.p.Key()
 		}
-		na := int32(p.NumAttrs())
-		pos := f.searchPos(na, *kp)
-		member := pos < len(f.nodes) && f.nodes[pos] == op.nd
+		na := int32(nd.p.NumAttrs())
+		pos := f.searchPos(na, nd.key)
+		member := pos < len(f.nodes) && f.nodes[pos] == nd
 		switch {
 		case want && !member:
-			f.adds = append(f.adds, frontAdd[N]{nd: op.nd, pos: int32(pos), attrs: na, key: *kp})
+			f.adds = append(f.adds, frontAdd{nd: nd, pos: int32(pos), attrs: na, key: nd.key})
 		case !want && member:
 			f.remap[pos] = -1
 		}
@@ -191,7 +185,7 @@ func (f *domFrontier[N]) fold() {
 	f.ops = f.ops[:0]
 	// The insertion index is monotone in (attrs, key), so it orders the
 	// adds up to ties among adds landing in the same gap.
-	slices.SortFunc(f.adds, func(a, b frontAdd[N]) int {
+	slices.SortFunc(f.adds, func(a, b frontAdd) int {
 		if a.pos != b.pos {
 			return int(a.pos - b.pos)
 		}
@@ -204,7 +198,7 @@ func (f *domFrontier[N]) fold() {
 
 // searchPos returns the insertion index of (attrs, key) in the sorted
 // member order.
-func (f *domFrontier[N]) searchPos(attrs int32, key string) int {
+func (f *domFrontier) searchPos(attrs int32, key string) int {
 	lo, hi := 0, len(f.nodes)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -220,7 +214,7 @@ func (f *domFrontier[N]) searchPos(attrs int32, key string) int {
 // merge interleaves the survivors and the sorted adds into the spare
 // columns in member order, recording each entry's settle state, and swaps
 // them in.
-func (f *domFrontier[N]) merge() {
+func (f *domFrontier) merge() {
 	f.spare.reset()
 	f.state = f.state[:0]
 	i := 0
@@ -228,8 +222,7 @@ func (f *domFrontier[N]) merge() {
 		for ; i < int(ad.pos); i++ {
 			f.carry(i)
 		}
-		p := f.pat(ad.nd)
-		f.spare.push(ad.nd, ad.key, attrMask(p), ad.attrs, false, -1)
+		f.spare.push(ad.nd, ad.key, attrMask(ad.nd.p), ad.attrs, false, -1)
 		f.state = append(f.state, stAdd)
 	}
 	for ; i < len(f.nodes); i++ {
@@ -244,7 +237,7 @@ func (f *domFrontier[N]) merge() {
 // the new index; a dominated survivor whose witness left becomes an
 // orphan. Witnesses sit on lower levels, so a witness is always remapped
 // before the members it proves.
-func (f *domFrontier[N]) carry(i int) {
+func (f *domFrontier) carry(i int) {
 	if f.remap[i] < 0 {
 		return
 	}
@@ -266,7 +259,7 @@ func (f *domFrontier[N]) carry(i int) {
 
 // split settles the merged members level by level in ascending generality
 // (see domFrontier), recounting ndom. On halt it marks the split stale.
-func (f *domFrontier[N]) split(ctx context.Context, workers int) (halted bool) {
+func (f *domFrontier) split(ctx context.Context, workers int) (halted bool) {
 	f.acc, f.accAdds = f.acc[:0], f.accAdds[:0]
 	f.ndom = 0
 	var stop atomic.Bool
@@ -301,7 +294,7 @@ func (f *domFrontier[N]) split(ctx context.Context, workers int) (halted bool) {
 				if f.state[i] == stAcc {
 					list = accAdds
 				}
-				p, pm := f.pat(f.nodes[i]), f.masks[i]
+				p, pm := f.nodes[i].p, f.masks[i]
 				for j := range list {
 					if j&4095 == 4095 && stop.Load() {
 						return
@@ -322,7 +315,7 @@ func (f *domFrontier[N]) split(ctx context.Context, workers int) (halted bool) {
 				f.ndom++
 				continue
 			}
-			q := frontAcc{p: f.pat(f.nodes[i]), mask: f.masks[i], idx: int32(i)}
+			q := frontAcc{p: f.nodes[i].p, mask: f.masks[i], idx: int32(i)}
 			f.acc = append(f.acc, q)
 			if f.state[i] == stAdd {
 				f.accAdds = append(f.accAdds, q)
@@ -335,11 +328,11 @@ func (f *domFrontier[N]) split(ctx context.Context, workers int) (halted bool) {
 
 // emit renders the current Res — the non-dominated members in
 // (generality, key) order, matching the sort-then-filter snapshot.
-func (f *domFrontier[N]) emit() []Pattern {
+func (f *domFrontier) emit() []Pattern {
 	out := make([]Pattern, 0, len(f.nodes)-f.ndom)
 	for i, nd := range f.nodes {
 		if !f.dom[i] {
-			out = append(out, f.pat(nd))
+			out = append(out, nd.p)
 		}
 	}
 	return out

@@ -94,43 +94,19 @@ func markDominatedWitness(ctx context.Context, ps []pattern.Pattern, workers int
 // sortNodesInterned orders nodes by (number of bound attributes,
 // canonical key), interning each node's key on first use — the member
 // order the frontier maintains, applied from scratch.
-func sortNodesInterned[N any](nodes []*N, pat func(*N) pattern.Pattern, key func(*N) *string) {
-	if len(nodes) < 2 {
-		return
-	}
-	type keyed struct {
-		nd    *N
-		attrs int
-		key   string
-	}
-	items := make([]keyed, len(nodes))
-	for i, nd := range nodes {
-		kp := key(nd)
-		if *kp == "" {
-			*kp = pat(nd).Key()
+func sortNodesInterned(nodes []*node) {
+	for _, nd := range nodes {
+		if nd.key == "" {
+			nd.key = nd.p.Key()
 		}
-		items[i] = keyed{nd: nd, attrs: pat(nd).NumAttrs(), key: *kp}
 	}
-	slices.SortFunc(items, func(a, b keyed) int {
-		if a.attrs != b.attrs {
-			return a.attrs - b.attrs
+	slices.SortFunc(nodes, func(a, b *node) int {
+		if na, nb := a.p.NumAttrs(), b.p.NumAttrs(); na != nb {
+			return na - nb
 		}
 		return strings.Compare(a.key, b.key)
 	})
-	for i := range items {
-		nodes[i] = items[i].nd
-	}
 }
-
-// tfnode is the minimal node shape the frontier is generic over: a pattern
-// plus an interned-key slot, mirroring pnode/enode/gnode.
-type tfnode struct {
-	p   pattern.Pattern
-	key string
-}
-
-func tfPat(nd *tfnode) pattern.Pattern { return nd.p }
-func tfKey(nd *tfnode) *string         { return &nd.key }
 
 // tfPool enumerates every non-empty pattern over a small space — dense
 // enough that subset chains (and therefore witness hand-offs on removal)
@@ -159,10 +135,10 @@ func tfPool(cards []int) []pattern.Pattern {
 
 // tfOracle recomputes the Res split from scratch — sort the member set,
 // run the bulk markDominated pass, filter.
-func tfOracle(t *testing.T, members []*tfnode, workers int) []Pattern {
+func tfOracle(t *testing.T, members []*node, workers int) []Pattern {
 	t.Helper()
-	nodes := append([]*tfnode(nil), members...)
-	sortNodesInterned(nodes, tfPat, tfKey)
+	nodes := append([]*node(nil), members...)
+	sortNodesInterned(nodes)
 	ps := make([]pattern.Pattern, len(nodes))
 	for i, nd := range nodes {
 		ps[i] = nd.p
@@ -182,9 +158,9 @@ func tfOracle(t *testing.T, members []*tfnode, workers int) []Pattern {
 
 // tfCompare asserts the frontier's emitted Res equals the full-recompute
 // oracle element for element, in order, and that ndom counts the rest.
-func tfCompare(t *testing.T, f *domFrontier[tfnode], members map[int]*tfnode, step string) {
+func tfCompare(t *testing.T, f *domFrontier, members map[int]*node, step string) {
 	t.Helper()
-	list := make([]*tfnode, 0, len(members))
+	list := make([]*node, 0, len(members))
 	for _, nd := range members {
 		list = append(list, nd)
 	}
@@ -210,14 +186,14 @@ func tfCompare(t *testing.T, f *domFrontier[tfnode], members map[int]*tfnode, st
 // each pool pattern is held by at most one member node at a time.
 type tfChurn struct {
 	pool    []pattern.Pattern
-	f       *domFrontier[tfnode]
-	members map[int]*tfnode // pool index → member node
-	last    map[int]*tfnode // pool index → the node that held it last
+	f       *domFrontier
+	members map[int]*node // pool index → member node
+	last    map[int]*node // pool index → the node that held it last
 }
 
 func newTFChurn(pool []pattern.Pattern) *tfChurn {
-	return &tfChurn{pool: pool, f: newDomFrontier(tfPat, tfKey),
-		members: map[int]*tfnode{}, last: map[int]*tfnode{}}
+	return &tfChurn{pool: pool, f: newDomFrontier(),
+		members: map[int]*node{}, last: map[int]*node{}}
 }
 
 // flip toggles pool pattern i. A member is removed; otherwise the pattern
@@ -232,7 +208,7 @@ func (c *tfChurn) flip(i int, reuse bool) {
 	}
 	nd := c.last[i]
 	if nd == nil || !reuse {
-		nd = &tfnode{p: c.pool[i]}
+		nd = &node{p: c.pool[i]}
 	}
 	c.f.add(nd)
 	c.members[i] = nd

@@ -1,0 +1,506 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"sort"
+
+	"rankfair/internal/count"
+	"rankfair/internal/pattern"
+)
+
+// boundKind names one of the three lower bounds.
+type boundKind uint8
+
+const (
+	boundGlobal   boundKind = iota // L_k (Problem 3.1)
+	boundProp                      // α·s_D(p)·k/|D| (Problem 3.2)
+	boundExposure                  // α·s_D(p)·E(k)/|D| (exposure)
+)
+
+// lowerBound is what the lower-bound searches test a node against, and
+// the only place the three measures differ. A node's score is its top-k
+// count, or its top-k exposure (position weights summed in rank order)
+// when weights is set.
+type lowerBound struct {
+	kind boundKind
+	spec *Spec
+	n    float64 // |D|
+	// weights[r] is the exposure of rank position r and totalExp[k] is
+	// E(k), their prefix sum; both nil unless kind is boundExposure.
+	weights, totalExp []float64
+}
+
+// newLowerBound returns the bound of s's measure (global, prop or
+// exposure) over in.
+func newLowerBound(in *Input, s *Spec) lowerBound {
+	b := lowerBound{spec: s, n: float64(len(in.Rows))}
+	switch s.Measure {
+	case MeasureGlobal:
+		b.kind = boundGlobal
+	case MeasureProp:
+		b.kind = boundProp
+	default:
+		b.kind = boundExposure
+		b.weights = make([]float64, s.KMax)
+		b.totalExp = make([]float64, s.KMax+1)
+		for i := 0; i < s.KMax; i++ {
+			b.weights[i] = PositionExposure(i + 1)
+			b.totalExp[i+1] = b.totalExp[i] + b.weights[i]
+		}
+	}
+	return b
+}
+
+// score returns the score at k of the node whose match set is m.
+func (b *lowerBound) score(m matchSet, k int) float64 {
+	top := m.all[:count.PrefixCount(m.all, k)]
+	if b.weights == nil {
+		return float64(len(top))
+	}
+	e := 0.0
+	for _, r := range top {
+		e += b.weights[r]
+	}
+	return e
+}
+
+// childScore returns the score of child v of a split.
+func (b *lowerBound) childScore(cs *childStats, v int) float64 {
+	if b.weights == nil {
+		return float64(cs.cnt[v])
+	}
+	return cs.wsum[v]
+}
+
+// biased reports whether a node of size sD and score s falls below the
+// bound at k.
+func (b *lowerBound) biased(sD int, s float64, k int) bool {
+	switch b.kind {
+	case boundGlobal:
+		return s < float64(b.spec.lowerAt(k))
+	case boundProp:
+		return s < b.spec.Alpha*float64(sD)*float64(k)/b.n
+	}
+	return s < b.spec.Alpha*float64(sD)*b.totalExp[k]/b.n
+}
+
+// ktilde returns k̃ (Section IV-C): the smallest k <= KMax at which a node
+// of size sD becomes biased if its score s stays unchanged, or KMax+1 when
+// it cannot within the range. The global bound is constant between
+// rebuilds, so its answer is always KMax+1. The proportional bounds grow
+// with k: the search starts at the k solving score = bound (E(k) is
+// increasing, so exposure binary-searches it) and corrects the start by a
+// local scan, robust against floating-point rounding.
+func (b *lowerBound) ktilde(sD int, s float64) int {
+	never := b.spec.KMax + 1
+	if b.kind == boundGlobal || sD == 0 {
+		return never
+	}
+	target := s * b.n / (b.spec.Alpha * float64(sD))
+	var kt int
+	if b.kind == boundProp {
+		kt = int(target) + 1
+	} else {
+		kt = sort.SearchFloat64s(b.totalExp, target)
+	}
+	kt = max(kt, 1)
+	for kt > 1 && b.biased(sD, s, kt-1) {
+		kt--
+	}
+	for kt <= b.spec.KMax && !b.biased(sD, s, kt) {
+		kt++
+	}
+	return min(kt, never)
+}
+
+// gain returns the score a node gains at k when R(D)[k], the tuple
+// entering the top-k, matches it.
+func (b *lowerBound) gain(k int) float64 {
+	if b.weights == nil {
+		return 1
+	}
+	return b.weights[k-1]
+}
+
+// rebuild reports whether the search at k must start over: only when the
+// global bound rises (the paper's rule for GLOBALBOUNDS).
+func (b *lowerBound) rebuild(k int) bool {
+	return b.kind == boundGlobal && b.spec.lowerAt(k) > b.spec.lowerAt(k-1)
+}
+
+// node is a node of the persistent search tree the incremental search
+// keeps across k. Under the proportional bounds a node can oscillate
+// between biased and unbiased — the bound grows with k while the score
+// grows only when new top tuples match — so nodes keep their explored
+// children while biased (orphan subtrees stay tracked and their scores
+// fresh).
+type node struct {
+	p        pattern.Pattern
+	sD       int     // size in D (never changes)
+	score    float64 // top-k count or exposure at the current k
+	biased   bool
+	expanded bool // children have been generated
+	children []*node
+	// ktilde is, for an unbiased node, its k̃ when it was last scheduled.
+	ktilde int
+	// key interns p.Key() when the node first joins the domination
+	// frontier, so it is built once per node, not once per snapshot.
+	key string
+}
+
+// sink collects the side effects of one subtree build or of the serial
+// phases of a step: biased frontier nodes, nodes scheduled for
+// re-examination (their ktilde is set; the bucket insert happens at merge
+// time), and work accounting. Each fan-out sink also owns a searcher with
+// its pooled partition scratch. Sinks merge into the shared state in
+// deterministic order, which keeps the parallel search byte-identical to
+// the serial one.
+type sink struct {
+	cn     canceler
+	sr     searcher
+	stats  Stats
+	search SearchStats
+	biased []*node
+	sched  []*node
+}
+
+// flag marks nd biased; it joins the frontier when the sink merges.
+func (sk *sink) flag(nd *node) {
+	nd.biased = true
+	sk.sr.ss.prunedBound()
+	sk.sr.ss.frontier(nd.p)
+	sk.biased = append(sk.biased, nd)
+}
+
+// lowerState holds the incremental search state.
+type lowerState struct {
+	in    *Input
+	eng   *engine
+	spec  *Spec
+	b     lowerBound
+	stats *Stats
+	ctx   context.Context
+	// search accumulates the run's SearchStats; nil when disabled. Serial
+	// phases count into it directly, fan-out workers via their sink.
+	search *SearchStats
+
+	roots []*node
+	// ser is the sink of a step's serial phases, reused across steps.
+	ser sink
+	// front is the biased frontier (Res ∪ DRes of the paper) with its
+	// Res/DRes split maintained incrementally: a full build bulk-seeds it,
+	// steps feed it only the nodes that flipped.
+	front *domFrontier
+	// buckets[k] holds unbiased nodes scheduled for re-examination at k
+	// (the set K of the paper). Entries can be stale: a node is only
+	// processed when its stored ktilde still equals k and it is unbiased.
+	buckets [][]*node
+
+	res  []Pattern // current result snapshot (sorted)
+	dirt bool      // biased set changed since the last snapshot
+}
+
+// lowerBounds is the incremental lower-bound search: GLOBALBOUNDS
+// (Algorithm 2) for the global measure, PROPBOUNDS (Algorithm 3) for the
+// proportional one, and PROPBOUNDS over exposure. It builds the search
+// tree once at KMin and carries it across k. Per k it examines only (a)
+// explored nodes satisfied by the newly inserted tuple R(D)[k] — walking
+// down from the roots and skipping subtrees the tuple does not satisfy —
+// and (b) unbiased nodes whose k̃ equals k (the bucket queue K). A biased
+// frontier node whose score catches up with its bound resumes the search
+// below it. When the global bound rises, the tree is built afresh (the
+// paper's rule; it requires a non-decreasing bound sequence).
+//
+// The search is sequential in k, so the parallelism lives inside one
+// step: the independent subtrees of a build, the resumed subtrees of
+// freed frontier nodes, and the domination scans of the frontier spread
+// over s.Workers goroutines. Per-worker sinks merge in deterministic
+// order, so results are byte-identical to the serial path.
+func lowerBounds(ctx context.Context, in *Input, s *Spec) (*Result, error) {
+	if s.Measure == MeasureGlobal {
+		for i := 1; i < len(s.Lower); i++ {
+			if s.Lower[i] < s.Lower[i-1] {
+				return nil, fmt.Errorf("core: GlobalBounds requires non-decreasing lower bounds, got L=%d after L=%d (use the ITERTD baseline for arbitrary bounds)",
+					s.Lower[i], s.Lower[i-1])
+			}
+		}
+	}
+	if err := preflight(ctx); err != nil {
+		return nil, err
+	}
+	res := &Result{KMin: s.KMin, KMax: s.KMax, Groups: make([][]Pattern, s.KMax-s.KMin+1)}
+	st := &lowerState{
+		in:      in,
+		eng:     newEngine(in),
+		spec:    s,
+		b:       newLowerBound(in, s),
+		stats:   &res.Stats,
+		ctx:     ctx,
+		buckets: make([][]*node, s.KMax+2),
+	}
+	st.search = st.eng.newSearchStats(s.Workers)
+	res.Search = st.search
+	for k := s.KMin; k <= s.KMax; k++ {
+		var ok bool
+		if k == s.KMin || st.b.rebuild(k) {
+			ok = st.fullBuild(k)
+		} else {
+			ok = st.step(k)
+		}
+		var groups []Pattern
+		if ok {
+			groups, ok = st.snapshot()
+		}
+		if !ok {
+			return nil, canceledErr(ctx, res.Stats.NodesExamined)
+		}
+		res.Groups[k-s.KMin] = groups
+	}
+	return res, nil
+}
+
+// scheduleInto records the node's k̃ and queues it on the sink; the bucket
+// insert happens when the sink merges. Deferring the insert is safe within
+// a step: a node scheduled at step k is unbiased at k, so its k̃ is > k and
+// the entry cannot be due before the merge runs.
+func (s *lowerState) scheduleInto(nd *node, sk *sink) {
+	nd.ktilde = s.b.ktilde(nd.sD, nd.score)
+	if nd.ktilde <= s.spec.KMax {
+		sk.sched = append(sk.sched, nd)
+	}
+}
+
+// merge folds a sink into the shared state.
+func (s *lowerState) merge(sk *sink) {
+	s.stats.add(sk.stats)
+	s.search.merge(&sk.search)
+	for _, nd := range sk.biased {
+		s.front.add(nd)
+	}
+	if len(sk.biased) > 0 {
+		s.dirt = true
+	}
+	for _, nd := range sk.sched {
+		s.buckets[nd.ktilde] = append(s.buckets[nd.ktilde], nd)
+	}
+}
+
+// fan runs job(i, sk) for every i in [0, n) on the worker pool, each job
+// with its own sink and searcher, then merges the sinks in job order. It
+// reports false when a job was abandoned because the context was canceled.
+func (s *lowerState) fan(n int, job func(i int, sk *sink)) bool {
+	sinks := make([]sink, n)
+	fanOut(s.spec.Workers, n, func(i int) {
+		sk := &sinks[i]
+		sk.cn = canceler{ctx: s.ctx}
+		sk.sr = s.eng.acquire()
+		defer sk.sr.close()
+		if s.search != nil {
+			sk.sr.ss = &sk.search
+		}
+		job(i, sk)
+	})
+	halted := false
+	for i := range sinks {
+		s.merge(&sinks[i])
+		halted = halted || sinks[i].cn.halted
+	}
+	return !halted
+}
+
+// classify files a newly built node at k: a biased node joins the
+// frontier and stops the descent; an unbiased one is scheduled at its k̃
+// and expanded, so classify reports true and the caller builds its
+// children.
+func (s *lowerState) classify(nd *node, k int, sk *sink) bool {
+	if s.b.biased(nd.sD, nd.score, k) {
+		sk.flag(nd)
+		return false
+	}
+	s.scheduleInto(nd, sk)
+	nd.expanded = true
+	sk.sr.ss.expanded()
+	return true
+}
+
+// fullBuild runs the complete top-down search at k, materializing the
+// explored tree, the biased frontier and the schedule K; as a rebuild it
+// first drops the old ones. The root's subtrees build independently on
+// the worker pool, and sinks merge in subtree order, matching the serial
+// traversal. The root units alias the counting index's posting lists, so
+// a warm index starts the build with zero dataset scans. It reports false
+// when the build was abandoned because the context was canceled.
+func (s *lowerState) fullBuild(k int) bool {
+	s.stats.FullSearches++
+	s.roots = s.roots[:0]
+	s.front = newDomFrontier()
+	clear(s.buckets)
+	s.dirt = true
+	units := s.eng.rootUnits()
+	roots := make([]*node, len(units))
+	ok := s.fan(len(units), func(i int, sk *sink) {
+		u := &units[i]
+		sk.stats.NodesExamined++
+		sD := len(u.m.all)
+		if sD < s.spec.MinSize {
+			sk.sr.ss.prunedSize()
+			return
+		}
+		nd := &node{p: u.p, sD: sD, score: s.b.score(u.m, k)}
+		roots[i] = nd
+		if s.classify(nd, k, sk) {
+			s.buildChildren(nd, u.m, k, sk)
+		}
+	})
+	for _, nd := range roots {
+		if nd != nil {
+			s.roots = append(s.roots, nd)
+		}
+	}
+	return ok
+}
+
+// buildChildren recursively materializes the explored subtree below
+// parent given its match set, appending to parent.children. All side
+// effects go to the caller's sink, so concurrent builds of disjoint
+// subtrees never touch shared state; partitions live in the sink's arena,
+// released per attribute as the recursion unwinds.
+func (s *lowerState) buildChildren(parent *node, m matchSet, k int, sk *sink) {
+	n := s.in.Space.NumAttrs()
+	for a := parent.p.MaxAttrIdx() + 1; a < n; a++ {
+		card := s.in.Space.Cards[a]
+		mk := sk.sr.mark()
+		cs := sk.sr.childStats(m, a, card, k, s.b.weights)
+		for v := 0; v < card; v++ {
+			if sk.cn.stopped() {
+				return
+			}
+			sk.stats.NodesExamined++
+			sD := cs.size(v)
+			if sD < s.spec.MinSize {
+				sk.sr.ss.prunedSize()
+				continue
+			}
+			child := &node{p: parent.p.With(a, int32(v)), sD: sD, score: s.b.childScore(&cs, v)}
+			parent.children = append(parent.children, child)
+			if s.classify(child, k, sk) {
+				s.buildChildren(child, cs.at(v), k, sk)
+			}
+		}
+		sk.sr.release(mk)
+	}
+}
+
+// step advances the state from k-1 to k. It reports false when the step
+// was abandoned because the context was canceled.
+func (s *lowerState) step(k int) bool {
+	newRow := s.in.Rows[s.in.Ranking[k-1]]
+	gain := s.b.gain(k)
+
+	// The serial phases count into one sink whose searcher reports to the
+	// run's SearchStats directly; its flips and schedule inserts apply at
+	// its merge.
+	ser := &s.ser
+	*ser = sink{cn: canceler{ctx: s.ctx}, sr: searcher{ss: s.search}, biased: ser.biased[:0], sched: ser.sched[:0]}
+
+	// Phase 1 (selectiveTD): walk only explored nodes the new tuple
+	// satisfies; their scores grow. Orphan subtrees below biased nodes are
+	// traversed too so their scores stay fresh.
+	var freed []*node
+	var walk func(nd *node)
+	walk = func(nd *node) {
+		if ser.cn.stopped() || !nd.p.Matches(newRow) {
+			return
+		}
+		ser.stats.NodesExamined++
+		nd.score += gain
+		if nd.biased {
+			if !s.b.biased(nd.sD, nd.score, k) {
+				nd.biased = false
+				s.front.remove(nd)
+				s.scheduleInto(nd, ser)
+				freed = append(freed, nd)
+				s.dirt = true
+			}
+		} else if s.b.biased(nd.sD, nd.score, k) {
+			// Unreachable in exact arithmetic: a node unbiased at k-1 has
+			// α·s_D(p)/|D| <= 1 (its score is at most k-1, or E(k-1)),
+			// so the gain covers the bound's growth. The float bound can
+			// still round across it.
+			ser.flag(nd)
+		} else {
+			s.scheduleInto(nd, ser)
+		}
+		for _, c := range nd.children {
+			walk(c)
+		}
+	}
+	for _, r := range s.roots {
+		walk(r)
+	}
+
+	// Phase 2: nodes whose k̃ is reached flip to biased unless their score
+	// was bumped meanwhile (stale entries are skipped via the ktilde
+	// guard).
+	for _, nd := range s.buckets[k] {
+		if ser.cn.stopped() {
+			break
+		}
+		if nd.biased || nd.ktilde != k {
+			continue
+		}
+		ser.stats.NodesExamined++
+		if s.b.biased(nd.sD, nd.score, k) {
+			ser.flag(nd)
+		} else {
+			s.scheduleInto(nd, ser)
+		}
+	}
+	s.buckets[k] = nil
+
+	// Phase 3 (searchFromNode): resume the search below frontier nodes
+	// that became unbiased and had no explored children yet. Those
+	// subtrees are disjoint, so they expand on the worker pool, one sink
+	// each; the node's match set is re-materialized from the index rather
+	// than re-scanned.
+	var resumed []*node
+	for _, nd := range freed {
+		if !nd.expanded {
+			nd.expanded = true
+			ser.sr.ss.expanded()
+			resumed = append(resumed, nd)
+		}
+	}
+	s.merge(ser)
+	if ser.cn.halted {
+		return false
+	}
+	return s.fan(len(resumed), func(i int, sk *sink) {
+		nd := resumed[i]
+		mk := sk.sr.mark()
+		s.buildChildren(nd, sk.sr.materialize(nd.p), k, sk)
+		sk.sr.release(mk)
+	})
+}
+
+// snapshot returns the most general biased patterns. Because biased nodes
+// can appear and disappear anywhere in the explored tree (including
+// interior nodes with explored descendants), the Res/DRes split lives in
+// the domination frontier: each dirty snapshot settles the step's flips
+// into it as one sorted delta (after a build, from an empty frontier) and
+// folds the domination tally into the stats. A clean snapshot reuses the
+// previous result. ok is false when the settle was abandoned because the
+// context was canceled (the state stays dirty).
+func (s *lowerState) snapshot() (groups []Pattern, ok bool) {
+	if !s.dirt {
+		return s.res, true
+	}
+	if s.front.settle(s.ctx, s.spec.Workers) {
+		return nil, false
+	}
+	s.search.addDominated(int64(s.front.ndom))
+	s.dirt = false
+	s.res = s.front.emit()
+	return s.res, true
+}

@@ -9,9 +9,10 @@ import (
 
 // This file is the match-set engine behind every lattice search in the
 // package. All detection algorithms share one traversal structure — examine
-// a node, read s_D(p) and its top-k count (or exposure), descend — and
-// every one of them needs only those two counts per pattern. The engine
-// works in rank space over the shared count.Index: a node's match set is
+// a node, read s_D(p) and its top-k count (or exposure, summed from
+// per-rank weights the lower bound supplies), descend — and every one of
+// them needs only those two numbers per pattern. The engine works in rank
+// space over the shared count.Index: a node's match set is
 // the ascending list of *rank positions* matching its pattern — the
 // intersection of its bound attributes' posting lists. s_D(p) is the list
 // length, the count at any k is one binary search (count.PrefixCount), root
@@ -32,8 +33,8 @@ type matchSet struct {
 }
 
 // unit pairs a search-tree pattern with its match set: a frontier element
-// of the breadth-first baselines and an independent work item of the
-// incremental algorithms' fan-outs.
+// of the breadth-first baselines and an independent root work item of the
+// incremental searches' builds.
 type unit struct {
 	p pattern.Pattern
 	m matchSet
@@ -45,9 +46,6 @@ type unit struct {
 type engine struct {
 	in *Input
 	ix *count.Index
-	// weightByRank is set by the exposure searches: the position-exposure
-	// weight of each rank position, summed in ascending rank order.
-	weightByRank []float64
 	// statsOff mirrors Input.DisableStats at engine construction:
 	// newSearchStats returns nil under it, which disarms every nil-checked
 	// counter increment downstream.
@@ -79,16 +77,6 @@ func (e *engine) topCount(m matchSet, k int) int {
 	return count.PrefixCount(m.all, k)
 }
 
-// exposureOf returns the node's exposure in the top-k, summing the weights
-// in ascending rank order.
-func (e *engine) exposureOf(m matchSet, k int) float64 {
-	total := 0.0
-	for _, r := range m.all[:count.PrefixCount(m.all, k)] {
-		total += e.weightByRank[r]
-	}
-	return total
-}
-
 // rootUnits returns the search-tree children of the empty pattern — the
 // starting frontier of every full build — aliasing the posting lists (zero
 // scans, zero allocations beyond the unit headers).
@@ -109,7 +97,7 @@ func (e *engine) rootUnits() []unit {
 }
 
 // searcher is an engine handle plus per-worker scratch. The incremental
-// algorithms' recursive subtree builds have stack-shaped match-set
+// searches' recursive subtree builds have stack-shaped match-set
 // lifetimes, so each worker partitions into a pooled arena with per-node
 // mark/release instead of allocating per node.
 type searcher struct {
@@ -148,9 +136,9 @@ type childStats struct {
 }
 
 // childStats computes the per-value statistics of splitting m at attribute
-// a. wantExposure additionally accumulates per-value exposure over the
-// top-k prefix (exposure searches only).
-func (sr searcher) childStats(m matchSet, a, card, k int, wantExposure bool) childStats {
+// a. A non-nil w (the exposure weight of each rank position) additionally
+// accumulates per-value exposure over the top-k prefix, in rank order.
+func (sr searcher) childStats(m matchSet, a, card, k int, w []float64) childStats {
 	cs := childStats{sr: sr, m: m, a: a, card: card}
 	sr.ss.countOnlyPass()
 	col := sr.ix.Column(a)
@@ -160,9 +148,8 @@ func (sr searcher) childStats(m matchSet, a, card, k int, wantExposure bool) chi
 		cs.sD[col[r]]++
 	}
 	cut := count.PrefixCount(m.all, k)
-	if wantExposure {
+	if w != nil {
 		cs.wsum = sr.scr.floats.allocZero(card)
-		w := sr.weightByRank
 		for _, r := range m.all[:cut] {
 			v := col[r]
 			cs.cnt[v]++
@@ -181,9 +168,6 @@ func (cs *childStats) size(v int) int { return int(cs.sD[v]) }
 
 // count returns the top-k count of child v.
 func (cs *childStats) count(v int) int { return int(cs.cnt[v]) }
-
-// exposure returns the top-k exposure of child v.
-func (cs *childStats) exposure(v int) float64 { return cs.wsum[v] }
 
 // at returns child v's match set, scattering the parent into all child
 // lists on first use; the scatter reuses the already computed per-value

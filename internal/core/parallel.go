@@ -10,13 +10,14 @@ import (
 //
 //   - Across k: the per-k searches of the ITERTD baselines are independent,
 //     so runPerK fans the k values out over workers.
-//   - Inside one search: the incremental algorithms are inherently
-//     sequential in k (each step consumes the previous frontier), but the
-//     subtrees below the root of one build — and the resumed subtrees of
-//     one step — are independent, as are the domination scans within one
-//     generality level of the frontier. fanOut covers those; per-worker
-//     sinks collect side effects which are merged in deterministic order,
-//     so parallel results are byte-identical to the serial path.
+//   - Inside one search: the incremental searches (the lower-bound engine
+//     and the upper-bound search) are inherently sequential in k (each
+//     step consumes the previous frontier), but the subtrees below the
+//     root of one build — and the resumed subtrees of one step — are
+//     independent, as are the domination scans within one generality
+//     level of the frontier. fanOut covers those; per-worker sinks collect
+//     side effects which are merged in deterministic order, so parallel
+//     results are byte-identical to the serial path.
 
 // fanOut invokes run(i) for every i in [0, n), spreading the calls over at
 // most workers goroutines. With workers <= 1 (or a single job) the calls

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -92,11 +93,11 @@ var measures = []struct {
 	threshold        threshold
 	search, baseline searchFunc
 }{
-	{MeasureGlobal, thresholdLower, globalBounds, iterTDGlobal},
-	{MeasureProp, thresholdAlpha, propBounds, iterTDProp},
+	{MeasureGlobal, thresholdLower, lowerBounds, iterTD},
+	{MeasureProp, thresholdAlpha, lowerBounds, iterTD},
 	{MeasureGlobalUpper, thresholdUpper, globalUpperBounds, iterTDGlobalUpper},
 	{MeasurePropUpper, thresholdBeta, iterTDPropUpper, nil},
-	{MeasureExposure, thresholdAlpha, exposureBounds, iterTDExposure},
+	{MeasureExposure, thresholdAlpha, lowerBounds, iterTD},
 	{MeasureLowerSpecific, thresholdLower, iterTDLowerSpecific, nil},
 	{MeasureUpperGeneral, thresholdUpper, iterTDUpperGeneral, nil},
 }
@@ -144,12 +145,12 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("rankfair: %d upper bounds for k range [%d,%d]", len(s.Upper), s.KMin, s.KMax)
 		}
 	case thresholdAlpha:
-		if s.Alpha <= 0 {
-			return fmt.Errorf("rankfair: alpha must be positive, got %v", s.Alpha)
+		if !positiveFinite(s.Alpha) {
+			return fmt.Errorf("rankfair: alpha must be finite and positive, got %v", s.Alpha)
 		}
 	case thresholdBeta:
-		if s.Beta <= 0 {
-			return fmt.Errorf("rankfair: beta must be positive, got %v", s.Beta)
+		if !positiveFinite(s.Beta) {
+			return fmt.Errorf("rankfair: beta must be finite and positive, got %v", s.Beta)
 		}
 	}
 	if s.Baseline && m.baseline == nil {
@@ -157,6 +158,11 @@ func (s *Spec) Validate() error {
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is a usable slack: a NaN compares
+// false against every bound and +Inf exceeds every one, so both would
+// turn the search into a no-op or flag every group.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // CacheKey renders the parameter set as a canonical string: equal keys iff
 // the parameters select the same computation. Result caches combine it

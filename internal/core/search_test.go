@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rankfair/internal/core"
@@ -110,4 +111,100 @@ func TestSearchSpecs(t *testing.T) {
 	if accepted != 11 {
 		t.Errorf("Search accepts %d (Measure, Baseline) pairs, want 11", accepted)
 	}
+}
+
+// fuzzBytes hands out the fuzz input one byte at a time, then zeros.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return int(v)
+}
+
+// fuzzLowerSpec decodes data into a small input and a global, prop or
+// exposure Spec over it: the measure, the space (2-4 attributes of
+// cardinality 2-4), 8-47 rows, a ranking (a Fisher-Yates shuffle driven by
+// the bytes), the k range, τs, α in [0.2, 2.2) and a non-decreasing L.
+func fuzzLowerSpec(data []byte) (*core.Input, core.Spec) {
+	b := fuzzBytes(data)
+	measure := []string{core.MeasureGlobal, core.MeasureProp, core.MeasureExposure}[b.next()%3]
+	nAttrs := 2 + b.next()%3
+	cards := make([]int, nAttrs)
+	names := make([]string, nAttrs)
+	for a := range cards {
+		cards[a] = 2 + b.next()%3
+		names[a] = string(rune('A' + a))
+	}
+	nRows := 8 + b.next()%40
+	rows := make([][]int32, nRows)
+	for i := range rows {
+		rows[i] = make([]int32, nAttrs)
+		for a := range rows[i] {
+			rows[i][a] = int32(b.next() % cards[a])
+		}
+	}
+	ranking := make([]int, nRows)
+	for i := range ranking {
+		ranking[i] = i
+	}
+	for i := nRows - 1; i > 0; i-- {
+		j := b.next() % (i + 1)
+		ranking[i], ranking[j] = ranking[j], ranking[i]
+	}
+	kMin := 1 + b.next()%nRows
+	kMax := kMin + b.next()%(nRows-kMin+1)
+	s := core.Spec{
+		Measure: measure,
+		MinSize: b.next() % 6,
+		KMin:    kMin,
+		KMax:    kMax,
+		Alpha:   0.2 + float64(b.next())/128,
+	}
+	if measure == core.MeasureGlobal {
+		l := b.next() % 3
+		s.Lower = make([]int, kMax-kMin+1)
+		for i := range s.Lower {
+			l += b.next() % 2
+			s.Lower[i] = l
+		}
+	}
+	in := &core.Input{Rows: rows, Space: &pattern.Space{Names: names, Cards: cards}, Ranking: ranking}
+	return in, s
+}
+
+// FuzzIncrementalMatchesBaseline is the coverage-guided differential of
+// the incremental lower-bound search: on inputs decoded from the fuzz
+// bytes, its groups at one and three workers must equal the ITERTD
+// baseline's and the brute-force oracle's at every k. The quick-check
+// differentials draw from fixed seeds; this target lets the fuzzer steer
+// towards flips, resumptions and rebuilds they miss.
+func FuzzIncrementalMatchesBaseline(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 2, 30, 1, 0, 1, 1, 0, 2, 1, 0, 1, 1, 0, 1, 0, 0, 1})
+	f.Add([]byte{1, 2, 2, 1, 0, 40, 3, 1, 2, 0, 1, 3, 2, 1, 0, 2, 5, 9, 1, 4, 2, 200})
+	f.Add([]byte("2020+00000020202000000000000000020020190A0000"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, s := fuzzLowerSpec(data)
+		base, err := core.Search(bg, in, baseline(s))
+		if err != nil {
+			t.Fatalf("%+v baseline: %v", s, err)
+		}
+		for _, w := range []int{1, 3} {
+			res, err := core.Search(bg, in, workers(s, w))
+			if err != nil {
+				t.Fatalf("%+v workers=%d: %v", s, w, err)
+			}
+			for k := s.KMin; k <= s.KMax; k++ {
+				if got, want := res.At(k), base.At(k); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+					t.Fatalf("%+v workers=%d k=%d: incremental %v != ITERTD %v", s, w, k, res.At(k), base.At(k))
+				}
+				if want := specOracle(in, s, k); !sameGroups(res.At(k), want) {
+					t.Fatalf("%+v workers=%d k=%d: incremental %v != oracle %v", s, w, k, res.At(k), want)
+				}
+			}
+		}
+	})
 }

@@ -4,31 +4,10 @@ import (
 	"rankfair/internal/pattern"
 )
 
-// measure abstracts the "biased below the lower bound" test shared by the
-// two problem definitions. k is the current prefix length, sD the pattern's
-// size in D and cnt its size in the top-k.
-type measure interface {
-	biased(sD, cnt, k int) bool
-}
-
-// globalMeasure implements Problem 3.1: cnt < L_k.
-type globalMeasure struct{ spec *Spec }
-
-func (m globalMeasure) biased(sD, cnt, k int) bool { return cnt < m.spec.lowerAt(k) }
-
-// propMeasure implements Problem 3.2: cnt < α·sD·k/|D|.
-type propMeasure struct {
-	alpha float64
-	n     int
-}
-
-func (m propMeasure) biased(sD, cnt, k int) bool {
-	return float64(cnt) < m.alpha*float64(sD)*float64(k)/float64(m.n)
-}
-
 // topDownSearch is Algorithm 1: a single top-down traversal of the search
-// tree for one value of k, returning the most general biased patterns (Res)
-// and the dominated biased patterns reached during the search (DRes).
+// tree for one value of k, returning the most general patterns below the
+// lower bound b (Res) and the dominated ones reached during the search
+// (DRes).
 // The traversal polls cn once per node and abandons the search when the
 // caller's context is canceled (the partial result is then meaningless).
 //
@@ -40,7 +19,7 @@ func (m propMeasure) biased(sD, cnt, k int) bool {
 // the traversal's ring arena (see bfs.go): pop reclaims the blocks of
 // already-consumed entries, and size-pruned entries never materialize a
 // Pattern.
-func topDownSearch(cn *canceler, eng *engine, minSize, k int, meas measure, stats *Stats, ss *SearchStats) (res, dres []pattern.Pattern) {
+func topDownSearch(cn *canceler, eng *engine, minSize, k int, b *lowerBound, stats *Stats, ss *SearchStats) (res, dres []pattern.Pattern) {
 	stats.FullSearches++
 
 	q := eng.newBFS()
@@ -58,8 +37,7 @@ func topDownSearch(cn *canceler, eng *engine, minSize, k int, meas measure, stat
 			ss.prunedSize()
 			continue
 		}
-		cnt := eng.topCount(u.m, k)
-		if meas.biased(sD, cnt, k) {
+		if b.biased(sD, b.score(u.m, k), k) {
 			p := q.pat(&u)
 			ss.prunedBound()
 			if filt.dominated(p) {

@@ -155,7 +155,7 @@ func (s *upperState) buildChildrenInto(parent *unode, m matchSet, k, u int, sk *
 	for a := parent.p.MaxAttrIdx() + 1; a < n; a++ {
 		card := s.in.Space.Cards[a]
 		mk := sk.sr.mark()
-		cs := sk.sr.childStats(m, a, card, k, false)
+		cs := sk.sr.childStats(m, a, card, k, nil)
 		for v := 0; v < card; v++ {
 			if sk.cn.stopped() {
 				return kids
@@ -280,7 +280,7 @@ func (s *upperState) step(k int) (changed, ok bool) {
 		}
 		mk := sk.sr.mark()
 		m := sk.sr.materialize(nd.p)
-		nd.children = append(nd.children, s.expandWithInto(nd, m, k, u, sk)...)
+		s.buildChildrenInto(nd, m, k, u, sk)
 		sk.sr.release(mk)
 	})
 	halted := false
@@ -293,42 +293,6 @@ func (s *upperState) step(k int) (changed, ok bool) {
 		halted = halted || sinks[i].cn.halted
 	}
 	return true, !halted
-}
-
-// expandWithInto mirrors buildChildrenInto for step-time expansion,
-// returning the new children of nd.
-func (s *upperState) expandWithInto(nd *unode, m matchSet, k, u int, sk *usink) []*unode {
-	var kids []*unode
-	n := s.in.Space.NumAttrs()
-	for a := nd.p.MaxAttrIdx() + 1; a < n; a++ {
-		card := s.in.Space.Cards[a]
-		mk := sk.sr.mark()
-		cs := sk.sr.childStats(m, a, card, k, false)
-		for v := 0; v < card; v++ {
-			if sk.cn.stopped() {
-				return kids
-			}
-			sk.stats.NodesExamined++
-			sD := cs.size(v)
-			if sD < s.spec.MinSize {
-				sk.sr.ss.prunedSize()
-				continue
-			}
-			child := &unode{p: nd.p.With(a, int32(v)), sD: sD, cnt: cs.count(v)}
-			kids = append(kids, child)
-			if child.cnt > u {
-				sk.sr.ss.frontier(child.p)
-				sk.sr.ss.expanded()
-				sk.cands = append(sk.cands, child)
-				child.expanded = true
-				child.children = s.buildChildrenInto(child, cs.at(v), k, u, sk)
-			} else {
-				sk.sr.ss.prunedBound()
-			}
-		}
-		sk.sr.release(mk)
-	}
-	return kids
 }
 
 func (s *upperState) snapshot() []Pattern {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 
 	"rankfair"
@@ -121,6 +122,10 @@ func TestAuditParamsValidate(t *testing.T) {
 		{Measure: rankfair.MeasureUpperGeneral, MinSize: 1, KMin: 1, KMax: 2, Lower: []int{1, 1}},               // no upper bounds
 		{Measure: rankfair.MeasureLowerSpecific, MinSize: 1, KMin: 1, KMax: 1, Lower: []int{1}, Baseline: true}, // no baseline variant
 		{Measure: rankfair.MeasureUpperGeneral, MinSize: 1, KMin: 1, KMax: 1, Upper: []int{1}, Baseline: true},  // no baseline variant
+		{Measure: rankfair.MeasureProp, MinSize: 1, KMin: 1, KMax: 2, Alpha: math.NaN()},                        // NaN alpha
+		{Measure: rankfair.MeasureExposure, MinSize: 1, KMin: 1, KMax: 2, Alpha: math.Inf(1)},                   // infinite alpha
+		{Measure: rankfair.MeasurePropUpper, MinSize: 1, KMin: 1, KMax: 2, Beta: math.NaN()},                    // NaN beta
+		{Measure: rankfair.MeasurePropUpper, MinSize: 1, KMin: 1, KMax: 2, Beta: math.Inf(1)},                   // infinite beta
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

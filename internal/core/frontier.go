@@ -12,9 +12,9 @@ import (
 // domFrontier maintains the Res/DRes split of the biased frontier across
 // k. The incremental search carries the frontier from k to k+1 and flips
 // only the patterns whose bias status changed; the frontier buffers those
-// flips and settle() applies them as one sorted delta, so the per-k cost
-// follows the flip set and the members whose status it can change, not a
-// re-sort and re-scan of the whole frontier.
+// flips and settle() applies them, so the per-k cost follows the flips,
+// the members whose status they can change and Res, never the whole
+// member set (most of which is dominated).
 //
 // Correctness rests on an order-independence property of the split. A
 // member p is dominated iff some *accepted* (itself non-dominated) member
@@ -28,10 +28,12 @@ import (
 // the members whose status the delta can change:
 //
 //   - an added member is dominated iff an accepted member of a lower level
-//     is a proper subset of it;
+//     is a proper subset of it; any member among its search-tree
+//     ancestors proves it too, so those are tried first;
 //   - every dominated member records a witness (one member proving its
-//     domination — any proper subset serves); a dominated survivor whose
-//     witness left is an orphan and rescans like an add;
+//     domination — any proper subset serves) and is filed under it; a
+//     removal visits only the removed node's own dependents, which become
+//     orphans and rescan like adds;
 //   - a previously accepted survivor had no member below it, so only an
 //     add can dominate it now, and by the minimality argument an accepted
 //     add will: it scans the lower-level accepted adds only;
@@ -42,60 +44,46 @@ import (
 // are independent and fan out over the worker pool. The first settle runs
 // the same path from an empty member set, with every member an add.
 //
-// Members are kept sorted by (bound-attribute count, canonical key), the
-// order every snapshot emits, so emit() reproduces the sort-then-filter
-// snapshot byte for byte. Each node's key is interned when it first joins,
-// so it is built once per node lifetime. A settle binary-searches each
-// flipped node, sorts only the adds and merges them into the survivors,
-// which are already in order; the attrMask prefilter is carried alongside.
-// The member columns are double-buffered and every scratch array is reused
+// A member's state lives on its node: accepted, dominated (with its
+// witness and its place in the witness's dependent list) or pending within
+// a settle. Adds and orphans are bucketed by generality level; only the
+// accepted members are kept sorted, by (bound-attribute count, canonical
+// key), the order every snapshot emits, so emit() reproduces the
+// sort-then-filter snapshot byte for byte. A member's key is built only
+// when it is accepted. The op log is folded by each node's last flip
+// through a per-node settle epoch, and every scratch array is reused
 // across settles.
 //
 // Cancellation: settle polls the context per level, then every 64 scans
-// and every 4096 subset checks. A halted settle keeps the merged
+// and every 4096 subset checks. A halted settle keeps the folded
 // membership and marks the split stale; the next settle recomputes the
 // split over that membership, so no flip is lost.
 type domFrontier struct {
-	frontCols // the members, in sorted order
-	ndom      int
-	stale     bool // a halted settle left the split unknown
+	all   []*node  // every member, in no order; node.fidx indexes it
+	res   []resEnt // the accepted members, in emit order
+	stale bool     // a halted settle left the split unknown
+	epoch uint32   // the current settle, for folding the op log
 
 	ops []frontOp // flips buffered until the next settle
 
 	// Settle scratch, reused across settles.
-	spare   frontCols
-	last    map[*node]bool
-	adds    []frontAdd
-	remap   []int32 // old member index → new index, or -1 when removed
-	state   []uint8
-	work    []int32
+	gone    []*node   // members removed by the fold
+	pend    [][]*node // adds and orphans by generality level
+	work    []*node
 	acc     []frontAcc
 	accAdds []frontAcc
+	fresh   []resEnt // members accepted by this settle
+	spare   []resEnt
 }
 
-// frontCols holds the members as parallel columns.
-type frontCols struct {
-	nodes []*node
-	keys  []string // the interned keys, so lookups never chase a node
-	masks []uint64
-	attrs []int32
-	dom   []bool
-	wit   []int32 // index of the member proving dom[i]; -1 otherwise
-}
-
-func (c *frontCols) reset() {
-	c.nodes, c.keys, c.masks, c.attrs = c.nodes[:0], c.keys[:0], c.masks[:0], c.attrs[:0]
-	c.dom, c.wit = c.dom[:0], c.wit[:0]
-}
-
-func (c *frontCols) push(nd *node, key string, mask uint64, attrs int32, dom bool, wit int32) {
-	c.nodes = append(c.nodes, nd)
-	c.keys = append(c.keys, key)
-	c.masks = append(c.masks, mask)
-	c.attrs = append(c.attrs, attrs)
-	c.dom = append(c.dom, dom)
-	c.wit = append(c.wit, wit)
-}
+// Frontier states of a node.
+const (
+	fOut    uint8 = iota // not a member
+	fAcc                 // accepted: in Res
+	fDom                 // dominated: filed under its witness
+	fOrphan              // pending: a survivor whose split is recomputed
+	fAdd                 // pending: admitted by this settle
+)
 
 // frontOp is one buffered membership flip.
 type frontOp struct {
@@ -103,38 +91,32 @@ type frontOp struct {
 	add bool
 }
 
-// frontAdd is a node joining the members at insertion index pos.
-type frontAdd struct {
-	nd    *node
-	pos   int32
-	attrs int32
-	key   string
+// resEnt is an accepted member with its sort key and attrMask prefilter.
+type resEnt struct {
+	nd   *node
+	key  string
+	mask uint64
+	lvl  int32
 }
 
 // frontAcc is an accepted member as the level scans read it.
 type frontAcc struct {
 	p    pattern.Pattern
 	mask uint64
-	idx  int32
+	nd   *node
 }
 
-// Settle states of a merged member.
-const (
-	stKeep   uint8 = iota // dominated survivor whose witness stayed
-	stAcc                 // previously accepted survivor
-	stOrphan              // dominated survivor whose witness left
-	stAdd                 // new member
-)
-
-func newDomFrontier() *domFrontier {
-	return &domFrontier{last: map[*node]bool{}}
-}
+func newDomFrontier() *domFrontier { return &domFrontier{} }
 
 // add buffers the admission of nd for the next settle().
 func (f *domFrontier) add(nd *node) { f.ops = append(f.ops, frontOp{nd: nd, add: true}) }
 
 // remove buffers the eviction of nd for the next settle().
 func (f *domFrontier) remove(nd *node) { f.ops = append(f.ops, frontOp{nd: nd}) }
+
+// ndom returns the number of dominated members; it is current after a
+// completed settle.
+func (f *domFrontier) ndom() int { return len(f.all) - len(f.res) }
 
 // settle applies the buffered flips, leaving the split current. It
 // reports halted=true when the update was abandoned because ctx was
@@ -144,135 +126,137 @@ func (f *domFrontier) settle(ctx context.Context, workers int) (halted bool) {
 	if len(f.ops) == 0 && !f.stale {
 		return false
 	}
+	if f.stale {
+		f.restart()
+	}
 	f.fold()
-	f.merge()
 	return f.split(ctx, workers)
 }
 
-// fold reduces the op log to the net delta by each node's last flip: the
-// admitted nodes that are not members yet go to f.adds, sorted into member
-// order with their insertion index; the evicted members get remap -1. The
-// searches build each pattern at one node, so no two members share a key
-// and a node is a member iff it sits at its key's insertion index.
-func (f *domFrontier) fold() {
-	f.remap = slices.Grow(f.remap[:0], len(f.nodes))[:len(f.nodes)]
-	clear(f.remap)
-	for _, op := range f.ops {
-		f.last[op.nd] = op.add
+// restart turns every member pending with an empty Res, so the split is
+// recomputed from scratch.
+func (f *domFrontier) restart() {
+	for l := range f.pend {
+		f.pend[l] = f.pend[l][:0]
 	}
-	f.adds = f.adds[:0]
-	for _, op := range f.ops {
-		want, pending := f.last[op.nd]
-		if !pending {
+	f.res = f.res[:0]
+	for _, nd := range f.all {
+		nd.wit, nd.deps, nd.depPrev, nd.depNext = nil, nil, nil, nil
+		f.queue(nd, fOrphan)
+	}
+	f.stale = false
+}
+
+// fold reduces the op log to the net delta by each node's last flip (the
+// first one seen walking the log backwards) and applies it: an admitted
+// non-member joins as a pending add; an evicted member leaves, and the
+// dominated survivors it witnessed become pending orphans.
+func (f *domFrontier) fold() {
+	f.epoch++
+	f.gone = f.gone[:0]
+	for i := len(f.ops) - 1; i >= 0; i-- {
+		op := f.ops[i]
+		nd := op.nd
+		if nd.epoch == f.epoch {
 			continue
 		}
-		delete(f.last, op.nd)
-		nd := op.nd
-		if nd.key == "" {
-			nd.key = nd.p.Key()
-		}
-		na := int32(nd.p.NumAttrs())
-		pos := f.searchPos(na, nd.key)
-		member := pos < len(f.nodes) && f.nodes[pos] == nd
+		nd.epoch = f.epoch
 		switch {
-		case want && !member:
-			f.adds = append(f.adds, frontAdd{nd: nd, pos: int32(pos), attrs: na, key: nd.key})
-		case !want && member:
-			f.remap[pos] = -1
+		case op.add && nd.fst == fOut:
+			nd.fidx = int32(len(f.all))
+			f.all = append(f.all, nd)
+			f.queue(nd, fAdd)
+		case !op.add && nd.fst != fOut:
+			if nd.fst == fDom {
+				f.unlink(nd)
+			}
+			last := f.all[len(f.all)-1]
+			f.all[nd.fidx], last.fidx = last, nd.fidx
+			f.all = f.all[:len(f.all)-1]
+			nd.fst = fOut
+			f.gone = append(f.gone, nd)
 		}
 	}
 	clear(f.ops)
 	f.ops = f.ops[:0]
-	// The insertion index is monotone in (attrs, key), so it orders the
-	// adds up to ties among adds landing in the same gap.
-	slices.SortFunc(f.adds, func(a, b frontAdd) int {
-		if a.pos != b.pos {
-			return int(a.pos - b.pos)
+	// Every removed dominated member is unlinked by now, so the lists left
+	// under the removed nodes hold surviving dependents only.
+	for _, nd := range f.gone {
+		for d := nd.deps; d != nil; {
+			next := d.depNext
+			d.wit, d.depPrev, d.depNext = nil, nil, nil
+			f.queue(d, fOrphan)
+			d = next
 		}
-		if a.attrs != b.attrs {
-			return int(a.attrs - b.attrs)
-		}
-		return strings.Compare(a.key, b.key)
-	})
+		nd.deps = nil
+	}
 }
 
-// searchPos returns the insertion index of (attrs, key) in the sorted
-// member order.
-func (f *domFrontier) searchPos(attrs int32, key string) int {
-	lo, hi := 0, len(f.nodes)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if f.attrs[mid] < attrs || (f.attrs[mid] == attrs && f.keys[mid] < key) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// queue marks a member pending in state st and buckets it by level.
+func (f *domFrontier) queue(nd *node, st uint8) {
+	nd.fst = st
+	l := int(nd.lvl)
+	for len(f.pend) <= l {
+		f.pend = append(f.pend, nil)
 	}
-	return lo
+	f.pend[l] = append(f.pend[l], nd)
 }
 
-// merge interleaves the survivors and the sorted adds into the spare
-// columns in member order, recording each entry's settle state, and swaps
-// them in.
-func (f *domFrontier) merge() {
-	f.spare.reset()
-	f.state = f.state[:0]
-	i := 0
-	for _, ad := range f.adds {
-		for ; i < int(ad.pos); i++ {
-			f.carry(i)
-		}
-		f.spare.push(ad.nd, ad.key, attrMask(ad.nd.p), ad.attrs, false, -1)
-		f.state = append(f.state, stAdd)
+// unlink takes a dominated member off its witness's dependent list.
+func (f *domFrontier) unlink(nd *node) {
+	if nd.depPrev != nil {
+		nd.depPrev.depNext = nd.depNext
+	} else {
+		nd.wit.deps = nd.depNext
 	}
-	for ; i < len(f.nodes); i++ {
-		f.carry(i)
+	if nd.depNext != nil {
+		nd.depNext.depPrev = nd.depPrev
 	}
-	f.frontCols, f.spare = f.spare, f.frontCols
-	f.stale = false
+	nd.wit, nd.depPrev, nd.depNext = nil, nil, nil
 }
 
-// carry moves old member i into the spare columns unless it was removed.
-// A survivor keeps its mask, attrs and split, with its witness remapped to
-// the new index; a dominated survivor whose witness left becomes an
-// orphan. Witnesses sit on lower levels, so a witness is always remapped
-// before the members it proves.
-func (f *domFrontier) carry(i int) {
-	if f.remap[i] < 0 {
-		return
+// dominate files a member whose scan found a witness under it.
+func (f *domFrontier) dominate(nd *node) {
+	w := nd.wit
+	nd.fst = fDom
+	nd.depPrev, nd.depNext = nil, w.deps
+	if w.deps != nil {
+		w.deps.depPrev = nd
 	}
-	c := &f.spare
-	f.remap[i] = int32(len(c.nodes))
-	st, dom, wit := stAcc, false, int32(-1)
-	switch {
-	case f.stale:
-		st = stOrphan
-	case f.dom[i]:
-		st = stOrphan
-		if w := f.remap[f.wit[i]]; w >= 0 {
-			st, dom, wit = stKeep, true, w
-		}
-	}
-	c.push(f.nodes[i], f.keys[i], f.masks[i], f.attrs[i], dom, wit)
-	f.state = append(f.state, st)
+	w.deps = nd
 }
 
-// split settles the merged members level by level in ascending generality
-// (see domFrontier), recounting ndom. On halt it marks the split stale.
+// split settles the pending members and the previously accepted ones
+// level by level in ascending generality (see domFrontier), then merges
+// the newly accepted members into Res. On halt it marks the split stale.
 func (f *domFrontier) split(ctx context.Context, workers int) (halted bool) {
-	f.acc, f.accAdds = f.acc[:0], f.accAdds[:0]
-	f.ndom = 0
+	f.acc, f.accAdds, f.fresh = f.acc[:0], f.accAdds[:0], f.fresh[:0]
+	top := len(f.pend) - 1
+	if n := len(f.res); n > 0 {
+		top = max(top, int(f.res[n-1].lvl))
+	}
 	var stop atomic.Bool
-	n := len(f.nodes)
-	for start := 0; start < n; {
-		end := start
-		for end < n && f.attrs[end] == f.attrs[start] {
-			end++
+	ri := 0
+	for l := 0; l <= top; l++ {
+		rj := ri
+		for rj < len(f.res) && int(f.res[rj].lvl) == l {
+			rj++
 		}
 		f.work = f.work[:0]
-		for i := start; i < end; i++ {
-			if st := f.state[i]; st >= stOrphan || st == stAcc && len(f.accAdds) > 0 {
-				f.work = append(f.work, int32(i))
+		if l < len(f.pend) {
+			for _, nd := range f.pend[l] {
+				if nd.fst >= fOrphan {
+					f.work = append(f.work, nd)
+				}
+			}
+			f.pend[l] = f.pend[l][:0]
+		}
+		npend := len(f.work)
+		if len(f.accAdds) > 0 {
+			for _, e := range f.res[ri:rj] {
+				if e.nd.fst == fAcc {
+					f.work = append(f.work, e.nd)
+				}
 			}
 		}
 		if len(f.work) > 0 {
@@ -289,18 +273,25 @@ func (f *domFrontier) split(ctx context.Context, workers int) (halted bool) {
 					stop.Store(true)
 					return
 				}
-				i := work[t]
+				nd := work[t]
 				list := acc
-				if f.state[i] == stAcc {
+				if t >= npend {
 					list = accAdds
 				}
-				p, pm := f.nodes[i].p, f.masks[i]
+				for a := nd.parent; a != nil; a = a.parent {
+					if a.fst == fAcc || a.fst == fDom {
+						nd.wit = a
+						return
+					}
+				}
+				p := nd.p
+				pm := attrMask(p)
 				for j := range list {
 					if j&4095 == 4095 && stop.Load() {
 						return
 					}
 					if q := &list[j]; q.mask&^pm == 0 && q.p.ProperSubsetOf(p) {
-						f.dom[i], f.wit[i] = true, q.idx
+						nd.wit = q.nd
 						return
 					}
 				}
@@ -310,30 +301,68 @@ func (f *domFrontier) split(ctx context.Context, workers int) (halted bool) {
 				return true
 			}
 		}
-		for i := start; i < end; i++ {
-			if f.dom[i] {
-				f.ndom++
-				continue
-			}
-			q := frontAcc{p: f.nodes[i].p, mask: f.masks[i], idx: int32(i)}
-			f.acc = append(f.acc, q)
-			if f.state[i] == stAdd {
-				f.accAdds = append(f.accAdds, q)
+		for _, e := range f.res[ri:rj] {
+			switch {
+			case e.nd.fst != fAcc:
+			case e.nd.wit != nil:
+				f.dominate(e.nd)
+			default:
+				f.acc = append(f.acc, frontAcc{p: e.nd.p, mask: e.mask, nd: e.nd})
 			}
 		}
-		start = end
+		for _, nd := range f.work[:npend] {
+			if nd.wit != nil {
+				f.dominate(nd)
+				continue
+			}
+			q := frontAcc{p: nd.p, mask: attrMask(nd.p), nd: nd}
+			f.acc = append(f.acc, q)
+			if nd.fst == fAdd {
+				f.accAdds = append(f.accAdds, q)
+			}
+			nd.fst = fAcc
+			f.fresh = append(f.fresh, resEnt{nd: nd, key: nd.p.Key(), mask: q.mask, lvl: int32(l)})
+		}
+		ri = rj
 	}
+	f.mergeRes()
 	return false
+}
+
+// mergeRes interleaves the accepted survivors of Res, already in order,
+// with the sorted newly accepted members into the spare array and swaps
+// it in.
+func (f *domFrontier) mergeRes() {
+	slices.SortFunc(f.fresh, cmpRes)
+	out := f.spare[:0]
+	i := 0
+	for _, e := range f.res {
+		if e.nd.fst != fAcc {
+			continue
+		}
+		for ; i < len(f.fresh) && cmpRes(f.fresh[i], e) < 0; i++ {
+			out = append(out, f.fresh[i])
+		}
+		out = append(out, e)
+	}
+	out = append(out, f.fresh[i:]...)
+	clear(f.res)
+	f.res, f.spare = out, f.res[:0]
+}
+
+func cmpRes(a, b resEnt) int {
+	if a.lvl != b.lvl {
+		return int(a.lvl - b.lvl)
+	}
+	return strings.Compare(a.key, b.key)
 }
 
 // emit renders the current Res — the non-dominated members in
 // (generality, key) order, matching the sort-then-filter snapshot.
 func (f *domFrontier) emit() []Pattern {
-	out := make([]Pattern, 0, len(f.nodes)-f.ndom)
-	for i, nd := range f.nodes {
-		if !f.dom[i] {
-			out = append(out, nd.p)
-		}
+	out := make([]Pattern, len(f.res))
+	for i, e := range f.res {
+		out[i] = e.nd.p
 	}
 	return out
 }

@@ -91,20 +91,14 @@ func markDominatedWitness(ctx context.Context, ps []pattern.Pattern, workers int
 	return wit, false
 }
 
-// sortNodesInterned orders nodes by (number of bound attributes,
-// canonical key), interning each node's key on first use — the member
-// order the frontier maintains, applied from scratch.
-func sortNodesInterned(nodes []*node) {
-	for _, nd := range nodes {
-		if nd.key == "" {
-			nd.key = nd.p.Key()
-		}
-	}
+// sortNodes orders nodes by (number of bound attributes, canonical key) —
+// the order the frontier emits Res in, applied from scratch.
+func sortNodes(nodes []*node) {
 	slices.SortFunc(nodes, func(a, b *node) int {
 		if na, nb := a.p.NumAttrs(), b.p.NumAttrs(); na != nb {
 			return na - nb
 		}
-		return strings.Compare(a.key, b.key)
+		return strings.Compare(a.p.Key(), b.p.Key())
 	})
 }
 
@@ -138,7 +132,7 @@ func tfPool(cards []int) []pattern.Pattern {
 func tfOracle(t *testing.T, members []*node, workers int) []Pattern {
 	t.Helper()
 	nodes := append([]*node(nil), members...)
-	sortNodesInterned(nodes)
+	sortNodes(nodes)
 	ps := make([]pattern.Pattern, len(nodes))
 	for i, nd := range nodes {
 		ps[i] = nd.p
@@ -177,22 +171,32 @@ func tfCompare(t *testing.T, f *domFrontier, members map[int]*node, step string)
 			t.Fatalf("%s: emit[%d] = %s, oracle %s", step, i, got[i].Key(), want[i].Key())
 		}
 	}
-	if wantDom := len(members) - len(want); f.ndom != wantDom {
-		t.Fatalf("%s: ndom = %d, oracle %d", step, f.ndom, wantDom)
+	if wantDom := len(members) - len(want); f.ndom() != wantDom {
+		t.Fatalf("%s: ndom = %d, oracle %d", step, f.ndom(), wantDom)
 	}
 }
 
 // tfChurn drives a frontier over a pattern pool the way the searches do:
-// each pool pattern is held by at most one member node at a time.
+// each pool pattern is held by at most one member node at a time, and a
+// node points at the node that last held its tree parent's pattern when
+// it was made, which may have left the frontier since.
 type tfChurn struct {
 	pool    []pattern.Pattern
+	index   map[string]int // pattern key → pool index
 	f       *domFrontier
 	members map[int]*node // pool index → member node
 	last    map[int]*node // pool index → the node that held it last
+	// chained counts removals of a witness one of whose dependents is
+	// itself the witness of another member.
+	chained int
 }
 
 func newTFChurn(pool []pattern.Pattern) *tfChurn {
-	return &tfChurn{pool: pool, f: newDomFrontier(),
+	index := map[string]int{}
+	for i, p := range pool {
+		index[p.Key()] = i
+	}
+	return &tfChurn{pool: pool, index: index, f: newDomFrontier(),
 		members: map[int]*node{}, last: map[int]*node{}}
 }
 
@@ -202,13 +206,23 @@ func newTFChurn(pool []pattern.Pattern) *tfChurn {
 // pattern otherwise.
 func (c *tfChurn) flip(i int, reuse bool) {
 	if nd, ok := c.members[i]; ok {
+		for d := nd.deps; d != nil; d = d.depNext {
+			if d.deps != nil {
+				c.chained++
+				break
+			}
+		}
 		c.f.remove(nd)
 		delete(c.members, i)
 		return
 	}
 	nd := c.last[i]
 	if nd == nil || !reuse {
-		nd = &node{p: c.pool[i]}
+		p := c.pool[i]
+		nd = &node{p: p, lvl: int32(p.NumAttrs())}
+		if j, ok := c.index[p.TreeParent().Key()]; ok {
+			nd.parent = c.last[j]
+		}
 	}
 	c.f.add(nd)
 	c.members[i] = nd
@@ -226,75 +240,95 @@ func (c *tfChurn) settle(t *testing.T, workers int, step string) {
 }
 
 // TestFrontierMatchesBulkRecompute is the differential for the delta
-// settle: random membership churn over a nested pattern pool, settled in
-// batches of every size from a single flip to a few hundred (far more
+// settle: random membership churn over two nested pattern pools, settled
+// in batches of every size from a single flip to a few hundred (far more
 // flips than members), at one and four workers, with the frontier
 // compared against the full sort-then-markDominated recompute after every
 // settle. The churn exercises witness hand-off on removal (a dominated
 // member whose witness leaves must find a replacement subset or resurface
 // into Res), domination of accepted survivors by lower-level adds, a node
 // removed and re-added within one batch, and a node removed while a
-// distinct node with the same pattern is added.
+// distinct node with the same pattern is added. Each script must also
+// remove witnesses whose dependents witness other members in turn.
 func TestFrontierMatchesBulkRecompute(t *testing.T) {
-	pool := tfPool([]int{2, 3, 2, 3})
-	for _, workers := range []int{1, 4} {
-		rng := rand.New(rand.NewSource(7))
-		c := newTFChurn(pool)
-
-		// The first settle starts from an empty member set, with removals
-		// of not-yet-settled members folded away.
-		for _, i := range rng.Perm(len(pool))[:48] {
-			c.flip(i, false)
-		}
-		for _, i := range rng.Perm(len(pool))[:12] {
-			c.flip(i, false)
-		}
-		c.settle(t, workers, "first settle")
-
-		for round := 0; round < 200; round++ {
-			size := 1 + rng.Intn(300)
-			if round < 40 {
-				size = 1 + round%4 // small batches first
+	for _, tc := range []struct {
+		cards       []int
+		first, drop int // the first batch's adds and removals
+	}{
+		{[]int{2, 3, 2, 3}, 48, 12},
+		{[]int{2, 3, 2, 3, 2}, 144, 36},
+	} {
+		pool := tfPool(tc.cards)
+		for _, workers := range []int{1, 4} {
+			c := tfChurnScript(t, pool, tc.first, tc.drop, workers)
+			if c.chained == 0 {
+				t.Fatalf("cards %v workers=%d: no witness with a witnessing dependent was removed", tc.cards, workers)
 			}
-			for op := 0; op < size; op++ {
-				c.flip(rng.Intn(len(pool)), rng.Intn(2) == 0)
-			}
-			c.settle(t, workers, "churn")
-		}
-
-		// Remove a member and re-add the same node in one batch: the net
-		// delta is empty and the split must not move.
-		for i, nd := range c.members {
-			c.flip(i, true)
-			c.flip(i, true)
-			if c.members[i] != nd {
-				t.Fatal("re-add did not reuse the removed node")
-			}
-			break
-		}
-		c.settle(t, workers, "remove then re-add")
-
-		// Remove every member and admit a distinct node with the same
-		// pattern in one batch: every survivor goes, every witness with it.
-		held := make([]int, 0, len(c.members))
-		for i := range c.members {
-			held = append(held, i)
-		}
-		for _, i := range held {
-			c.flip(i, false)
-			c.flip(i, false)
-		}
-		c.settle(t, workers, "replace every node")
-
-		// Drain to empty: emit must stay exact (and non-nil) all the way down.
-		for i := range c.members {
-			c.flip(i, false)
-			c.settle(t, workers, "drain")
-		}
-		if got := c.f.emit(); got == nil || len(got) != 0 {
-			t.Fatalf("drained frontier emit = %v, want empty non-nil", got)
 		}
 	}
+}
+
+// tfChurnScript runs the churn script of TestFrontierMatchesBulkRecompute
+// over pool and returns the drained churn.
+func tfChurnScript(t *testing.T, pool []pattern.Pattern, first, drop, workers int) *tfChurn {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	c := newTFChurn(pool)
+
+	// The first settle starts from an empty member set, with removals
+	// of not-yet-settled members folded away.
+	for _, i := range rng.Perm(len(pool))[:first] {
+		c.flip(i, false)
+	}
+	for _, i := range rng.Perm(len(pool))[:drop] {
+		c.flip(i, false)
+	}
+	c.settle(t, workers, "first settle")
+
+	for round := 0; round < 200; round++ {
+		size := 1 + rng.Intn(300)
+		if round < 40 {
+			size = 1 + round%4 // small batches first
+		}
+		for op := 0; op < size; op++ {
+			c.flip(rng.Intn(len(pool)), rng.Intn(2) == 0)
+		}
+		c.settle(t, workers, "churn")
+	}
+
+	// Remove a member and re-add the same node in one batch: the net
+	// delta is empty and the split must not move.
+	for i, nd := range c.members {
+		c.flip(i, true)
+		c.flip(i, true)
+		if c.members[i] != nd {
+			t.Fatal("re-add did not reuse the removed node")
+		}
+		break
+	}
+	c.settle(t, workers, "remove then re-add")
+
+	// Remove every member and admit a distinct node with the same
+	// pattern in one batch: every survivor goes, every witness with it.
+	held := make([]int, 0, len(c.members))
+	for i := range c.members {
+		held = append(held, i)
+	}
+	for _, i := range held {
+		c.flip(i, false)
+		c.flip(i, false)
+	}
+	c.settle(t, workers, "replace every node")
+
+	// Drain to empty: emit must stay exact (and non-nil) all the way down.
+	for i := range c.members {
+		c.flip(i, false)
+		c.settle(t, workers, "drain")
+	}
+	if got := c.f.emit(); got == nil || len(got) != 0 {
+		t.Fatalf("drained frontier emit = %v, want empty non-nil", got)
+	}
+	return c
 }
 
 // TestFrontierSeedCancellation proves the bounded-cancel guarantee covers
@@ -314,9 +348,9 @@ func TestFrontierSeedCancellation(t *testing.T) {
 	if !c.f.stale {
 		t.Fatal("halted settle did not mark the split stale")
 	}
-	if len(c.f.nodes) != len(c.members) || len(c.f.ops) != 0 {
+	if len(c.f.all) != len(c.members) || len(c.f.ops) != 0 {
 		t.Fatalf("halted settle left %d members and %d ops, want %d members folded in",
-			len(c.f.nodes), len(c.f.ops), len(c.members))
+			len(c.f.all), len(c.f.ops), len(c.members))
 	}
 	c.settle(t, 4, "after re-settle")
 }
@@ -349,8 +383,8 @@ func TestFrontierHaltedSettleRecovers(t *testing.T) {
 			tfCompare(t, c.f, c.members, "budget outlived settle")
 			continue
 		}
-		if len(c.f.nodes) != want {
-			t.Fatalf("budget %d: halted settle kept %d members, want %d", budget, len(c.f.nodes), want)
+		if len(c.f.all) != want {
+			t.Fatalf("budget %d: halted settle kept %d members, want %d", budget, len(c.f.all), want)
 		}
 		if budget%2 == 0 {
 			c.flip(rng.Intn(len(pool)), false)
@@ -370,6 +404,10 @@ func FuzzFrontierSettle(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0xF0, 0, 0x80, 0xF1})
 	f.Add([]byte{5, 10, 20, 30, 0xE1, 5, 0xF0, 0x85, 31, 0xE0, 0xF1})
 	f.Add([]byte{34, 33, 32, 1, 2, 0xF0, 1, 2, 0x81, 0x82, 0xF1, 34, 0xF0})
+	// {A1=0, A2=0} (14) witnesses {A1=0, A2=0, A3=0} (15); the later add
+	// {A1=0} (11) dominates 14, and removing 11 orphans 14 while it still
+	// witnesses 15.
+	f.Add([]byte{14, 15, 0xF0, 11, 0xF1, 11, 0xF0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		c := newTFChurn(pool)
 		for _, b := range ops {

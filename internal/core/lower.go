@@ -137,16 +137,28 @@ func (b *lowerBound) rebuild(k int) bool {
 // fresh).
 type node struct {
 	p        pattern.Pattern
-	sD       int     // size in D (never changes)
 	score    float64 // top-k count or exposure at the current k
-	biased   bool
-	expanded bool // children have been generated
 	children []*node
+	sD       int32 // size in D (never changes)
 	// ktilde is, for an unbiased node, its k̃ when it was last scheduled.
-	ktilde int
-	// key interns p.Key() when the node first joins the domination
-	// frontier, so it is built once per node, not once per snapshot.
-	key string
+	ktilde int32
+	// attr=val is the pair the node binds beyond its parent (a root's
+	// single pair): the only one the step walk needs to test.
+	attr, val int32
+	lvl       int32 // bound attributes, the node's generality level
+	biased    bool
+	expanded  bool // children have been generated
+
+	// The node's domination-frontier state (see domFrontier): fst, its
+	// index in the member list, the last settle that folded it, its
+	// witness while dominated, the head of the list of members it
+	// witnesses and its own links in its witness's list.
+	fst              uint8
+	fidx             int32
+	epoch            uint32
+	wit, deps        *node
+	depPrev, depNext *node
+	parent           *node // nil for a root
 }
 
 // sink collects the side effects of one subtree build or of the serial
@@ -165,11 +177,21 @@ type sink struct {
 	sched  []*node
 }
 
+// reset empties the sink for another job, keeping its buffers.
+func (sk *sink) reset(ctx context.Context) {
+	*sk = sink{
+		cn:     canceler{ctx: ctx},
+		search: SearchStats{FrontierByLevel: sk.search.FrontierByLevel[:0]},
+		biased: sk.biased[:0],
+		sched:  sk.sched[:0],
+	}
+}
+
 // flag marks nd biased; it joins the frontier when the sink merges.
 func (sk *sink) flag(nd *node) {
 	nd.biased = true
 	sk.sr.ss.prunedBound()
-	sk.sr.ss.frontier(nd.p)
+	sk.sr.ss.frontierAt(int(nd.lvl))
 	sk.biased = append(sk.biased, nd)
 }
 
@@ -186,8 +208,10 @@ type lowerState struct {
 	search *SearchStats
 
 	roots []*node
-	// ser is the sink of a step's serial phases, reused across steps.
-	ser sink
+	// ser is the sink of a step's serial phases and sinks those of its
+	// fan-out jobs, all reused across steps.
+	ser   sink
+	sinks []sink
 	// front is the biased frontier (Res ∪ DRes of the paper) with its
 	// Res/DRes split maintained incrementally: a full build bulk-seeds it,
 	// steps feed it only the nodes that flipped.
@@ -265,8 +289,8 @@ func lowerBounds(ctx context.Context, in *Input, s *Spec) (*Result, error) {
 // a step: a node scheduled at step k is unbiased at k, so its k̃ is > k and
 // the entry cannot be due before the merge runs.
 func (s *lowerState) scheduleInto(nd *node, sk *sink) {
-	nd.ktilde = s.b.ktilde(nd.sD, nd.score)
-	if nd.ktilde <= s.spec.KMax {
+	nd.ktilde = int32(s.b.ktilde(int(nd.sD), nd.score))
+	if int(nd.ktilde) <= s.spec.KMax {
 		sk.sched = append(sk.sched, nd)
 	}
 }
@@ -290,10 +314,13 @@ func (s *lowerState) merge(sk *sink) {
 // with its own sink and searcher, then merges the sinks in job order. It
 // reports false when a job was abandoned because the context was canceled.
 func (s *lowerState) fan(n int, job func(i int, sk *sink)) bool {
-	sinks := make([]sink, n)
+	if len(s.sinks) < n {
+		s.sinks = append(s.sinks, make([]sink, n-len(s.sinks))...)
+	}
+	sinks := s.sinks[:n]
 	fanOut(s.spec.Workers, n, func(i int) {
 		sk := &sinks[i]
-		sk.cn = canceler{ctx: s.ctx}
+		sk.reset(s.ctx)
 		sk.sr = s.eng.acquire()
 		defer sk.sr.close()
 		if s.search != nil {
@@ -314,7 +341,7 @@ func (s *lowerState) fan(n int, job func(i int, sk *sink)) bool {
 // and expanded, so classify reports true and the caller builds its
 // children.
 func (s *lowerState) classify(nd *node, k int, sk *sink) bool {
-	if s.b.biased(nd.sD, nd.score, k) {
+	if s.b.biased(int(nd.sD), nd.score, k) {
 		sk.flag(nd)
 		return false
 	}
@@ -347,7 +374,8 @@ func (s *lowerState) fullBuild(k int) bool {
 			sk.sr.ss.prunedSize()
 			return
 		}
-		nd := &node{p: u.p, sD: sD, score: s.b.score(u.m, k)}
+		a := u.p.MaxAttrIdx()
+		nd := &node{p: u.p, sD: int32(sD), score: s.b.score(u.m, k), attr: int32(a), val: u.p[a], lvl: 1}
 		roots[i] = nd
 		if s.classify(nd, k, sk) {
 			s.buildChildren(nd, u.m, k, sk)
@@ -382,7 +410,8 @@ func (s *lowerState) buildChildren(parent *node, m matchSet, k int, sk *sink) {
 				sk.sr.ss.prunedSize()
 				continue
 			}
-			child := &node{p: parent.p.With(a, int32(v)), sD: sD, score: s.b.childScore(&cs, v)}
+			child := &node{p: parent.p.With(a, int32(v)), sD: int32(sD), score: s.b.childScore(&cs, v),
+				attr: int32(a), val: int32(v), lvl: parent.lvl + 1, parent: parent}
 			parent.children = append(parent.children, child)
 			if s.classify(child, k, sk) {
 				s.buildChildren(child, cs.at(v), k, sk)
@@ -402,28 +431,30 @@ func (s *lowerState) step(k int) bool {
 	// run's SearchStats directly; its flips and schedule inserts apply at
 	// its merge.
 	ser := &s.ser
-	*ser = sink{cn: canceler{ctx: s.ctx}, sr: searcher{ss: s.search}, biased: ser.biased[:0], sched: ser.sched[:0]}
+	ser.reset(s.ctx)
+	ser.sr = searcher{ss: s.search}
 
 	// Phase 1 (selectiveTD): walk only explored nodes the new tuple
 	// satisfies; their scores grow. Orphan subtrees below biased nodes are
-	// traversed too so their scores stay fresh.
+	// traversed too so their scores stay fresh. A node is reached only
+	// through a matching parent, so its own pair decides the match.
 	var freed []*node
 	var walk func(nd *node)
 	walk = func(nd *node) {
-		if ser.cn.stopped() || !nd.p.Matches(newRow) {
+		if ser.cn.stopped() {
 			return
 		}
 		ser.stats.NodesExamined++
 		nd.score += gain
 		if nd.biased {
-			if !s.b.biased(nd.sD, nd.score, k) {
+			if !s.b.biased(int(nd.sD), nd.score, k) {
 				nd.biased = false
 				s.front.remove(nd)
 				s.scheduleInto(nd, ser)
 				freed = append(freed, nd)
 				s.dirt = true
 			}
-		} else if s.b.biased(nd.sD, nd.score, k) {
+		} else if s.b.biased(int(nd.sD), nd.score, k) {
 			// Unreachable in exact arithmetic: a node unbiased at k-1 has
 			// α·s_D(p)/|D| <= 1 (its score is at most k-1, or E(k-1)),
 			// so the gain covers the bound's growth. The float bound can
@@ -433,11 +464,15 @@ func (s *lowerState) step(k int) bool {
 			s.scheduleInto(nd, ser)
 		}
 		for _, c := range nd.children {
-			walk(c)
+			if newRow[c.attr] == c.val {
+				walk(c)
+			}
 		}
 	}
 	for _, r := range s.roots {
-		walk(r)
+		if newRow[r.attr] == r.val {
+			walk(r)
+		}
 	}
 
 	// Phase 2: nodes whose k̃ is reached flip to biased unless their score
@@ -447,11 +482,11 @@ func (s *lowerState) step(k int) bool {
 		if ser.cn.stopped() {
 			break
 		}
-		if nd.biased || nd.ktilde != k {
+		if nd.biased || int(nd.ktilde) != k {
 			continue
 		}
 		ser.stats.NodesExamined++
-		if s.b.biased(nd.sD, nd.score, k) {
+		if s.b.biased(int(nd.sD), nd.score, k) {
 			ser.flag(nd)
 		} else {
 			s.scheduleInto(nd, ser)
@@ -499,7 +534,7 @@ func (s *lowerState) snapshot() (groups []Pattern, ok bool) {
 	if s.front.settle(s.ctx, s.spec.Workers) {
 		return nil, false
 	}
-	s.search.addDominated(int64(s.front.ndom))
+	s.search.addDominated(int64(s.front.ndom()))
 	s.dirt = false
 	s.res = s.front.emit()
 	return s.res, true

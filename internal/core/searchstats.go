@@ -115,10 +115,16 @@ func (s *SearchStats) lazyScatter() {
 // frontier records a frontier admission at the pattern's lattice level.
 // The NumAttrs scan runs only when stats are enabled.
 func (s *SearchStats) frontier(p pattern.Pattern) {
+	if s != nil {
+		s.frontierAt(p.NumAttrs())
+	}
+}
+
+// frontierAt records a frontier admission at lattice level lvl.
+func (s *SearchStats) frontierAt(lvl int) {
 	if s == nil {
 		return
 	}
-	lvl := p.NumAttrs()
 	for len(s.FrontierByLevel) <= lvl {
 		s.FrontierByLevel = append(s.FrontierByLevel, 0)
 	}

@@ -474,6 +474,11 @@ func (m *Manager) execute(j *Job) {
 		}
 	}
 
+	// The audit record and the log line go out before the status is
+	// published, so a client that sees the job terminal finds them.
+	m.afterTerminal(ob, j, tr, outcome, hit, report)
+	m.logFinished(ob, j, tr, status, hit, finished)
+
 	m.mu.Lock()
 	m.running--
 	j.finished = finished
@@ -502,9 +507,11 @@ func (m *Manager) execute(j *Job) {
 	j.cancel()
 	m.pruneLocked()
 	m.mu.Unlock()
+}
 
-	m.afterTerminal(ob, j, tr, outcome, hit, report)
-
+// logFinished writes the slow-audit warning, or the debug line, of a job
+// that ran to a terminal status.
+func (m *Manager) logFinished(ob *JobObserver, j *Job, tr *obs.Trace, status JobStatus, hit bool, finished time.Time) {
 	if ob == nil || ob.Logger == nil {
 		return
 	}
@@ -534,10 +541,11 @@ func cacheDisposition(hit bool) string {
 	return "miss"
 }
 
-// afterTerminal runs the observer hooks that follow a job's terminal
-// transition: the OTLP export enqueue and the wide-event audit record.
-// Called outside m.mu — both hooks are non-blocking by contract, but
-// neither needs the lock and the log write does I/O.
+// afterTerminal runs the observer hooks of a job's terminal transition:
+// the OTLP export enqueue and the wide-event audit record. A job that ran
+// gets them before its status is published. Called outside m.mu — both
+// hooks are non-blocking by contract, but neither needs the lock and the
+// log write does I/O.
 func (m *Manager) afterTerminal(ob *JobObserver, j *Job, tr *obs.Trace, outcome string, hit bool, report *AuditResult) {
 	if ob == nil || tr == nil {
 		return

@@ -187,17 +187,13 @@ func TestWideEventAuditLog(t *testing.T) {
 	if err := json.Unmarshal(raw, &view); err != nil {
 		t.Fatal(err)
 	}
-	// A record is written just after its job turns terminal, so it can
-	// trail the report: wait for it rather than race the worker.
-	awaitRecords := func(n int) {
-		for deadline := time.Now().Add(5 * time.Second); strings.Count(sink.String(), "\n") < n && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-	}
+	// A record is written before its job turns terminal, so it is there
+	// once the report is.
 	awaitReport(t, ts, view.ID)
-	awaitRecords(1)
+	if n := strings.Count(sink.String(), "\n"); n != 1 {
+		t.Fatalf("audit log has %d records once the first report is served, want 1:\n%s", n, sink.String())
+	}
 	awaitReport(t, ts, submitAudit(t, ts, info.ID, params).ID) // cache hit
-	awaitRecords(2)
 
 	var events []map[string]any
 	for _, line := range strings.Split(strings.TrimSpace(sink.String()), "\n") {

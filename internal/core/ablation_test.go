@@ -25,7 +25,7 @@ import (
 // scanTopDownSearch is Algorithm 1 with per-pattern dataset scans: the
 // straightforward implementation whose cost the match-list partitioning
 // avoids. Results are identical to topDownSearch.
-func scanTopDownSearch(in *Input, minSize, k int, b *lowerBound, stats *Stats) (res, dres []pattern.Pattern) {
+func scanTopDownSearch(in *Input, minSize, k int, b *bound, stats *Stats) (res, dres []pattern.Pattern) {
 	stats.FullSearches++
 	n := in.Space.NumAttrs()
 	queue := pattern.Empty(n).Children(in.Space)
@@ -37,7 +37,7 @@ func scanTopDownSearch(in *Input, minSize, k int, b *lowerBound, stats *Stats) (
 			continue
 		}
 		cnt := p.CountTopK(in.Rows, in.Ranking, k)
-		if b.biased(sD, float64(cnt), k) {
+		if b.stops(sD, float64(cnt), k) {
 			if hasProperSubset(res, p) {
 				dres = append(dres, p)
 			} else {
@@ -48,6 +48,17 @@ func scanTopDownSearch(in *Input, minSize, k int, b *lowerBound, stats *Stats) (
 		queue = append(queue, p.Children(in.Space)...)
 	}
 	return res, dres
+}
+
+// hasProperSubset reports whether any member of set is a proper subset of
+// p — the unfiltered scan, the oracle for subsetFilter.
+func hasProperSubset(set []pattern.Pattern, p pattern.Pattern) bool {
+	for _, q := range set {
+		if q.ProperSubsetOf(p) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestScanSearchMatchesPartitionedSearch cross-checks the two Algorithm 1
@@ -75,7 +86,7 @@ func TestScanSearchMatchesPartitionedSearch(t *testing.T) {
 		k := 1 + rng.Intn(nRows)
 		minSize := 1 + rng.Intn(4)
 		l := 1 + rng.Intn(3)
-		b := newLowerBound(in, &Spec{Measure: MeasureGlobal, KMin: k, KMax: k, Lower: []int{l}, MinSize: minSize})
+		b := newBound(in, &Spec{Measure: MeasureGlobal, KMin: k, KMax: k, Lower: []int{l}, MinSize: minSize})
 		var s1, s2 Stats
 		res1, dres1 := topDownSearch(&canceler{}, newEngine(in), minSize, k, &b, &s1, nil)
 		res2, dres2 := scanTopDownSearch(in, minSize, k, &b, &s2)
@@ -152,7 +163,7 @@ func ablationInput(b *testing.B) *Input {
 // match-list partitioning (used everywhere) vs per-pattern dataset scans.
 func BenchmarkAblationCounting(b *testing.B) {
 	in := ablationInput(b)
-	lb := newLowerBound(in, &Spec{Measure: MeasureGlobal, KMin: 40, KMax: 40, Lower: []int{20}, MinSize: 20})
+	lb := newBound(in, &Spec{Measure: MeasureGlobal, KMin: 40, KMax: 40, Lower: []int{20}, MinSize: 20})
 	b.Run("partitioned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var s Stats

@@ -29,7 +29,10 @@ import (
 // the frontier. The prop-compas and exposure-compas series run the same
 // defaults on synthetic COMPAS (6889 rows), the two heaviest classes of
 // the rankbench search workload, where re-materializing resumed frontier
-// nodes dominates. Both conditions return byte-identical results
+// nodes dominates. The global-upper series runs the incremental upper-bound
+// search on the same COMPAS input (τs 50, k 10–49, constant U 5), where
+// groups keep crossing the bound as k grows and resume the search below
+// them. Both conditions return byte-identical results
 // (TestQuickMatchArmsAgree), so only wall clock and allocations differ.
 func BenchmarkIndexedSearch(b *testing.B) {
 	ctx := context.Background()
@@ -120,6 +123,14 @@ func BenchmarkIndexedSearch(b *testing.B) {
 	b.Run("exposure-compas/index-warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.Search(ctx, compas, exposure); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	upper := core.Spec{Measure: core.MeasureGlobalUpper, MinSize: 50, KMin: 10, KMax: 49, Upper: core.ConstantBounds(10, 49, 5)}
+	b.Run("global-upper/index-warm", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Search(ctx, compas, upper); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,13 +11,19 @@
 //   - GLOBALBOUNDS (Algorithm 2, Section IV-B) and PROPBOUNDS (Algorithm
 //     3, Section IV-C): the optimized incremental algorithms for global
 //     (Problem 3.1) and proportional (Problem 3.2) representation, run by
-//     one engine over a lower-bound type that also covers the exposure
-//     measure (lower.go). An adaptation of GLOBALBOUNDS serves global
-//     upper bounds (upper_opt.go).
+//     one engine over a bound type that also covers the exposure measure
+//     and the global upper bound (lower.go). The engine hands the nodes on
+//     the reported side of the bound to an output rule: the domination
+//     frontier (frontier.go) reports the most general biased groups, and
+//     the upper bound's candidate set (variants.go) the most specific
+//     exceeding ones.
 //
 // Besides the paper's two lower-bound measures, Spec covers the upper-bound
 // variants of Section III (most-specific substantial patterns exceeding an
-// upper bound), its alternate report semantics, and exposure.
+// upper bound), its alternate report semantics, and exposure. The
+// variants without an incremental search run ITERTD over one collecting
+// traversal, each with its own candidate test and output filter
+// (variants.go).
 //
 // All algorithms treat the ranking as a black box: they consume only a
 // permutation of row indices (best first) and the categorical encoding of

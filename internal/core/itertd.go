@@ -9,7 +9,7 @@ import "context"
 // (including non-monotone) global lower-bound sequences.
 func iterTD(ctx context.Context, in *Input, s *Spec) (*Result, error) {
 	eng := newEngine(in)
-	b := newLowerBound(in, s)
+	b := newBound(in, s)
 	return runPerK(ctx, eng, s, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
 		groups, _ := topDownSearch(cn, eng, s.MinSize, k, &b, st, ss)
 		sortPatterns(groups)

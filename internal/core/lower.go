@@ -2,27 +2,29 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"rankfair/internal/count"
 	"rankfair/internal/pattern"
 )
 
-// boundKind names one of the three lower bounds.
+// boundKind names one of the three lower bounds or the global upper bound.
 type boundKind uint8
 
 const (
 	boundGlobal   boundKind = iota // L_k (Problem 3.1)
 	boundProp                      // α·s_D(p)·k/|D| (Problem 3.2)
 	boundExposure                  // α·s_D(p)·E(k)/|D| (exposure)
+	boundUpper                     // U_k (Section III)
 )
 
-// lowerBound is what the lower-bound searches test a node against, and
-// the only place the three measures differ. A node's score is its top-k
+// bound is what the incremental search and ITERTD test a node against,
+// and the only place the measures differ. A node's score is its top-k
 // count, or its top-k exposure (position weights summed in rank order)
-// when weights is set.
-type lowerBound struct {
+// when weights is set. A lower bound stops the descent at a biased node
+// (score below the bound); the upper bound stops it at a node whose score
+// does not exceed U_k.
+type bound struct {
 	kind boundKind
 	spec *Spec
 	n    float64 // |D|
@@ -31,15 +33,17 @@ type lowerBound struct {
 	weights, totalExp []float64
 }
 
-// newLowerBound returns the bound of s's measure (global, prop or
-// exposure) over in.
-func newLowerBound(in *Input, s *Spec) lowerBound {
-	b := lowerBound{spec: s, n: float64(len(in.Rows))}
+// newBound returns the bound of s's measure (global, prop, exposure or
+// global-upper) over in.
+func newBound(in *Input, s *Spec) bound {
+	b := bound{spec: s, n: float64(len(in.Rows))}
 	switch s.Measure {
 	case MeasureGlobal:
 		b.kind = boundGlobal
 	case MeasureProp:
 		b.kind = boundProp
+	case MeasureGlobalUpper:
+		b.kind = boundUpper
 	default:
 		b.kind = boundExposure
 		b.weights = make([]float64, s.KMax)
@@ -53,7 +57,7 @@ func newLowerBound(in *Input, s *Spec) lowerBound {
 }
 
 // score returns the score at k of the node whose match set is m.
-func (b *lowerBound) score(m matchSet, k int) float64 {
+func (b *bound) score(m matchSet, k int) float64 {
 	top := m.all[:count.PrefixCount(m.all, k)]
 	if b.weights == nil {
 		return float64(len(top))
@@ -66,35 +70,38 @@ func (b *lowerBound) score(m matchSet, k int) float64 {
 }
 
 // childScore returns the score of child v of a split.
-func (b *lowerBound) childScore(cs *childStats, v int) float64 {
+func (b *bound) childScore(cs *childStats, v int) float64 {
 	if b.weights == nil {
 		return float64(cs.cnt[v])
 	}
 	return cs.wsum[v]
 }
 
-// biased reports whether a node of size sD and score s falls below the
-// bound at k.
-func (b *lowerBound) biased(sD int, s float64, k int) bool {
+// stops reports whether the bound stops the descent at a node of size sD
+// and score s at k: the node falls below a lower bound, or does not exceed
+// the upper one.
+func (b *bound) stops(sD int, s float64, k int) bool {
 	switch b.kind {
 	case boundGlobal:
 		return s < float64(b.spec.lowerAt(k))
 	case boundProp:
 		return s < b.spec.Alpha*float64(sD)*float64(k)/b.n
+	case boundUpper:
+		return s <= float64(b.spec.upperAt(k))
 	}
 	return s < b.spec.Alpha*float64(sD)*b.totalExp[k]/b.n
 }
 
 // ktilde returns k̃ (Section IV-C): the smallest k <= KMax at which a node
 // of size sD becomes biased if its score s stays unchanged, or KMax+1 when
-// it cannot within the range. The global bound is constant between
-// rebuilds, so its answer is always KMax+1. The proportional bounds grow
+// it cannot within the range. The global bounds are constant between
+// rebuilds, so their answer is always KMax+1. The proportional bounds grow
 // with k: the search starts at the k solving score = bound (E(k) is
 // increasing, so exposure binary-searches it) and corrects the start by a
 // local scan, robust against floating-point rounding.
-func (b *lowerBound) ktilde(sD int, s float64) int {
+func (b *bound) ktilde(sD int, s float64) int {
 	never := b.spec.KMax + 1
-	if b.kind == boundGlobal || sD == 0 {
+	if b.kind == boundGlobal || b.kind == boundUpper || sD == 0 {
 		return never
 	}
 	target := s * b.n / (b.spec.Alpha * float64(sD))
@@ -105,10 +112,10 @@ func (b *lowerBound) ktilde(sD int, s float64) int {
 		kt = sort.SearchFloat64s(b.totalExp, target)
 	}
 	kt = max(kt, 1)
-	for kt > 1 && b.biased(sD, s, kt-1) {
+	for kt > 1 && b.stops(sD, s, kt-1) {
 		kt--
 	}
-	for kt <= b.spec.KMax && !b.biased(sD, s, kt) {
+	for kt <= b.spec.KMax && !b.stops(sD, s, kt) {
 		kt++
 	}
 	return min(kt, never)
@@ -116,24 +123,31 @@ func (b *lowerBound) ktilde(sD int, s float64) int {
 
 // gain returns the score a node gains at k when R(D)[k], the tuple
 // entering the top-k, matches it.
-func (b *lowerBound) gain(k int) float64 {
+func (b *bound) gain(k int) float64 {
 	if b.weights == nil {
 		return 1
 	}
 	return b.weights[k-1]
 }
 
-// rebuild reports whether the search at k must start over: only when the
-// global bound rises (the paper's rule for GLOBALBOUNDS).
-func (b *lowerBound) rebuild(k int) bool {
-	return b.kind == boundGlobal && b.spec.lowerAt(k) > b.spec.lowerAt(k-1)
+// rebuild reports whether the search at k must start over: when the
+// global lower bound rises (the paper's rule for GLOBALBOUNDS), or when
+// the upper bound changes in either direction.
+func (b *bound) rebuild(k int) bool {
+	switch b.kind {
+	case boundGlobal:
+		return b.spec.lowerAt(k) > b.spec.lowerAt(k-1)
+	case boundUpper:
+		return b.spec.upperAt(k) != b.spec.upperAt(k-1)
+	}
+	return false
 }
 
 // node is a node of the persistent search tree the incremental search
 // keeps across k. Under the proportional bounds a node can oscillate
 // between biased and unbiased — the bound grows with k while the score
 // grows only when new top tuples match — so nodes keep their explored
-// children while biased (orphan subtrees stay tracked and their scores
+// children while stopped (orphan subtrees stay tracked and their scores
 // fresh).
 type node struct {
 	p        pattern.Pattern
@@ -146,8 +160,8 @@ type node struct {
 	// single pair): the only one the step walk needs to test.
 	attr, val int32
 	lvl       int32 // bound attributes, the node's generality level
-	biased    bool
-	expanded  bool // children have been generated
+	stopped   bool  // the bound stops the descent here
+	expanded  bool  // children have been generated
 
 	// The node's domination-frontier state (see domFrontier): fst, its
 	// index in the member list, the last settle that folded it, its
@@ -162,7 +176,7 @@ type node struct {
 }
 
 // sink collects the side effects of one subtree build or of the serial
-// phases of a step: biased frontier nodes, nodes scheduled for
+// phases of a step: nodes admitted to the output set, nodes scheduled for
 // re-examination (their ktilde is set; the bucket insert happens at merge
 // time), and work accounting. Each fan-out sink also owns a searcher with
 // its pooled partition scratch. Sinks merge into the shared state in
@@ -173,7 +187,7 @@ type sink struct {
 	sr     searcher
 	stats  Stats
 	search SearchStats
-	biased []*node
+	out    []*node
 	sched  []*node
 }
 
@@ -182,25 +196,39 @@ func (sk *sink) reset(ctx context.Context) {
 	*sk = sink{
 		cn:     canceler{ctx: ctx},
 		search: SearchStats{FrontierByLevel: sk.search.FrontierByLevel[:0]},
-		biased: sk.biased[:0],
+		out:    sk.out[:0],
 		sched:  sk.sched[:0],
 	}
 }
 
-// flag marks nd biased; it joins the frontier when the sink merges.
-func (sk *sink) flag(nd *node) {
-	nd.biased = true
-	sk.sr.ss.prunedBound()
+// admit counts nd's admission to the output set, which it joins when the
+// sink merges.
+func (sk *sink) admit(nd *node) {
 	sk.sr.ss.frontierAt(int(nd.lvl))
-	sk.biased = append(sk.biased, nd)
+	sk.out = append(sk.out, nd)
 }
 
-// lowerState holds the incremental search state.
-type lowerState struct {
+// outputRule is the set the incremental search reports from. It receives
+// the nodes that land on the reported side of the bound, buffers their
+// flips until settle, and emits the reported groups of the current k.
+// domFrontier (the most general biased nodes) serves the lower bounds;
+// specificSet (the most specific candidates) serves the upper bound.
+type outputRule interface {
+	add(nd *node)
+	remove(nd *node)
+	// settle applies the buffered flips; halted reports that ctx was
+	// canceled first.
+	settle(ctx context.Context, workers int) (halted bool)
+	ndom() int // dominated members, counted into PrunedDominated
+	emit() []Pattern
+}
+
+// incState holds the incremental search state.
+type incState struct {
 	in    *Input
 	eng   *engine
 	spec  *Spec
-	b     lowerBound
+	b     bound
 	stats *Stats
 	ctx   context.Context
 	// search accumulates the run's SearchStats; nil when disabled. Serial
@@ -212,53 +240,55 @@ type lowerState struct {
 	// fan-out jobs, all reused across steps.
 	ser   sink
 	sinks []sink
-	// front is the biased frontier (Res ∪ DRes of the paper) with its
-	// Res/DRes split maintained incrementally: a full build bulk-seeds it,
-	// steps feed it only the nodes that flipped.
-	front *domFrontier
+	// out is the output set. Under a lower bound it is the biased frontier
+	// (Res ∪ DRes of the paper) with its Res/DRes split maintained
+	// incrementally; under the upper bound it holds the candidates. A full
+	// build bulk-seeds it, steps feed it only the nodes that flipped.
+	out outputRule
 	// buckets[k] holds unbiased nodes scheduled for re-examination at k
 	// (the set K of the paper). Entries can be stale: a node is only
 	// processed when its stored ktilde still equals k and it is unbiased.
 	buckets [][]*node
 
 	res  []Pattern // current result snapshot (sorted)
-	dirt bool      // biased set changed since the last snapshot
+	dirt bool      // output set changed since the last snapshot
 }
 
-// lowerBounds is the incremental lower-bound search: GLOBALBOUNDS
-// (Algorithm 2) for the global measure, PROPBOUNDS (Algorithm 3) for the
-// proportional one, and PROPBOUNDS over exposure. It builds the search
-// tree once at KMin and carries it across k. Per k it examines only (a)
-// explored nodes satisfied by the newly inserted tuple R(D)[k] — walking
-// down from the roots and skipping subtrees the tuple does not satisfy —
-// and (b) unbiased nodes whose k̃ equals k (the bucket queue K). A biased
-// frontier node whose score catches up with its bound resumes the search
-// below it. When the global bound rises, the tree is built afresh (the
-// paper's rule; it requires a non-decreasing bound sequence).
+// incremental is the incremental search: GLOBALBOUNDS (Algorithm 2) for
+// the global measure, PROPBOUNDS (Algorithm 3) for the proportional one,
+// PROPBOUNDS over exposure, and the Section III adaptation of GLOBALBOUNDS
+// to the global upper bound. It builds the search tree once at KMin and
+// carries it across k. Per k it examines only (a) explored nodes satisfied
+// by the newly inserted tuple R(D)[k] — walking down from the roots and
+// skipping subtrees the tuple does not satisfy — and (b) unbiased nodes
+// whose k̃ equals k (the bucket queue K). A stopped frontier node whose
+// score catches up with its bound resumes the search below it. When the
+// global lower bound rises, the tree is built afresh (the paper's rule; it
+// requires a non-decreasing bound sequence), and so it is when the upper
+// bound changes.
+//
+// The output rule follows from the bound. Under a lower bound the output
+// is the biased (stopped) nodes, and the most general of them are
+// reported. Under the upper bound it is the opened nodes, the candidates
+// whose count exceeds U_k, and the most specific of them are reported.
+// Within a segment of constant U_k counts only grow, so candidates only
+// join.
 //
 // The search is sequential in k, so the parallelism lives inside one
 // step: the independent subtrees of a build, the resumed subtrees of
 // freed frontier nodes, and the domination scans of the frontier spread
 // over s.Workers goroutines. Per-worker sinks merge in deterministic
 // order, so results are byte-identical to the serial path.
-func lowerBounds(ctx context.Context, in *Input, s *Spec) (*Result, error) {
-	if s.Measure == MeasureGlobal {
-		for i := 1; i < len(s.Lower); i++ {
-			if s.Lower[i] < s.Lower[i-1] {
-				return nil, fmt.Errorf("core: GlobalBounds requires non-decreasing lower bounds, got L=%d after L=%d (use the ITERTD baseline for arbitrary bounds)",
-					s.Lower[i], s.Lower[i-1])
-			}
-		}
-	}
+func incremental(ctx context.Context, in *Input, s *Spec) (*Result, error) {
 	if err := preflight(ctx); err != nil {
 		return nil, err
 	}
 	res := &Result{KMin: s.KMin, KMax: s.KMax, Groups: make([][]Pattern, s.KMax-s.KMin+1)}
-	st := &lowerState{
+	st := &incState{
 		in:      in,
 		eng:     newEngine(in),
 		spec:    s,
-		b:       newLowerBound(in, s),
+		b:       newBound(in, s),
 		stats:   &res.Stats,
 		ctx:     ctx,
 		buckets: make([][]*node, s.KMax+2),
@@ -288,7 +318,7 @@ func lowerBounds(ctx context.Context, in *Input, s *Spec) (*Result, error) {
 // insert happens when the sink merges. Deferring the insert is safe within
 // a step: a node scheduled at step k is unbiased at k, so its k̃ is > k and
 // the entry cannot be due before the merge runs.
-func (s *lowerState) scheduleInto(nd *node, sk *sink) {
+func (s *incState) scheduleInto(nd *node, sk *sink) {
 	nd.ktilde = int32(s.b.ktilde(int(nd.sD), nd.score))
 	if int(nd.ktilde) <= s.spec.KMax {
 		sk.sched = append(sk.sched, nd)
@@ -296,13 +326,13 @@ func (s *lowerState) scheduleInto(nd *node, sk *sink) {
 }
 
 // merge folds a sink into the shared state.
-func (s *lowerState) merge(sk *sink) {
+func (s *incState) merge(sk *sink) {
 	s.stats.add(sk.stats)
 	s.search.merge(&sk.search)
-	for _, nd := range sk.biased {
-		s.front.add(nd)
+	for _, nd := range sk.out {
+		s.out.add(nd)
 	}
-	if len(sk.biased) > 0 {
+	if len(sk.out) > 0 {
 		s.dirt = true
 	}
 	for _, nd := range sk.sched {
@@ -313,7 +343,7 @@ func (s *lowerState) merge(sk *sink) {
 // fan runs job(i, sk) for every i in [0, n) on the worker pool, each job
 // with its own sink and searcher, then merges the sinks in job order. It
 // reports false when a job was abandoned because the context was canceled.
-func (s *lowerState) fan(n int, job func(i int, sk *sink)) bool {
+func (s *incState) fan(n int, job func(i int, sk *sink)) bool {
 	if len(s.sinks) < n {
 		s.sinks = append(s.sinks, make([]sink, n-len(s.sinks))...)
 	}
@@ -336,14 +366,27 @@ func (s *lowerState) fan(n int, job func(i int, sk *sink)) bool {
 	return !halted
 }
 
-// classify files a newly built node at k: a biased node joins the
-// frontier and stops the descent; an unbiased one is scheduled at its k̃
-// and expanded, so classify reports true and the caller builds its
-// children.
-func (s *lowerState) classify(nd *node, k int, sk *sink) bool {
-	if s.b.biased(int(nd.sD), nd.score, k) {
-		sk.flag(nd)
+// stop marks nd stopped by the bound. Under a lower bound it is biased and
+// joins the output set when the sink merges.
+func (s *incState) stop(nd *node, sk *sink) {
+	nd.stopped = true
+	sk.sr.ss.prunedBound()
+	if s.b.kind != boundUpper {
+		sk.admit(nd)
+	}
+}
+
+// classify files a newly built node at k: a node the bound stops ends the
+// descent; any other is scheduled at its k̃ and expanded (under the upper
+// bound it is a candidate and joins the output set), so classify reports
+// true and the caller builds its children.
+func (s *incState) classify(nd *node, k int, sk *sink) bool {
+	if s.b.stops(int(nd.sD), nd.score, k) {
+		s.stop(nd, sk)
 		return false
+	}
+	if s.b.kind == boundUpper {
+		sk.admit(nd)
 	}
 	s.scheduleInto(nd, sk)
 	nd.expanded = true
@@ -352,16 +395,20 @@ func (s *lowerState) classify(nd *node, k int, sk *sink) bool {
 }
 
 // fullBuild runs the complete top-down search at k, materializing the
-// explored tree, the biased frontier and the schedule K; as a rebuild it
-// first drops the old ones. The root's subtrees build independently on
+// explored tree, the output set and the schedule K; as a rebuild it first
+// drops the old ones. The root's subtrees build independently on
 // the worker pool, and sinks merge in subtree order, matching the serial
 // traversal. The root units alias the counting index's posting lists, so
 // a warm index starts the build with zero dataset scans. It reports false
 // when the build was abandoned because the context was canceled.
-func (s *lowerState) fullBuild(k int) bool {
+func (s *incState) fullBuild(k int) bool {
 	s.stats.FullSearches++
 	s.roots = s.roots[:0]
-	s.front = newDomFrontier()
+	if s.b.kind == boundUpper {
+		s.out = newSpecificSet(s.in.Space)
+	} else {
+		s.out = newDomFrontier()
+	}
 	clear(s.buckets)
 	s.dirt = true
 	units := s.eng.rootUnits()
@@ -394,7 +441,7 @@ func (s *lowerState) fullBuild(k int) bool {
 // effects go to the caller's sink, so concurrent builds of disjoint
 // subtrees never touch shared state; partitions live in the sink's arena,
 // released per attribute as the recursion unwinds.
-func (s *lowerState) buildChildren(parent *node, m matchSet, k int, sk *sink) {
+func (s *incState) buildChildren(parent *node, m matchSet, k int, sk *sink) {
 	n := s.in.Space.NumAttrs()
 	for a := parent.p.MaxAttrIdx() + 1; a < n; a++ {
 		card := s.in.Space.Cards[a]
@@ -423,7 +470,7 @@ func (s *lowerState) buildChildren(parent *node, m matchSet, k int, sk *sink) {
 
 // step advances the state from k-1 to k. It reports false when the step
 // was abandoned because the context was canceled.
-func (s *lowerState) step(k int) bool {
+func (s *incState) step(k int) bool {
 	newRow := s.in.Rows[s.in.Ranking[k-1]]
 	gain := s.b.gain(k)
 
@@ -435,9 +482,11 @@ func (s *lowerState) step(k int) bool {
 	ser.sr = searcher{ss: s.search}
 
 	// Phase 1 (selectiveTD): walk only explored nodes the new tuple
-	// satisfies; their scores grow. Orphan subtrees below biased nodes are
+	// satisfies; their scores grow. Orphan subtrees below stopped nodes are
 	// traversed too so their scores stay fresh. A node is reached only
-	// through a matching parent, so its own pair decides the match.
+	// through a matching parent, so its own pair decides the match. A
+	// freed node leaves the lower rule's output set; it is a new candidate
+	// of the upper rule's.
 	var freed []*node
 	var walk func(nd *node)
 	walk = func(nd *node) {
@@ -446,20 +495,24 @@ func (s *lowerState) step(k int) bool {
 		}
 		ser.stats.NodesExamined++
 		nd.score += gain
-		if nd.biased {
-			if !s.b.biased(int(nd.sD), nd.score, k) {
-				nd.biased = false
-				s.front.remove(nd)
+		if nd.stopped {
+			if !s.b.stops(int(nd.sD), nd.score, k) {
+				nd.stopped = false
+				if s.b.kind == boundUpper {
+					ser.admit(nd)
+				} else {
+					s.out.remove(nd)
+				}
 				s.scheduleInto(nd, ser)
 				freed = append(freed, nd)
 				s.dirt = true
 			}
-		} else if s.b.biased(int(nd.sD), nd.score, k) {
+		} else if s.b.stops(int(nd.sD), nd.score, k) {
 			// Unreachable in exact arithmetic: a node unbiased at k-1 has
 			// α·s_D(p)/|D| <= 1 (its score is at most k-1, or E(k-1)),
 			// so the gain covers the bound's growth. The float bound can
 			// still round across it.
-			ser.flag(nd)
+			s.stop(nd, ser)
 		} else {
 			s.scheduleInto(nd, ser)
 		}
@@ -477,17 +530,17 @@ func (s *lowerState) step(k int) bool {
 
 	// Phase 2: nodes whose k̃ is reached flip to biased unless their score
 	// was bumped meanwhile (stale entries are skipped via the ktilde
-	// guard).
+	// guard). The global bounds schedule nothing.
 	for _, nd := range s.buckets[k] {
 		if ser.cn.stopped() {
 			break
 		}
-		if nd.biased || int(nd.ktilde) != k {
+		if nd.stopped || int(nd.ktilde) != k {
 			continue
 		}
 		ser.stats.NodesExamined++
-		if s.b.biased(int(nd.sD), nd.score, k) {
-			ser.flag(nd)
+		if s.b.stops(int(nd.sD), nd.score, k) {
+			s.stop(nd, ser)
 		} else {
 			s.scheduleInto(nd, ser)
 		}
@@ -495,7 +548,7 @@ func (s *lowerState) step(k int) bool {
 	s.buckets[k] = nil
 
 	// Phase 3 (searchFromNode): resume the search below frontier nodes
-	// that became unbiased and had no explored children yet. Those
+	// that were freed and had no explored children yet. Those
 	// subtrees are disjoint, so they expand on the worker pool, one sink
 	// each; the node's match set is re-materialized from the index rather
 	// than re-scanned.
@@ -519,23 +572,24 @@ func (s *lowerState) step(k int) bool {
 	})
 }
 
-// snapshot returns the most general biased patterns. Because biased nodes
+// snapshot returns the reported groups of the output set. Under a lower
+// bound they are the most general biased patterns; because biased nodes
 // can appear and disappear anywhere in the explored tree (including
 // interior nodes with explored descendants), the Res/DRes split lives in
 // the domination frontier: each dirty snapshot settles the step's flips
-// into it as one sorted delta (after a build, from an empty frontier) and
-// folds the domination tally into the stats. A clean snapshot reuses the
-// previous result. ok is false when the settle was abandoned because the
-// context was canceled (the state stays dirty).
-func (s *lowerState) snapshot() (groups []Pattern, ok bool) {
+// into it (after a build, from an empty frontier) and folds the
+// domination tally into the stats. A clean snapshot reuses the previous
+// result. ok is false when the settle was abandoned because the context
+// was canceled (the state stays dirty).
+func (s *incState) snapshot() (groups []Pattern, ok bool) {
 	if !s.dirt {
 		return s.res, true
 	}
-	if s.front.settle(s.ctx, s.spec.Workers) {
+	if s.out.settle(s.ctx, s.spec.Workers) {
 		return nil, false
 	}
-	s.search.addDominated(int64(s.front.ndom()))
+	s.search.addDominated(int64(s.out.ndom()))
 	s.dirt = false
-	s.res = s.front.emit()
+	s.res = s.out.emit()
 	return s.res, true
 }

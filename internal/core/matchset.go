@@ -166,9 +166,6 @@ func (sr searcher) childStats(m matchSet, a, card, k int, w []float64) childStat
 // size returns s_D of child v.
 func (cs *childStats) size(v int) int { return int(cs.sD[v]) }
 
-// count returns the top-k count of child v.
-func (cs *childStats) count(v int) int { return int(cs.cnt[v]) }
-
 // at returns child v's match set, scattering the parent into all child
 // lists on first use; the scatter reuses the already computed per-value
 // sizes as offsets.

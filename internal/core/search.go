@@ -51,7 +51,8 @@ type Spec struct {
 	Beta float64 `json:"beta,omitempty"`
 	// Lower holds L_k per k, indexed k-KMin (global, lower-specific). The
 	// incremental global search requires a non-decreasing sequence (the
-	// paper's assumption); the baseline accepts any sequence.
+	// paper's assumption), which Validate checks; the baseline and
+	// lower-specific accept any sequence.
 	Lower []int `json:"lower,omitempty"`
 	// Upper holds U_k per k, indexed k-KMin (global-upper, upper-general).
 	Upper []int `json:"upper,omitempty"`
@@ -93,13 +94,13 @@ var measures = []struct {
 	threshold        threshold
 	search, baseline searchFunc
 }{
-	{MeasureGlobal, thresholdLower, lowerBounds, iterTD},
-	{MeasureProp, thresholdAlpha, lowerBounds, iterTD},
-	{MeasureGlobalUpper, thresholdUpper, globalUpperBounds, iterTDGlobalUpper},
-	{MeasurePropUpper, thresholdBeta, iterTDPropUpper, nil},
-	{MeasureExposure, thresholdAlpha, lowerBounds, iterTD},
-	{MeasureLowerSpecific, thresholdLower, iterTDLowerSpecific, nil},
-	{MeasureUpperGeneral, thresholdUpper, iterTDUpperGeneral, nil},
+	{MeasureGlobal, thresholdLower, incremental, iterTD},
+	{MeasureProp, thresholdAlpha, incremental, iterTD},
+	{MeasureGlobalUpper, thresholdUpper, incremental, collect(exceedsUpper, mostSpecificByChildLookup)},
+	{MeasurePropUpper, thresholdBeta, collect(exceedsPropUpper, mostSpecific), nil},
+	{MeasureExposure, thresholdAlpha, incremental, iterTD},
+	{MeasureLowerSpecific, thresholdLower, collect(belowLower, mostSpecificByChildLookup), nil},
+	{MeasureUpperGeneral, thresholdUpper, collect(exceedsUpper, mostGeneral), nil},
 }
 
 // measureIndex returns the dispatch-table row of name, or -1.
@@ -139,6 +140,14 @@ func (s *Spec) Validate() error {
 	case thresholdLower:
 		if len(s.Lower) != s.KMax-s.KMin+1 {
 			return fmt.Errorf("rankfair: %d lower bounds for k range [%d,%d]", len(s.Lower), s.KMin, s.KMax)
+		}
+		if s.Measure == MeasureGlobal && !s.Baseline {
+			for i := 1; i < len(s.Lower); i++ {
+				if s.Lower[i] < s.Lower[i-1] {
+					return fmt.Errorf("rankfair: the incremental global search requires non-decreasing lower bounds, got L=%d after L=%d (use the ITERTD baseline for arbitrary bounds)",
+						s.Lower[i], s.Lower[i-1])
+				}
+			}
 		}
 	case thresholdUpper:
 		if len(s.Upper) != s.KMax-s.KMin+1 {

@@ -125,13 +125,15 @@ func (b *fuzzBytes) next() int {
 	return int(v)
 }
 
-// fuzzLowerSpec decodes data into a small input and a global, prop or
-// exposure Spec over it: the measure, the space (2-4 attributes of
+// fuzzSpec decodes data into a small input and a global, prop, exposure
+// or global-upper Spec over it: the measure, the space (2-4 attributes of
 // cardinality 2-4), 8-47 rows, a ranking (a Fisher-Yates shuffle driven by
-// the bytes), the k range, τs, α in [0.2, 2.2) and a non-decreasing L.
-func fuzzLowerSpec(data []byte) (*core.Input, core.Spec) {
+// the bytes), the k range, τs, α in [0.2, 2.2), a non-decreasing L, and a
+// U that wanders up and down (every change of U rebuilds the incremental
+// search).
+func fuzzSpec(data []byte) (*core.Input, core.Spec) {
 	b := fuzzBytes(data)
-	measure := []string{core.MeasureGlobal, core.MeasureProp, core.MeasureExposure}[b.next()%3]
+	measure := []string{core.MeasureGlobal, core.MeasureProp, core.MeasureExposure, core.MeasureGlobalUpper}[b.next()%4]
 	nAttrs := 2 + b.next()%3
 	cards := make([]int, nAttrs)
 	names := make([]string, nAttrs)
@@ -172,13 +174,21 @@ func fuzzLowerSpec(data []byte) (*core.Input, core.Spec) {
 			s.Lower[i] = l
 		}
 	}
+	if measure == core.MeasureGlobalUpper {
+		u := 1 + b.next()%4
+		s.Upper = make([]int, kMax-kMin+1)
+		for i := range s.Upper {
+			u = max(u+b.next()%3-1, 1)
+			s.Upper[i] = u
+		}
+	}
 	in := &core.Input{Rows: rows, Space: &pattern.Space{Names: names, Cards: cards}, Ranking: ranking}
 	return in, s
 }
 
 // FuzzIncrementalMatchesBaseline is the coverage-guided differential of
-// the incremental lower-bound search: on inputs decoded from the fuzz
-// bytes, its groups at one and three workers must equal the ITERTD
+// the incremental search, under both output rules: on inputs decoded from
+// the fuzz bytes, its groups at one and three workers must equal the ITERTD
 // baseline's and the brute-force oracle's at every k. The quick-check
 // differentials draw from fixed seeds; this target lets the fuzzer steer
 // towards flips, resumptions and rebuilds they miss.
@@ -186,8 +196,16 @@ func FuzzIncrementalMatchesBaseline(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2, 30, 1, 0, 1, 1, 0, 2, 1, 0, 1, 1, 0, 1, 0, 0, 1})
 	f.Add([]byte{1, 2, 2, 1, 0, 40, 3, 1, 2, 0, 1, 3, 2, 1, 0, 2, 5, 9, 1, 4, 2, 200})
 	f.Add([]byte("2020+00000020202000000000000000020020190A0000"))
+	// global-upper on 3 attributes of cardinality 2 and 24 rows, k 4-15,
+	// τs 1, with U 3,2,2,2,3,4,4,3,3,3,3,2: it drops and then rises.
+	f.Add([]byte{3, 1, 0, 0, 0, 16,
+		0, 1, 0, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1,
+		0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 0, 1,
+		0, 0, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 0,
+		5, 2, 9, 1, 7, 3, 0, 4, 8, 2, 6, 1, 5, 3, 0, 2, 9, 4, 1, 7, 3, 2, 1,
+		3, 11, 1, 0, 1, 2, 0, 1, 1, 2, 2, 1, 0, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		in, s := fuzzLowerSpec(data)
+		in, s := fuzzSpec(data)
 		base, err := core.Search(bg, in, baseline(s))
 		if err != nil {
 			t.Fatalf("%+v baseline: %v", s, err)

@@ -19,7 +19,7 @@ import (
 // the traversal's ring arena (see bfs.go): pop reclaims the blocks of
 // already-consumed entries, and size-pruned entries never materialize a
 // Pattern.
-func topDownSearch(cn *canceler, eng *engine, minSize, k int, b *lowerBound, stats *Stats, ss *SearchStats) (res, dres []pattern.Pattern) {
+func topDownSearch(cn *canceler, eng *engine, minSize, k int, b *bound, stats *Stats, ss *SearchStats) (res, dres []pattern.Pattern) {
 	stats.FullSearches++
 
 	q := eng.newBFS()
@@ -37,7 +37,7 @@ func topDownSearch(cn *canceler, eng *engine, minSize, k int, b *lowerBound, sta
 			ss.prunedSize()
 			continue
 		}
-		if b.biased(sD, b.score(u.m, k), k) {
+		if b.stops(sD, b.score(u.m, k), k) {
 			p := q.pat(&u)
 			ss.prunedBound()
 			if filt.dominated(p) {
@@ -109,16 +109,4 @@ func newSubsetFilter() subsetFilter {
 		res:   make([]pattern.Pattern, 0, hint),
 		masks: make([]uint64, 0, hint),
 	}
-}
-
-// hasProperSubset reports whether any member of set is a proper subset of
-// p — the unfiltered scan, kept for small ad-hoc sets and as the oracle
-// for subsetFilter.
-func hasProperSubset(set []pattern.Pattern, p pattern.Pattern) bool {
-	for _, q := range set {
-		if q.ProperSubsetOf(p) {
-			return true
-		}
-	}
-	return false
 }

@@ -96,6 +96,7 @@ func TestErrorEnvelopeAllHandlers(t *testing.T) {
 		{"audit-unknown-field", "POST", "/v1/audits", "application/json", `{"bogus":1}`, 400, CodeInvalidJSON},
 		{"audit-missing-dataset", "POST", "/v1/audits", "application/json", auditJSON("ds-missing"), 404, "dataset_not_found"},
 		{"audit-bad-params", "POST", "/v1/audits", "application/json", `{"dataset":"` + info.ID + `","ranker":{"columns":[{"column":"score"}]},"params":{"measure":"bogus"}}`, 400, CodeInvalidRequest},
+		{"audit-decreasing-lower", "POST", "/v1/audits", "application/json", `{"dataset":"` + info.ID + `","ranker":{"columns":[{"column":"score","descending":true}]},"params":{"measure":"global","min_size":5,"kmin":5,"kmax":7,"lower":[3,2,2]}}`, 400, CodeInvalidRequest},
 		{"audit-get-missing", "GET", "/v1/audits/job-999999", "", "", 404, "audit_not_found"},
 		{"audit-cancel-missing", "DELETE", "/v1/audits/job-999999", "", "", 404, "audit_not_found"},
 		{"report-missing", "GET", "/v1/audits/job-999999/report", "", "", 404, "audit_not_found"},

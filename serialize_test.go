@@ -126,6 +126,7 @@ func TestAuditParamsValidate(t *testing.T) {
 		{Measure: rankfair.MeasureExposure, MinSize: 1, KMin: 1, KMax: 2, Alpha: math.Inf(1)},                   // infinite alpha
 		{Measure: rankfair.MeasurePropUpper, MinSize: 1, KMin: 1, KMax: 2, Beta: math.NaN()},                    // NaN beta
 		{Measure: rankfair.MeasurePropUpper, MinSize: 1, KMin: 1, KMax: 2, Beta: math.Inf(1)},                   // infinite beta
+		{Measure: rankfair.MeasureGlobal, MinSize: 1, KMin: 2, KMax: 4, Lower: []int{3, 2, 2}},                  // decreasing L, incremental
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -137,6 +138,8 @@ func TestAuditParamsValidate(t *testing.T) {
 		{Measure: rankfair.MeasureGlobalUpper, MinSize: 1, KMin: 1, KMax: 1, Upper: []int{2}, Baseline: true},
 		{Measure: rankfair.MeasureLowerSpecific, MinSize: 1, KMin: 1, KMax: 1, Lower: []int{1}},
 		{Measure: rankfair.MeasureUpperGeneral, MinSize: 1, KMin: 1, KMax: 1, Upper: []int{1}},
+		{Measure: rankfair.MeasureGlobal, MinSize: 1, KMin: 2, KMax: 4, Lower: []int{3, 2, 2}, Baseline: true},
+		{Measure: rankfair.MeasureLowerSpecific, MinSize: 1, KMin: 2, KMax: 4, Lower: []int{3, 2, 2}},
 	}
 	for _, p := range good {
 		if err := p.Validate(); err != nil {

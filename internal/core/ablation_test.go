@@ -1,7 +1,7 @@
 package core
 
-// Ablation benchmarks for the implementation choices documented in
-// DESIGN.md §4:
+// Ablation benchmarks for two implementation choices of the lattice
+// search (README, "Rank-space lattice search"):
 //
 //  1. match-list partitioning — Algorithm 1 computes children sizes by
 //     splitting the parent's match list instead of rescanning the
@@ -24,7 +24,8 @@ import (
 
 // scanTopDownSearch is Algorithm 1 with per-pattern dataset scans: the
 // straightforward implementation whose cost the match-list partitioning
-// avoids. Results are identical to topDownSearch.
+// avoids. Its Res is the merged traversal's under the most general rule,
+// and its DRes the candidates that rule counts as dominated.
 func scanTopDownSearch(in *Input, minSize, k int, b *bound, stats *Stats) (res, dres []pattern.Pattern) {
 	stats.FullSearches++
 	n := in.Space.NumAttrs()
@@ -61,8 +62,18 @@ func hasProperSubset(set []pattern.Pattern, p pattern.Pattern) bool {
 	return false
 }
 
+// partitionedSearch runs the merged per-k traversal at k with the most
+// general rule of the lower bound b, as the ITERTD baselines do, and
+// returns its groups (Res).
+func partitionedSearch(in *Input, k int, b *bound, stats *Stats, ss *SearchStats) []pattern.Pattern {
+	q := newEngine(in).newBFS()
+	defer q.close()
+	return topDown(&canceler{}, q, b, reportGeneral, k, stats, ss)
+}
+
 // TestScanSearchMatchesPartitionedSearch cross-checks the two Algorithm 1
-// implementations on random inputs.
+// implementations on random inputs, under the global and the proportional
+// lower bound.
 func TestScanSearchMatchesPartitionedSearch(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -86,11 +97,16 @@ func TestScanSearchMatchesPartitionedSearch(t *testing.T) {
 		k := 1 + rng.Intn(nRows)
 		minSize := 1 + rng.Intn(4)
 		l := 1 + rng.Intn(3)
-		b := newBound(in, &Spec{Measure: MeasureGlobal, KMin: k, KMax: k, Lower: []int{l}, MinSize: minSize})
+		spec := &Spec{Measure: MeasureGlobal, KMin: k, KMax: k, Lower: []int{l}, MinSize: minSize}
+		if rng.Intn(2) == 1 {
+			spec.Measure, spec.Lower, spec.Alpha = MeasureProp, nil, 0.3+rng.Float64()
+		}
+		b := newBound(in, spec)
 		var s1, s2 Stats
-		res1, dres1 := topDownSearch(&canceler{}, newEngine(in), minSize, k, &b, &s1, nil)
+		var ss SearchStats
+		res1 := partitionedSearch(in, k, &b, &s1, &ss)
 		res2, dres2 := scanTopDownSearch(in, minSize, k, &b, &s2)
-		return samePatternSet(res1, res2) && samePatternSet(dres1, dres2) &&
+		return samePatternSet(res1, res2) && ss.PrunedDominated == int64(len(dres2)) &&
 			s1.NodesExamined == s2.NodesExamined
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
@@ -167,7 +183,7 @@ func BenchmarkAblationCounting(b *testing.B) {
 	b.Run("partitioned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var s Stats
-			topDownSearch(&canceler{}, newEngine(in), 20, 40, &lb, &s, nil)
+			partitionedSearch(in, 40, &lb, &s, nil)
 		}
 	})
 	b.Run("scan", func(b *testing.B) {

@@ -7,7 +7,10 @@
 // incremental search:
 //
 //   - ITERTD (Section IV-A): the baseline that re-runs the top-down search
-//     of Algorithm 1 for every k, for every measure.
+//     of Algorithm 1 for every k. One traversal serves every measure: a
+//     candidate is a node on the reported side of the measure's bound, and
+//     the row's report semantics (most general or most specific) picks the
+//     output rule that reduces the candidates to the groups (variants.go).
 //   - GLOBALBOUNDS (Algorithm 2, Section IV-B) and PROPBOUNDS (Algorithm
 //     3, Section IV-C): the optimized incremental algorithms for global
 //     (Problem 3.1) and proportional (Problem 3.2) representation, run by
@@ -21,9 +24,8 @@
 // Besides the paper's two lower-bound measures, Spec covers the upper-bound
 // variants of Section III (most-specific substantial patterns exceeding an
 // upper bound), its alternate report semantics, and exposure. The
-// variants without an incremental search run ITERTD over one collecting
-// traversal, each with its own candidate test and output filter
-// (variants.go).
+// variants without an incremental search (prop-upper, lower-specific and
+// upper-general) run only ITERTD.
 //
 // All algorithms treat the ranking as a black box: they consume only a
 // permutation of row indices (best first) and the categorical encoding of
@@ -110,16 +112,35 @@ func (in *Input) Validate() error {
 			return fmt.Errorf("core: attribute %d has cardinality %d", i, c)
 		}
 	}
-	for i, r := range in.Rows {
-		if len(r) != n {
-			return fmt.Errorf("core: row %d has %d attributes, want %d", i, len(r), n)
+	if err := in.checkRows(0); err != nil {
+		return err
+	}
+	if err := in.checkRanking(); err != nil {
+		return err
+	}
+	in.validated = true
+	return nil
+}
+
+// checkRows checks that every row from index from on binds each attribute
+// of the space to a value in its domain.
+func (in *Input) checkRows(from int) error {
+	n := in.Space.NumAttrs()
+	for i := from; i < len(in.Rows); i++ {
+		if len(in.Rows[i]) != n {
+			return fmt.Errorf("core: row %d has %d attributes, want %d", i, len(in.Rows[i]), n)
 		}
-		for j, v := range r {
+		for j, v := range in.Rows[i] {
 			if v < 0 || int(v) >= in.Space.Cards[j] {
 				return fmt.Errorf("core: row %d attribute %d: value %d out of domain [0,%d)", i, j, v, in.Space.Cards[j])
 			}
 		}
 	}
+	return nil
+}
+
+// checkRanking checks that the ranking is a permutation of the row indices.
+func (in *Input) checkRanking() error {
 	if len(in.Ranking) != len(in.Rows) {
 		return fmt.Errorf("core: ranking has %d entries for %d rows", len(in.Ranking), len(in.Rows))
 	}
@@ -130,7 +151,6 @@ func (in *Input) Validate() error {
 		}
 		seen[ri] = true
 	}
-	in.validated = true
 	return nil
 }
 
@@ -167,26 +187,11 @@ func (in *Input) ValidateAppend(parent *Input) error {
 			return fmt.Errorf("core: append row %d does not alias the parent row", i)
 		}
 	}
-	attrs := in.Space.NumAttrs()
-	for i := n; i < len(in.Rows); i++ {
-		if len(in.Rows[i]) != attrs {
-			return fmt.Errorf("core: row %d has %d attributes, want %d", i, len(in.Rows[i]), attrs)
-		}
-		for j, v := range in.Rows[i] {
-			if v < 0 || int(v) >= in.Space.Cards[j] {
-				return fmt.Errorf("core: row %d attribute %d: value %d out of domain [0,%d)", i, j, v, in.Space.Cards[j])
-			}
-		}
+	if err := in.checkRows(n); err != nil {
+		return err
 	}
-	if len(in.Ranking) != len(in.Rows) {
-		return fmt.Errorf("core: ranking has %d entries for %d rows", len(in.Ranking), len(in.Rows))
-	}
-	seen := make([]bool, len(in.Rows))
-	for _, ri := range in.Ranking {
-		if ri < 0 || ri >= len(seen) || seen[ri] {
-			return fmt.Errorf("core: ranking is not a permutation (index %d)", ri)
-		}
-		seen[ri] = true
+	if err := in.checkRanking(); err != nil {
+		return err
 	}
 	if in.Index != nil && in.Index.NumRows() != len(in.Rows) {
 		return fmt.Errorf("core: attached index covers %d rows, input has %d", in.Index.NumRows(), len(in.Rows))

@@ -101,9 +101,8 @@ func expectGroups(t *testing.T, got []pattern.Pattern, want []pattern.Pattern, l
 
 // runningGlobalWant returns the exact most general biased sets for the
 // Example 4.6 parameters (τs=4, k in [4,5], L4=L5=2), derived by hand from
-// Figure 1 (see the enumeration in the test comments of the repository's
-// DESIGN.md §5). The paper's Example 4.6 lists a subset of these
-// ("among others").
+// Figure 1. The paper's Example 4.6 lists a subset of these ("among
+// others").
 func runningGlobalWant(t *testing.T, in *core.Input) (k4, k5 []pattern.Pattern) {
 	k4 = []pattern.Pattern{
 		mustParse(t, in, map[string]int32{"School": 0}),               // {School=GP}

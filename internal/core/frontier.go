@@ -106,6 +106,22 @@ type frontAcc struct {
 	nd   *node
 }
 
+// attrMask folds a pattern's bound-attribute set into a 64-bit mask (bit
+// a mod 64). q ⊆ p requires attrs(q) ⊆ attrs(p); on the folded masks a bit
+// set for q but clear for p proves some attribute bound in q is unbound in
+// every attribute of p's residue class — so qMask &^ pMask != 0 soundly
+// rules the subset out for any attribute count, and the full comparison
+// only runs on mask-compatible pairs.
+func attrMask(p pattern.Pattern) uint64 {
+	var m uint64
+	for a, v := range p {
+		if v != pattern.Unbound {
+			m |= 1 << (uint(a) & 63)
+		}
+	}
+	return m
+}
+
 func newDomFrontier() *domFrontier { return &domFrontier{} }
 
 // add buffers the admission of nd for the next settle().

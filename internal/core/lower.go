@@ -8,52 +8,69 @@ import (
 	"rankfair/internal/pattern"
 )
 
-// boundKind names one of the three lower bounds or the global upper bound.
+// boundKind names one of the three lower bounds or the two upper ones.
 type boundKind uint8
 
 const (
-	boundGlobal   boundKind = iota // L_k (Problem 3.1)
-	boundProp                      // α·s_D(p)·k/|D| (Problem 3.2)
-	boundExposure                  // α·s_D(p)·E(k)/|D| (exposure)
-	boundUpper                     // U_k (Section III)
+	boundGlobal    boundKind = iota // L_k (Problem 3.1)
+	boundProp                       // α·s_D(p)·k/|D| (Problem 3.2)
+	boundExposure                   // α·s_D(p)·E(k)/|D| (exposure)
+	boundUpper                      // U_k (Section III)
+	boundPropUpper                  // β·s_D(p)·k/|D| (Section III)
 )
 
 // bound is what the incremental search and ITERTD test a node against,
 // and the only place the measures differ. A node's score is its top-k
 // count, or its top-k exposure (position weights summed in rank order)
 // when weights is set. A lower bound stops the descent at a biased node
-// (score below the bound); the upper bound stops it at a node whose score
-// does not exceed U_k.
+// (score below the bound); an upper bound stops it at a node whose score
+// does not exceed the bound.
 type bound struct {
-	kind boundKind
-	spec *Spec
-	n    float64 // |D|
-	// weights[r] is the exposure of rank position r and totalExp[k] is
-	// E(k), their prefix sum; both nil unless kind is boundExposure.
-	weights, totalExp []float64
+	kind  boundKind
+	spec  *Spec
+	n     float64 // |D|
+	slack float64 // α, or β for prop-upper
+	// weights[r] is the exposure of rank position r (nil unless kind is
+	// boundExposure). perK[k] is the bound's term at k: L_k or U_k under
+	// the global bounds, E(k), the prefix sum of weights, under exposure,
+	// and nil under the proportional bounds, which grow with k itself.
+	// Reading it keeps stops within the inlining budget.
+	weights, perK []float64
 }
 
-// newBound returns the bound of s's measure (global, prop, exposure or
-// global-upper) over in.
+// newBound returns the bound of s's measure over in. The alternate report
+// semantics test the bound of their threshold: lower-specific L_k and
+// upper-general U_k.
 func newBound(in *Input, s *Spec) bound {
-	b := bound{spec: s, n: float64(len(in.Rows))}
+	b := bound{spec: s, n: float64(len(in.Rows)), slack: s.Alpha}
 	switch s.Measure {
-	case MeasureGlobal:
-		b.kind = boundGlobal
+	case MeasureGlobal, MeasureLowerSpecific:
+		b.kind, b.perK = boundGlobal, byK(s, s.Lower)
+	case MeasureGlobalUpper, MeasureUpperGeneral:
+		b.kind, b.perK = boundUpper, byK(s, s.Upper)
 	case MeasureProp:
 		b.kind = boundProp
-	case MeasureGlobalUpper:
-		b.kind = boundUpper
-	default:
+	case MeasurePropUpper:
+		b.kind, b.slack = boundPropUpper, s.Beta
+	case MeasureExposure:
 		b.kind = boundExposure
 		b.weights = make([]float64, s.KMax)
-		b.totalExp = make([]float64, s.KMax+1)
+		b.perK = make([]float64, s.KMax+1)
 		for i := 0; i < s.KMax; i++ {
 			b.weights[i] = PositionExposure(i + 1)
-			b.totalExp[i+1] = b.totalExp[i] + b.weights[i]
+			b.perK[i+1] = b.perK[i] + b.weights[i]
 		}
 	}
 	return b
+}
+
+// byK returns the per-k bounds xs, indexed k-KMin, as floats indexed by k.
+func byK(s *Spec, xs []int) []float64 {
+	out := make([]float64, s.KMax+1)
+	for i, x := range xs {
+		out[s.KMin+i] = float64(x)
+	}
+	return out
 }
 
 // score returns the score at k of the node whose match set is m.
@@ -77,19 +94,24 @@ func (b *bound) childScore(cs *childStats, v int) float64 {
 	return cs.wsum[v]
 }
 
+// upper reports whether b bounds from above.
+func (b *bound) upper() bool { return b.kind >= boundUpper }
+
 // stops reports whether the bound stops the descent at a node of size sD
 // and score s at k: the node falls below a lower bound, or does not exceed
-// the upper one.
+// an upper one.
 func (b *bound) stops(sD int, s float64, k int) bool {
 	switch b.kind {
 	case boundGlobal:
-		return s < float64(b.spec.lowerAt(k))
+		return s < b.perK[k]
 	case boundProp:
-		return s < b.spec.Alpha*float64(sD)*float64(k)/b.n
+		return s < b.slack*float64(sD)*float64(k)/b.n
 	case boundUpper:
-		return s <= float64(b.spec.upperAt(k))
+		return s <= b.perK[k]
+	case boundPropUpper:
+		return s <= b.slack*float64(sD)*float64(k)/b.n
 	}
-	return s < b.spec.Alpha*float64(sD)*b.totalExp[k]/b.n
+	return s < b.slack*float64(sD)*b.perK[k]/b.n
 }
 
 // ktilde returns k̃ (Section IV-C): the smallest k <= KMax at which a node
@@ -104,12 +126,12 @@ func (b *bound) ktilde(sD int, s float64) int {
 	if b.kind == boundGlobal || b.kind == boundUpper || sD == 0 {
 		return never
 	}
-	target := s * b.n / (b.spec.Alpha * float64(sD))
+	target := s * b.n / (b.slack * float64(sD))
 	var kt int
 	if b.kind == boundProp {
 		kt = int(target) + 1
 	} else {
-		kt = sort.SearchFloat64s(b.totalExp, target)
+		kt = sort.SearchFloat64s(b.perK, target)
 	}
 	kt = max(kt, 1)
 	for kt > 1 && b.stops(sD, s, kt-1) {
@@ -136,9 +158,9 @@ func (b *bound) gain(k int) float64 {
 func (b *bound) rebuild(k int) bool {
 	switch b.kind {
 	case boundGlobal:
-		return b.spec.lowerAt(k) > b.spec.lowerAt(k-1)
+		return b.perK[k] > b.perK[k-1]
 	case boundUpper:
-		return b.spec.upperAt(k) != b.spec.upperAt(k-1)
+		return b.perK[k] != b.perK[k-1]
 	}
 	return false
 }
@@ -371,7 +393,7 @@ func (s *incState) fan(n int, job func(i int, sk *sink)) bool {
 func (s *incState) stop(nd *node, sk *sink) {
 	nd.stopped = true
 	sk.sr.ss.prunedBound()
-	if s.b.kind != boundUpper {
+	if !s.b.upper() {
 		sk.admit(nd)
 	}
 }
@@ -385,7 +407,7 @@ func (s *incState) classify(nd *node, k int, sk *sink) bool {
 		s.stop(nd, sk)
 		return false
 	}
-	if s.b.kind == boundUpper {
+	if s.b.upper() {
 		sk.admit(nd)
 	}
 	s.scheduleInto(nd, sk)
@@ -404,8 +426,8 @@ func (s *incState) classify(nd *node, k int, sk *sink) bool {
 func (s *incState) fullBuild(k int) bool {
 	s.stats.FullSearches++
 	s.roots = s.roots[:0]
-	if s.b.kind == boundUpper {
-		s.out = newSpecificSet(s.in.Space)
+	if s.b.upper() {
+		s.out = newSpecificSet()
 	} else {
 		s.out = newDomFrontier()
 	}
@@ -498,7 +520,7 @@ func (s *incState) step(k int) bool {
 		if nd.stopped {
 			if !s.b.stops(int(nd.sD), nd.score, k) {
 				nd.stopped = false
-				if s.b.kind == boundUpper {
+				if s.b.upper() {
 					ser.admit(nd)
 				} else {
 					s.out.remove(nd)

@@ -72,11 +72,6 @@ func (e *engine) newSearchStats(workers int) *SearchStats {
 	return &SearchStats{Strategy: "index", Workers: workers}
 }
 
-// topCount returns the node's size in the top-k: one binary search.
-func (e *engine) topCount(m matchSet, k int) int {
-	return count.PrefixCount(m.all, k)
-}
-
 // rootUnits returns the search-tree children of the empty pattern — the
 // starting frontier of every full build — aliasing the posting lists (zero
 // scans, zero allocations beyond the unit headers).

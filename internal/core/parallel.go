@@ -8,8 +8,8 @@ import (
 
 // Two independent axes of parallelism coexist in this package:
 //
-//   - Across k: the per-k searches of the ITERTD baselines are independent,
-//     so runPerK fans the k values out over workers.
+//   - Across k: the per-k searches of ITERTD are independent, so runPerK
+//     fans the k values out over workers.
 //   - Inside one search: the incremental searches (the lower-bound engine
 //     and the upper-bound search) are inherently sequential in k (each
 //     step consumes the previous frontier), but the subtrees below the
@@ -53,65 +53,46 @@ func fanOut(workers, n int, run func(i int)) {
 }
 
 // runPerK runs one independent search per k in [s.KMin, s.KMax] on up to
-// s.Workers goroutines, assembling the per-k group sets into a Result. Each
-// worker owns a Stats and a canceler; group slices land in distinct per-k
-// slots and the stats sum is order-independent, so the assembled result is
-// identical to a serial run. When the context is canceled the workers stop
-// mid-traversal and the partial result is discarded.
+// s.Workers fanOut slots, assembling the per-k group sets into a Result.
+// fanOut hands the k values out on demand, so a free slot takes the next
+// k. Each k owns a Stats, a SearchStats and a canceler; group slices land
+// in distinct per-k slots and the stats sum is order-independent, so the
+// assembled result is identical to a serial run. When the context is
+// canceled the searches stop mid-traversal, the k values not yet started
+// are skipped, and the partial result is discarded.
 func runPerK(ctx context.Context, eng *engine, s *Spec, body func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern) (*Result, error) {
 	if err := preflight(ctx); err != nil {
 		return nil, err
 	}
 	kMin, kMax := s.KMin, s.KMax
 	span := kMax - kMin + 1
-	workers := min(s.Workers, span)
 	res := &Result{KMin: kMin, KMax: kMax, Groups: make([][]Pattern, span)}
-	statsPer := make([]Stats, workers)
+	statsPer := make([]Stats, span)
 	var searchPer []SearchStats
-	if res.Search = eng.newSearchStats(workers); res.Search != nil {
-		searchPer = make([]SearchStats, workers)
+	if res.Search = eng.newSearchStats(min(s.Workers, span)); res.Search != nil {
+		searchPer = make([]SearchStats, span)
 	}
-	var next atomic.Int64
-	next.Store(int64(kMin) - 1)
-	work := func(w int) bool {
+	haltedPer := make([]bool, span)
+	fanOut(s.Workers, span, func(i int) {
+		if preflight(ctx) != nil {
+			haltedPer[i] = true
+			return
+		}
 		cn := canceler{ctx: ctx}
 		var ss *SearchStats
 		if searchPer != nil {
-			ss = &searchPer[w]
+			ss = &searchPer[i]
 		}
-		for !cn.halted {
-			k := int(next.Add(1))
-			if k > kMax {
-				break
-			}
-			groups := body(&cn, &statsPer[w], ss, k)
-			if cn.halted {
-				break // partial per-k result: discard
-			}
-			res.Groups[k-kMin] = groups
+		groups := body(&cn, &statsPer[i], ss, kMin+i)
+		haltedPer[i] = cn.halted
+		if !cn.halted { // a halted search's groups are partial: discard
+			res.Groups[i] = groups
 		}
-		return cn.halted
-	}
+	})
 	halted := false
-	if workers <= 1 {
-		halted = work(0)
-	} else {
-		haltedPer := make([]bool, workers)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				haltedPer[w] = work(w)
-			}(w)
-		}
-		wg.Wait()
-		for _, h := range haltedPer {
-			halted = halted || h
-		}
-	}
-	for _, s := range statsPer {
-		res.Stats.add(s)
+	for i := range statsPer {
+		res.Stats.add(statsPer[i])
+		halted = halted || haltedPer[i]
 	}
 	for i := range searchPer {
 		res.Search.merge(&searchPer[i])

@@ -69,9 +69,6 @@ type Spec struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-func (s *Spec) lowerAt(k int) int { return s.Lower[k-s.KMin] }
-func (s *Spec) upperAt(k int) int { return s.Upper[k-s.KMin] }
-
 // threshold names the Spec field that carries a measure's bound.
 type threshold int
 
@@ -94,13 +91,13 @@ var measures = []struct {
 	threshold        threshold
 	search, baseline searchFunc
 }{
-	{MeasureGlobal, thresholdLower, incremental, iterTD},
-	{MeasureProp, thresholdAlpha, incremental, iterTD},
-	{MeasureGlobalUpper, thresholdUpper, incremental, collect(exceedsUpper, mostSpecificByChildLookup)},
-	{MeasurePropUpper, thresholdBeta, collect(exceedsPropUpper, mostSpecific), nil},
-	{MeasureExposure, thresholdAlpha, incremental, iterTD},
-	{MeasureLowerSpecific, thresholdLower, collect(belowLower, mostSpecificByChildLookup), nil},
-	{MeasureUpperGeneral, thresholdUpper, collect(exceedsUpper, mostGeneral), nil},
+	{MeasureGlobal, thresholdLower, incremental, collect(reportGeneral)},
+	{MeasureProp, thresholdAlpha, incremental, collect(reportGeneral)},
+	{MeasureGlobalUpper, thresholdUpper, incremental, collect(reportSpecific)},
+	{MeasurePropUpper, thresholdBeta, collect(reportSpecific), nil},
+	{MeasureExposure, thresholdAlpha, incremental, collect(reportGeneral)},
+	{MeasureLowerSpecific, thresholdLower, collect(reportSpecific), nil},
+	{MeasureUpperGeneral, thresholdUpper, collect(reportGeneral), nil},
 }
 
 // measureIndex returns the dispatch-table row of name, or -1.

@@ -125,15 +125,19 @@ func (b *fuzzBytes) next() int {
 	return int(v)
 }
 
-// fuzzSpec decodes data into a small input and a global, prop, exposure
-// or global-upper Spec over it: the measure, the space (2-4 attributes of
-// cardinality 2-4), 8-47 rows, a ranking (a Fisher-Yates shuffle driven by
-// the bytes), the k range, τs, α in [0.2, 2.2), a non-decreasing L, and a
-// U that wanders up and down (every change of U rebuilds the incremental
-// search).
+// fuzzSpec decodes data into a small input and a Spec of any of the seven
+// measures over it: the measure, the space (2-4 attributes of cardinality
+// 2-4), 8-47 rows, a ranking (a Fisher-Yates shuffle driven by the bytes),
+// the k range, τs, α in [0.2, 2.2), β in [0.5, 4.5) for prop-upper, an L
+// that is non-decreasing for global (GLOBALBOUNDS requires it) and wanders
+// up and down for lower-specific, and a U that wanders up and down (every
+// change of U rebuilds the incremental global-upper search).
 func fuzzSpec(data []byte) (*core.Input, core.Spec) {
 	b := fuzzBytes(data)
-	measure := []string{core.MeasureGlobal, core.MeasureProp, core.MeasureExposure, core.MeasureGlobalUpper}[b.next()%4]
+	measure := []string{
+		core.MeasureGlobal, core.MeasureProp, core.MeasureExposure, core.MeasureGlobalUpper,
+		core.MeasurePropUpper, core.MeasureLowerSpecific, core.MeasureUpperGeneral,
+	}[b.next()%7]
 	nAttrs := 2 + b.next()%3
 	cards := make([]int, nAttrs)
 	names := make([]string, nAttrs)
@@ -166,49 +170,80 @@ func fuzzSpec(data []byte) (*core.Input, core.Spec) {
 		KMax:    kMax,
 		Alpha:   0.2 + float64(b.next())/128,
 	}
-	if measure == core.MeasureGlobal {
+	switch measure {
+	case core.MeasureGlobal:
 		l := b.next() % 3
 		s.Lower = make([]int, kMax-kMin+1)
 		for i := range s.Lower {
 			l += b.next() % 2
 			s.Lower[i] = l
 		}
-	}
-	if measure == core.MeasureGlobalUpper {
-		u := 1 + b.next()%4
-		s.Upper = make([]int, kMax-kMin+1)
-		for i := range s.Upper {
-			u = max(u+b.next()%3-1, 1)
-			s.Upper[i] = u
-		}
+	case core.MeasureLowerSpecific:
+		s.Lower = wander(&b, kMax-kMin+1)
+	case core.MeasureGlobalUpper, core.MeasureUpperGeneral:
+		s.Upper = wander(&b, kMax-kMin+1)
+	case core.MeasurePropUpper:
+		s.Beta = 0.5 + float64(b.next())/64
 	}
 	in := &core.Input{Rows: rows, Space: &pattern.Space{Names: names, Cards: cards}, Ranking: ranking}
 	return in, s
 }
 
+// wander returns n bounds that start in [1,4] and step by -1, 0 or +1,
+// never below 1.
+func wander(b *fuzzBytes, n int) []int {
+	out := make([]int, n)
+	v := 1 + b.next()%4
+	for i := range out {
+		v = max(v+b.next()%3-1, 1)
+		out[i] = v
+	}
+	return out
+}
+
 // FuzzIncrementalMatchesBaseline is the coverage-guided differential of
-// the incremental search, under both output rules: on inputs decoded from
-// the fuzz bytes, its groups at one and three workers must equal the ITERTD
-// baseline's and the brute-force oracle's at every k. The quick-check
-// differentials draw from fixed seeds; this target lets the fuzzer steer
-// towards flips, resumptions and rebuilds they miss.
+// the searches of every measure: on inputs decoded from the fuzz bytes,
+// the groups of the measure's default search at one and three workers
+// must equal the brute-force oracle's at every k, and where the measure
+// has an ITERTD baseline beside its incremental search, the baseline's
+// too. The quick-check differentials draw from fixed seeds; this target
+// lets the fuzzer steer towards flips, resumptions and rebuilds they miss.
 func FuzzIncrementalMatchesBaseline(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2, 30, 1, 0, 1, 1, 0, 2, 1, 0, 1, 1, 0, 1, 0, 0, 1})
 	f.Add([]byte{1, 2, 2, 1, 0, 40, 3, 1, 2, 0, 1, 3, 2, 1, 0, 2, 5, 9, 1, 4, 2, 200})
-	f.Add([]byte("2020+00000020202000000000000000020020190A0000"))
-	// global-upper on 3 attributes of cardinality 2 and 24 rows, k 4-15,
-	// τs 1, with U 3,2,2,2,3,4,4,3,3,3,3,2: it drops and then rises.
-	f.Add([]byte{3, 1, 0, 0, 0, 16,
+	// exposure: the leading '3' selects it (51 mod 7 = 2).
+	f.Add([]byte("3020+00000020202000000000000000020020190A0000"))
+	// 3 attributes of cardinality 2, 24 rows and their ranking, then k 4-15;
+	// seed appends τs, the α byte and the measure's own bytes.
+	lattice := []byte{1, 0, 0, 0, 16,
 		0, 1, 0, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1,
 		0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 0, 1,
 		0, 0, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 0,
 		5, 2, 9, 1, 7, 3, 0, 4, 8, 2, 6, 1, 5, 3, 0, 2, 9, 4, 1, 7, 3, 2, 1,
-		3, 11, 1, 0, 1, 2, 0, 1, 1, 2, 2, 1, 0, 1, 1, 1})
+		3, 11}
+	seed := func(measure byte, tail ...byte) []byte {
+		return append(append([]byte{measure}, lattice...), tail...)
+	}
+	// global-upper, τs 1, with U 3,2,2,2,3,4,4,3,3,3,3,2: it drops and then
+	// rises.
+	f.Add(seed(3, 1, 0, 1, 2, 0, 1, 1, 2, 2, 1, 0, 1, 1, 1))
+	// prop-upper, τs 1, β 1.125.
+	f.Add(seed(4, 1, 0, 40))
+	// lower-specific, τs 2, with L 2,3,4,3,3,2,3,4,5,4,3,3.
+	f.Add(seed(5, 2, 0, 1, 1, 2, 2, 0, 1, 0, 2, 2, 2, 0, 0, 1))
+	// upper-general, τs 1, with U 2,1,1,2,3,3,2,2,3,4,4,3.
+	f.Add(seed(6, 1, 0, 2, 0, 0, 1, 2, 2, 1, 0, 1, 2, 2, 1, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, s := fuzzSpec(data)
-		base, err := core.Search(bg, in, baseline(s))
-		if err != nil {
-			t.Fatalf("%+v baseline: %v", s, err)
+		var base *core.Result
+		switch s.Measure {
+		case core.MeasurePropUpper, core.MeasureLowerSpecific, core.MeasureUpperGeneral:
+			// ITERTD is these measures' only search: the oracle alone.
+		default:
+			var err error
+			if base, err = core.Search(bg, in, baseline(s)); err != nil {
+				t.Fatalf("%+v baseline: %v", s, err)
+			}
 		}
 		for _, w := range []int{1, 3} {
 			res, err := core.Search(bg, in, workers(s, w))
@@ -216,11 +251,13 @@ func FuzzIncrementalMatchesBaseline(f *testing.F) {
 				t.Fatalf("%+v workers=%d: %v", s, w, err)
 			}
 			for k := s.KMin; k <= s.KMax; k++ {
-				if got, want := res.At(k), base.At(k); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
-					t.Fatalf("%+v workers=%d k=%d: incremental %v != ITERTD %v", s, w, k, res.At(k), base.At(k))
+				if base != nil {
+					if got, want := res.At(k), base.At(k); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+						t.Fatalf("%+v workers=%d k=%d: incremental %v != ITERTD %v", s, w, k, got, want)
+					}
 				}
 				if want := specOracle(in, s, k); !sameGroups(res.At(k), want) {
-					t.Fatalf("%+v workers=%d k=%d: incremental %v != oracle %v", s, w, k, res.At(k), want)
+					t.Fatalf("%+v workers=%d k=%d: %v != oracle %v", s, w, k, res.At(k), want)
 				}
 			}
 		}

@@ -6,97 +6,106 @@ import (
 	"rankfair/internal/pattern"
 )
 
-// The paper's body focuses on lower bounds; Section III ("Upper bounds")
-// observes that for bounds from above the informative answers are the
-// *most specific substantial* patterns: if black females exceed the upper
-// bound then so do blacks and females, so the most specific description is
+// ITERTD (Section IV-A) re-runs the top-down search of Algorithm 1 for
+// every k. This file holds that one per-k traversal, the output rules the
+// rows of Search's table pair it with, and specificSet, the output rule
+// the incremental search shares for the global upper bound.
+//
+// The paper's body focuses on lower bounds, whose informative answers are
+// the most general biased patterns. Section III ("Upper bounds") observes
+// that for bounds from above the informative answers are the *most
+// specific substantial* patterns: if black females exceed the upper bound
+// then so do blacks and females, so the most specific description is
 // reported. It also sketches two further report semantics ("our solutions
 // can be adjusted to support such problem definition (and other
 // definitions such as most general for upper bound, and the most specific
-// for lower bound)"). This file holds the ITERTD searches of the four
-// variants (for global-upper, the baseline of its incremental search) and
-// the output rule of that incremental search.
-//
-// Interpretation implemented here: report patterns p with s_D(p) ≥ τs and
-// s_{R_k(D)}(p) above the bound such that no proper superset of p also has
-// size ≥ τs and count above the bound (the most specific members of the
-// substantial-and-exceeding set).
-//
-// The structure of the variants follows from count monotonicity
-// (specializing a pattern never increases its count):
-//
-//   - exceeding a global upper bound is downward closed (every subset of
-//     an exceeding pattern exceeds too), so the search prunes subtrees
-//     whose root no longer exceeds, maximality reduces to having no
-//     exceeding pattern-graph child, and the most *general* exceeding
-//     patterns bind a single attribute;
-//   - exceeding the proportional upper bound β·s_D(p)·k/|D| is not
-//     downward closed, so the search only prunes subtrees that provably
-//     contain no candidate (count ≤ β·τs·k/|D| bounds every descendant's
-//     count below every descendant's bound) and maximality uses a full
-//     superset check;
-//   - falling below a lower bound is upward closed among substantial
-//     patterns, so a below pattern is most *specific* exactly when none of
-//     its pattern-graph children is substantial (a substantial child would
-//     be below too), that is, when none of them is below. Below-ness is not
-//     prunable top-down (an above-bound parent can have below children),
-//     so only the size threshold prunes.
-
-// classifier decides, for a substantial node of size sD and top-k count
-// cnt at k, whether it is a candidate and whether the search descends
-// below it. n is |D|.
-type classifier func(s *Spec, n float64, k, sD, cnt int) (candidate, descend bool)
-
-// exceedsUpper tests against U_k, pruning where the node does not exceed
-// (its children have count <= cnt).
-func exceedsUpper(s *Spec, _ float64, k, _, cnt int) (candidate, descend bool) {
-	c := cnt > s.upperAt(k)
-	return c, c
-}
-
-// exceedsPropUpper tests against β·s_D(p)·k/|D|, pruning where the count is
-// at most β·τs·k/|D|.
-func exceedsPropUpper(s *Spec, n float64, k, sD, cnt int) (candidate, descend bool) {
-	return float64(cnt) > s.Beta*float64(sD)*float64(k)/n, float64(cnt) > s.Beta*float64(s.MinSize)*float64(k)/n
-}
-
-// belowLower tests against L_k and always descends.
-func belowLower(s *Spec, _ float64, k, _, cnt int) (candidate, descend bool) {
-	return cnt < s.lowerAt(k), true
-}
-
-// collect returns the ITERTD search of a variant: for each k, one top-down
-// search collects the candidates test finds and keep reduces them to the
+// for lower bound)"). One traversal serves all of them: a substantial node
+// is a candidate when it lands on the reported side of the measure's bound
+// (below a lower bound, above an upper one), and the row's report
+// semantics picks the output rule that reduces the candidates to the
 // reported groups.
-func collect(test classifier, keep func(space *pattern.Space, cands []Pattern) []Pattern) searchFunc {
+//
+// The descent follows from count monotonicity (specializing a pattern never
+// increases its count):
+//
+//   - under a lower bound the most general candidates dominate everything
+//     below them, so the search stops at a candidate, and subsetFilter,
+//     applied online in FIFO order, tells Res from the dominated DRes;
+//   - falling below a lower bound is upward closed among substantial
+//     patterns (a substantial child of a below pattern is below too), but
+//     an above-bound node can have below children, so for the most
+//     specific below patterns only the size threshold prunes;
+//   - under an upper bound, a node whose score does not exceed the bound
+//     of a τs-sized node has no candidate below it (a substantial
+//     descendant's count is no larger and its bound no smaller), so the
+//     search stops there. Exceeding U_k is downward closed, so the most
+//     general exceeding patterns bind a single attribute and the most
+//     specific ones are specificSet's; exceeding β·s_D(p)·k/|D| is not,
+//     so prop-upper keeps the full superset check of pattern.MostSpecific.
+
+// report is a row's report semantics: the most general or the most
+// specific candidates.
+type report bool
+
+const (
+	reportGeneral  report = false
+	reportSpecific report = true
+)
+
+// perKRule reduces the candidates of one per-k search, admitted in FIFO
+// (level) order, to the groups reported at that k.
+type perKRule interface {
+	// admit takes candidate p and reports whether it joined the set; false
+	// means p is dominated.
+	admit(p Pattern) bool
+	groups() []Pattern
+}
+
+// rule returns r's output rule under bound b.
+func (r report) rule(b *bound) perKRule {
+	switch {
+	case r == reportGeneral && !b.upper():
+		return newSubsetFilter()
+	case r == reportGeneral:
+		return &filtered{keep: pattern.MostGeneral}
+	case b.kind == boundPropUpper:
+		return &filtered{keep: pattern.MostSpecific}
+	}
+	return newSpecificSet()
+}
+
+// collect returns the ITERTD search reporting r's groups of the measure's
+// candidates: one top-down search per k, spread over s.Workers goroutines.
+// Unlike GLOBALBOUNDS it accepts arbitrary (including non-monotone)
+// global bound sequences.
+func collect(r report) searchFunc {
 	return func(ctx context.Context, in *Input, s *Spec) (*Result, error) {
 		eng := newEngine(in)
-		n := float64(len(in.Rows))
+		b := newBound(in, s)
 		return runPerK(ctx, eng, s, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
-			// The traversal returns to its pool only after keep: keep
-			// allocates enough to trigger collections, which would empty
-			// the pool and make the next k regrow its queue and ring.
+			// The traversal returns to its pool only after the rule's
+			// groups: the filters allocate enough to trigger collections,
+			// which would empty the pool and make the next k regrow its
+			// queue and ring.
 			q := eng.newBFS()
 			defer q.close()
-			groups := keep(in.Space, collectExceeding(cn, q, s, n, k, test, st, ss))
+			groups := topDown(cn, q, &b, r, k, st, ss)
 			sortPatterns(groups)
 			return groups
 		})
 	}
 }
 
-func mostSpecific(_ *pattern.Space, cands []Pattern) []Pattern { return pattern.MostSpecific(cands) }
-func mostGeneral(_ *pattern.Space, cands []Pattern) []Pattern  { return pattern.MostGeneral(cands) }
-
-// collectExceeding runs the top-down search of the fresh traversal q,
-// pruning on the size threshold and on test's descend decision, and
-// returns every pattern test classifies as a candidate. The search polls
-// cn once per node and returns early when the caller's context is
+// topDown is Algorithm 1 at k over the fresh traversal q: it prunes on the
+// size threshold, hands every candidate to r's output rule, descends
+// wherever r's groups can still lie below, and returns the rule's groups.
+// It polls cn once per node and returns nil when the caller's context was
 // canceled. Frontier match sets live in the traversal's ring arena (see
 // bfs.go); only candidates and descents materialize a Pattern.
-func collectExceeding(cn *canceler, q *bfs, s *Spec, n float64, k int, test classifier, stats *Stats, ss *SearchStats) []Pattern {
+func topDown(cn *canceler, q *bfs, b *bound, r report, k int, stats *Stats, ss *SearchStats) []Pattern {
 	stats.FullSearches++
-	var cands []Pattern
+	rule := r.rule(b)
+	minSize := b.spec.MinSize
 	for q.more() {
 		if cn.stopped() {
 			return nil
@@ -104,18 +113,26 @@ func collectExceeding(cn *canceler, q *bfs, s *Spec, n float64, k int, test clas
 		u := q.pop()
 		stats.NodesExamined++
 		sD := len(u.m.all)
-		if sD < s.MinSize {
+		if sD < minSize {
 			ss.prunedSize()
 			continue
 		}
-		candidate, descend := test(s, n, k, sD, q.eng.topCount(u.m, k))
-		var p pattern.Pattern
+		score := b.score(u.m, k)
+		candidate := b.stops(sD, score, k) != b.upper()
+		descend := !candidate || r == reportSpecific
+		if b.upper() {
+			descend = !b.stops(minSize, score, k)
+		}
+		var p Pattern
 		if candidate || descend {
 			p = q.pat(&u)
 		}
 		if candidate {
-			ss.frontier(p)
-			cands = append(cands, p)
+			if rule.admit(p) {
+				ss.frontier(p)
+			} else {
+				ss.addDominated(1)
+			}
 		}
 		if descend {
 			ss.expanded()
@@ -124,76 +141,92 @@ func collectExceeding(cn *canceler, q *bfs, s *Spec, n float64, k int, test clas
 			ss.prunedBound()
 		}
 	}
-	return cands
+	return rule.groups()
 }
 
-// mostSpecificByChildLookup filters a downward-closed candidate set to its
-// maximal members: candidates none of whose pattern-graph children is a
-// candidate.
-func mostSpecificByChildLookup(space *pattern.Space, cands []Pattern) []Pattern {
-	in := make(map[string]bool, len(cands))
-	for _, p := range cands {
-		in[p.Key()] = true
-	}
-	var out []Pattern
-	for _, p := range cands {
-		if !hasCandidateChild(space, p, func(c Pattern) bool { return in[c.Key()] }) {
-			out = append(out, p)
+// subsetFilter is the most general candidates of a lower bound, admitted
+// in FIFO order so every more general candidate precedes p: p joins Res
+// unless a member is a proper subset of it. An attribute-bitmask prefilter
+// compares one uint64 per member and only falls through to ProperSubsetOf
+// when the attribute sets can nest.
+type subsetFilter struct {
+	res   []Pattern
+	masks []uint64
+}
+
+// newSubsetFilter returns a filter presized for a typical biased frontier,
+// so the searches of a staircase sweep admit their first patterns without
+// append-growth reallocations.
+func newSubsetFilter() *subsetFilter {
+	const hint = 64
+	return &subsetFilter{res: make([]Pattern, 0, hint), masks: make([]uint64, 0, hint)}
+}
+
+func (f *subsetFilter) admit(p Pattern) bool {
+	pm := attrMask(p)
+	for i, qm := range f.masks {
+		if qm&^pm == 0 && f.res[i].ProperSubsetOf(p) {
+			return false
 		}
+	}
+	f.res = append(f.res, p)
+	f.masks = append(f.masks, pm)
+	return true
+}
+
+func (f *subsetFilter) groups() []Pattern { return f.res }
+
+// filtered collects every candidate and reduces them with keep at the end.
+type filtered struct {
+	cands []Pattern
+	keep  func([]Pattern) []Pattern
+}
+
+func (f *filtered) admit(p Pattern) bool { f.cands = append(f.cands, p); return true }
+
+func (f *filtered) groups() []Pattern { return f.keep(f.cands) }
+
+// specificSet is the most specific members of a candidate set that holds
+// every substantial pattern-graph parent of a candidate: each admitted
+// candidate marks its graph parents, and a candidate is most specific iff
+// it is unmarked. Marks only accumulate, so the set does not depend on the
+// admission order. It serves the global-upper and lower-specific ITERTD
+// rows and, as the output rule of the incremental global upper-bound
+// search, one segment of constant U_k (counts only grow within it, so
+// candidates only join; a rebuild starts a new set).
+type specificSet struct {
+	marked  map[string]bool
+	maximal map[string]Pattern
+}
+
+func newSpecificSet() *specificSet {
+	return &specificSet{marked: make(map[string]bool), maximal: make(map[string]Pattern)}
+}
+
+func (s *specificSet) admit(p Pattern) bool {
+	for _, parent := range p.GraphParents() {
+		key := parent.Key()
+		s.marked[key] = true
+		delete(s.maximal, key)
+	}
+	if key := p.Key(); !s.marked[key] {
+		s.maximal[key] = p
+	}
+	return true
+}
+
+func (s *specificSet) groups() []Pattern {
+	out := make([]Pattern, 0, len(s.maximal))
+	for _, p := range s.maximal {
+		out = append(out, p)
 	}
 	return out
 }
 
-// hasCandidateChild reports whether isCand holds for any pattern-graph
-// child of p (one extra attribute-value pair, any attribute).
-func hasCandidateChild(space *pattern.Space, p Pattern, isCand func(Pattern) bool) bool {
-	for a := 0; a < space.NumAttrs(); a++ {
-		if p[a] != pattern.Unbound {
-			continue
-		}
-		for v := 0; v < space.Cards[a]; v++ {
-			if isCand(p.With(a, int32(v))) {
-				return true
-			}
-		}
-	}
-	return false
-}
+func (s *specificSet) add(nd *node) { s.admit(nd.p) }
 
-// specificSet is the output rule of the incremental global upper-bound
-// search: the candidates (explored nodes whose count exceeds U_k) and
-// their most specific members. Candidates only join within a segment of
-// constant U_k, and a rebuild starts a new set. An admitted candidate is
-// maximal unless one of its pattern-graph children is already a
-// candidate, and it stops its candidate pattern-graph parents being
-// maximal, so the maximal set does not depend on the admission order.
-type specificSet struct {
-	space      *pattern.Space
-	candidates map[string]*node
-	maximal    map[*node]struct{}
-}
-
-func newSpecificSet(space *pattern.Space) *specificSet {
-	return &specificSet{space: space, candidates: make(map[string]*node), maximal: make(map[*node]struct{})}
-}
-
-func (s *specificSet) add(nd *node) {
-	s.candidates[nd.p.Key()] = nd
-	if !hasCandidateChild(s.space, nd.p, func(c Pattern) bool { return s.candidates[c.Key()] != nil }) {
-		s.maximal[nd] = struct{}{}
-	}
-	for _, parent := range nd.p.GraphParents() {
-		if parent.NumAttrs() == 0 {
-			continue
-		}
-		if pn, ok := s.candidates[parent.Key()]; ok {
-			delete(s.maximal, pn)
-		}
-	}
-}
-
-// remove is never called: counts only grow within a segment, so a
-// candidate never stops exceeding U_k.
+// remove is never called: a candidate never stops exceeding U_k within a
+// segment.
 func (s *specificSet) remove(*node) {
 	panic("core: an upper-bound candidate left the candidate set")
 }
@@ -203,10 +236,7 @@ func (s *specificSet) settle(context.Context, int) bool { return false }
 func (s *specificSet) ndom() int { return 0 }
 
 func (s *specificSet) emit() []Pattern {
-	out := make([]Pattern, 0, len(s.maximal))
-	for nd := range s.maximal {
-		out = append(out, nd.p)
-	}
+	out := s.groups()
 	sortPatterns(out)
 	return out
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // ExtensionSweep benchmarks the extension algorithms beyond the paper's
-// body (DESIGN.md §7): the incremental exposure detector and the
+// body: the incremental exposure detector and the
 // incremental upper-bound detector, each against its per-k baseline, as a
 // function of the k range — the dimension where incremental search pays off
 // most (Figures 8-9's shape).

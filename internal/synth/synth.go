@@ -1,11 +1,10 @@
 // Package synth generates the datasets of the paper's experimental study.
 //
 // The paper evaluates on three real datasets (COMPAS, Student Performance,
-// German Credit) that are not redistributable here; per the reproduction
-// plan (DESIGN.md §3) this package generates synthetic datasets with the
-// same schema, cardinalities, row counts and correlation structure, so the
-// detection algorithms see search spaces and top-k compositions of the same
-// shape. It also provides the paper's running example (Figure 1) and the
+// German Credit) that are not redistributable here, so this package
+// generates synthetic datasets with the same schema, cardinalities, row
+// counts and correlation structure, so the detection algorithms see search
+// spaces and top-k compositions of the same shape. It also provides the paper's running example (Figure 1) and the
 // worst-case construction of Theorem 3.3 (Figure 2) verbatim.
 package synth
 

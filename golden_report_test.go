@@ -89,7 +89,7 @@ var goldenDigests = map[string]string{
 	"running/global-upper-baseline": "f310793595d6e8f4897072f0385d857f6abee9ef879a1583ae20980747b98ec2",
 	"running/prop-upper-1.25":       "ea1b858d70210699d0a504186246cdad886a08cac85ea8e5a77d316012a2e012",
 	"running/lower-specific":        "b46ca6d4e2489524593d3bf19bd6d72b3e0aa797d9a773bf428c0bddc393f4ba",
-	"running/upper-general":         "9ba82b3efb8006c57e1c0918391f7079ac6505033ebd0aefd16554d3e2681ffd",
+	"running/upper-general":         "6606254d3431cdbb24d80de83d59a8447ecd01fa224ec29f2933222ed8dcd4e5",
 	"student/global":                "d2c84c41db9e595a92b2833064809d05f0191fb027e78a9af02a2ea648716e37",
 	"student/global-baseline":       "6b38ebea2c60a9c6b707a37d5bafbea714658a5dcac8bcc51624f8cf98a858b1",
 	"student/prop-0.8":              "c945bf21aad910b2a12bf978b9ad50c3322e57f21f080d384f48ca3e7a65957a",
@@ -102,7 +102,7 @@ var goldenDigests = map[string]string{
 	"student/global-upper-baseline": "2926f7cc13a114e6d264bbee09ad9cc773bc70fbd2841eb4be5133748490e30d",
 	"student/prop-upper-1.25":       "5ce192183f58b755d0b43d18c888570deb3e049f5d1e91ebfa797d1ca4958d54",
 	"student/lower-specific":        "e224992d4d8d33f0187786d7980a04b97a0f6240571bf460b4d33778888d3f2d",
-	"student/upper-general":         "cf6013dcd3cb8cc5cf1b16fce5437056b0fe1e5ba986043cbf50f54f76c13bd3",
+	"student/upper-general":         "b6496bf30b376e5279943cff0cc5ae0c0321b972fbd98f58f46fd092ad4e4d2c",
 	"german/global":                 "61636a57f36bc90caff53fb36eb4bd35540a5be3610dc2c3a18d67dab883ae24",
 	"german/global-baseline":        "87736cf5472b5beaa2ae80e357c3193c21978bb82de7a08018dabe8238097c24",
 	"german/prop-0.8":               "ebfa11b3f9c2209b9c0882cb1c926e69bcb75264550b069fb15333038c817602",
@@ -115,7 +115,7 @@ var goldenDigests = map[string]string{
 	"german/global-upper-baseline":  "094e1ab2867ee4fb196f13761d6c8eb5f8a9c72aff14047acac95aa2d7940e59",
 	"german/prop-upper-1.25":        "ddb4cad23142605e716cb1cfb9a2d67c138b3b68213b16856621407960c2d1eb",
 	"german/lower-specific":         "18b8c32995803f96f0f25611f4de150ccac958a9562e404b2bf342c80c61825b",
-	"german/upper-general":          "c5f6f1db8ef958edd5238628b042c1400778a15207be890f8ba3a4bdf6c2ceb1",
+	"german/upper-general":          "932a3a4ffb963bcbd16f3eecef315ebe67b91332e532b874fa7f5cdfaa1334e9",
 	"student-all/prop-0.8":          "794077fa990f9a00d3bcec8d622eb781e9d8c361ab58ed99aa088927234f4b6d",
 	"student-all/exposure":          "9bc1691e5c7492d7983f069b7411cd38c1332ddc2bcd49ffa4779441fb929a74",
 }

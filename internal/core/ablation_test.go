@@ -66,9 +66,7 @@ func hasProperSubset(set []pattern.Pattern, p pattern.Pattern) bool {
 // general rule of the lower bound b, as the ITERTD baselines do, and
 // returns its groups (Res).
 func partitionedSearch(in *Input, k int, b *bound, stats *Stats, ss *SearchStats) []pattern.Pattern {
-	q := newEngine(in).newBFS()
-	defer q.close()
-	return topDown(&canceler{}, q, b, reportGeneral, k, stats, ss)
+	return topDown(&canceler{}, newEngine(in), b, reportGeneral, k, stats, ss)
 }
 
 // TestScanSearchMatchesPartitionedSearch cross-checks the two Algorithm 1

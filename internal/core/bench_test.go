@@ -32,7 +32,9 @@ import (
 // nodes dominates. The global-upper series runs the incremental upper-bound
 // search on the same COMPAS input (τs 50, k 10–49, constant U 5), where
 // groups keep crossing the bound as k grows and resume the search below
-// them. Both conditions return byte-identical results
+// them. The prop-upper series runs one ITERTD row, the per-k walk with
+// the most-specific rule, on the index-warm students at τs 50 over k
+// 10–14. Both conditions return byte-identical results
 // (TestQuickMatchArmsAgree), so only wall clock and allocations differ.
 func BenchmarkIndexedSearch(b *testing.B) {
 	ctx := context.Background()
@@ -123,6 +125,16 @@ func BenchmarkIndexedSearch(b *testing.B) {
 	b.Run("exposure-compas/index-warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.Search(ctx, compas, exposure); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	propUpper := core.Spec{Measure: core.MeasurePropUpper, MinSize: 50, KMin: 10, KMax: 14, Beta: 1.25}
+	st := *students
+	st.Index = studentsIx
+	b.Run("prop-upper/index-warm", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Search(ctx, &st, propUpper); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -32,9 +32,8 @@ type matchSet struct {
 	all []int32
 }
 
-// unit pairs a search-tree pattern with its match set: a frontier element
-// of the breadth-first baselines and an independent root work item of the
-// incremental searches' builds.
+// unit pairs a search-tree root with its match set: an independent work
+// item of the incremental searches' builds.
 type unit struct {
 	p pattern.Pattern
 	m matchSet
@@ -211,12 +210,14 @@ func (sr searcher) materialize(p pattern.Pattern) matchSet {
 	return matchSet{all: sr.ix.MatchRanksInto(sr.scr.ints.alloc(n)[:0:n], p)}
 }
 
-// scratch is the per-worker allocation pool: scatter cursors and the
-// partition arenas.
+// scratch is the per-worker allocation pool: scatter cursors, the
+// partition arenas, and the per-k walk's candidate slab and headers.
 type scratch struct {
 	cur    []int32
 	ints   arena[int32]
 	floats arena[float64]
+	slab   []int32
+	cands  []pattern.Pattern
 }
 
 // cursors returns an uninitialized cursor buffer of the given width.

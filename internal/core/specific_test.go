@@ -1,8 +1,8 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -33,10 +33,13 @@ func downwardClosure(ps []Pattern) []Pattern {
 	return out
 }
 
-// TestSpecificSetOrderIndependent admits random downward-closed candidate
-// sets in level order, in reverse level order (every child before its
-// graph parents) and shuffled: the maximal set is the same each time and
-// equals pattern.MostSpecific's.
+// TestSpecificSetOrderIndependent admits random candidate sets in level
+// order, in reverse level order (every child before its graph parents)
+// and shuffled: the maximal set is the same each time and equals
+// pattern.MostSpecific's. Each trial draws a downward-closed set, the
+// shape of the global upper bound's candidates, and a random subset of
+// it, which need not hold a candidate's graph parents (the proportional
+// upper bound's candidates, whose bound shrinks with s_D).
 func TestSpecificSetOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -54,24 +57,37 @@ func TestSpecificSetOrderIndependent(t *testing.T) {
 			}
 			seeds[i] = p
 		}
-		cands := downwardClosure(seeds)
-		want := pattern.MostSpecific(cands)
-		sortPatterns(want)
+		closed := downwardClosure(seeds)
+		var sparse []Pattern
+		for _, p := range closed {
+			if rng.Intn(2) == 0 {
+				sparse = append(sparse, p)
+			}
+		}
+		checkSpecificSet(t, rng, closed, fmt.Sprintf("trial %d, closed", trial))
+		checkSpecificSet(t, rng, sparse, fmt.Sprintf("trial %d, sparse", trial))
+	}
+}
 
-		reversed := slices.Clone(cands)
-		slices.Reverse(reversed)
-		shuffled := slices.Clone(cands)
-		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		for name, order := range map[string][]Pattern{"level": cands, "reverse": reversed, "shuffled": shuffled} {
-			s := newSpecificSet()
-			for _, p := range order {
-				s.admit(p)
-			}
-			got := s.groups()
-			sortPatterns(got)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d, %s order of %v: maximal %v, MostSpecific %v", trial, name, cands, got, want)
-			}
+// checkSpecificSet admits cands, given in level order, in three orders and
+// compares each maximal set with pattern.MostSpecific's.
+func checkSpecificSet(t *testing.T, rng *rand.Rand, cands []Pattern, label string) {
+	t.Helper()
+	want := pattern.MostSpecific(cands)
+	sortPatterns(want)
+	reversed := slices.Clone(cands)
+	slices.Reverse(reversed)
+	shuffled := slices.Clone(cands)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for name, order := range map[string][]Pattern{"level": cands, "reverse": reversed, "shuffled": shuffled} {
+		s := newSpecificSet()
+		for _, p := range order {
+			s.admit(p)
+		}
+		got := s.groups()
+		sortPatterns(got)
+		if !slices.EqualFunc(got, want, Pattern.Equal) {
+			t.Fatalf("%s, %s order of %v: maximal %v, MostSpecific %v", label, name, cands, got, want)
 		}
 	}
 }

@@ -2,14 +2,16 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"rankfair/internal/pattern"
 )
 
 // ITERTD (Section IV-A) re-runs the top-down search of Algorithm 1 for
-// every k. This file holds that one per-k traversal, the output rules the
-// rows of Search's table pair it with, and specificSet, the output rule
-// the incremental search shares for the global upper bound.
+// every k. This file holds that one per-k traversal and the two output
+// rules that reduce its candidates to the reported groups; one of them,
+// specificSet, is also the incremental search's rule for the global upper
+// bound.
 //
 // The paper's body focuses on lower bounds, whose informative answers are
 // the most general biased patterns. Section III ("Upper bounds") observes
@@ -22,15 +24,27 @@ import (
 // for lower bound)"). One traversal serves all of them: a substantial node
 // is a candidate when it lands on the reported side of the measure's bound
 // (below a lower bound, above an upper one), and the row's report
-// semantics picks the output rule that reduces the candidates to the
-// reported groups.
+// semantics picks the output rule:
+//
+//   - the most general candidates: subsetFilter over the candidates sorted
+//     by generality level, so every proper subset of a candidate precedes
+//     it;
+//   - the most specific candidates: specificSet, which marks every proper
+//     subset of each candidate.
+//
+// Both rules are pure functions of the candidate set, so the traversal is
+// free to visit the lattice depth-first. It walks the search tree of
+// Definition 4.1 on the engine's child split (childStats): the roots alias
+// the posting lists, a node's children are tallied per attribute and
+// scattered only when the walk descends into one of them, and the arena
+// is marked and released per attribute, so the walk's scratch is one
+// root-to-leaf path deep.
 //
 // The descent follows from count monotonicity (specializing a pattern never
 // increases its count):
 //
-//   - under a lower bound the most general candidates dominate everything
-//     below them, so the search stops at a candidate, and subsetFilter,
-//     applied online in FIFO order, tells Res from the dominated DRes;
+//   - a most general candidate dominates everything below it, so under
+//     that rule the walk stops at a candidate;
 //   - falling below a lower bound is upward closed among substantial
 //     patterns (a substantial child of a below pattern is below too), but
 //     an above-bound node can have below children, so for the most
@@ -38,10 +52,10 @@ import (
 //   - under an upper bound, a node whose score does not exceed the bound
 //     of a τs-sized node has no candidate below it (a substantial
 //     descendant's count is no larger and its bound no smaller), so the
-//     search stops there. Exceeding U_k is downward closed, so the most
-//     general exceeding patterns bind a single attribute and the most
-//     specific ones are specificSet's; exceeding β·s_D(p)·k/|D| is not,
-//     so prop-upper keeps the full superset check of pattern.MostSpecific.
+//     walk stops there too. Exceeding U_k is downward closed, so the most
+//     general exceeding patterns bind a single attribute and the walk
+//     examines only the roots; exceeding β·s_D(p)·k/|D| is not, which
+//     specificSet's marking of every proper subset covers.
 
 // report is a row's report semantics: the most general or the most
 // specific candidates.
@@ -52,26 +66,13 @@ const (
 	reportSpecific report = true
 )
 
-// perKRule reduces the candidates of one per-k search, admitted in FIFO
-// (level) order, to the groups reported at that k.
+// perKRule reduces the candidates of one per-k search to the groups
+// reported at that k.
 type perKRule interface {
 	// admit takes candidate p and reports whether it joined the set; false
 	// means p is dominated.
 	admit(p Pattern) bool
 	groups() []Pattern
-}
-
-// rule returns r's output rule under bound b.
-func (r report) rule(b *bound) perKRule {
-	switch {
-	case r == reportGeneral && !b.upper():
-		return newSubsetFilter()
-	case r == reportGeneral:
-		return &filtered{keep: pattern.MostGeneral}
-	case b.kind == boundPropUpper:
-		return &filtered{keep: pattern.MostSpecific}
-	}
-	return newSpecificSet()
 }
 
 // collect returns the ITERTD search reporting r's groups of the measure's
@@ -83,72 +84,159 @@ func collect(r report) searchFunc {
 		eng := newEngine(in)
 		b := newBound(in, s)
 		return runPerK(ctx, eng, s, func(cn *canceler, st *Stats, ss *SearchStats, k int) []Pattern {
-			// The traversal returns to its pool only after the rule's
-			// groups: the filters allocate enough to trigger collections,
-			// which would empty the pool and make the next k regrow its
-			// queue and ring.
-			q := eng.newBFS()
-			defer q.close()
-			groups := topDown(cn, q, &b, r, k, st, ss)
+			groups := topDown(cn, eng, &b, r, k, st, ss)
 			sortPatterns(groups)
 			return groups
 		})
 	}
 }
 
-// topDown is Algorithm 1 at k over the fresh traversal q: it prunes on the
-// size threshold, hands every candidate to r's output rule, descends
-// wherever r's groups can still lie below, and returns the rule's groups.
+// walk is one per-k traversal's state. It counts the paper's counters
+// into ss; its searcher counts nothing, so the engine-shortcut counters
+// of an ITERTD run stay 0.
+type walk struct {
+	sr    searcher
+	cn    *canceler
+	b     *bound
+	r     report
+	k     int
+	stats *Stats
+	ss    *SearchStats
+	// p is the pattern of the node under examination, bound and unbound
+	// in place; slab holds the candidates' patterns back to back.
+	p    Pattern
+	slab []int32
+}
+
+// topDown is Algorithm 1 at k: it walks the lattice depth-first, prunes
+// on the size threshold, collects every candidate, descends wherever r's
+// groups can still lie below, and returns r's groups of the candidates.
 // It polls cn once per node and returns nil when the caller's context was
-// canceled. Frontier match sets live in the traversal's ring arena (see
-// bfs.go); only candidates and descents materialize a Pattern.
-func topDown(cn *canceler, q *bfs, b *bound, r report, k int, stats *Stats, ss *SearchStats) []Pattern {
+// canceled.
+func topDown(cn *canceler, eng *engine, b *bound, r report, k int, stats *Stats, ss *SearchStats) []Pattern {
 	stats.FullSearches++
-	rule := r.rule(b)
-	minSize := b.spec.MinSize
-	for q.more() {
-		if cn.stopped() {
-			return nil
-		}
-		u := q.pop()
-		stats.NodesExamined++
-		sD := len(u.m.all)
-		if sD < minSize {
-			ss.prunedSize()
-			continue
-		}
-		score := b.score(u.m, k)
-		candidate := b.stops(sD, score, k) != b.upper()
-		descend := !candidate || r == reportSpecific
-		if b.upper() {
-			descend = !b.stops(minSize, score, k)
-		}
-		var p Pattern
-		if candidate || descend {
-			p = q.pat(&u)
-		}
-		if candidate {
-			if rule.admit(p) {
-				ss.frontier(p)
-			} else {
-				ss.addDominated(1)
+	sr := eng.acquire()
+	defer sr.close()
+	w := walk{sr: sr, cn: cn, b: b, r: r, k: k, stats: stats, ss: ss,
+		p: pattern.Empty(eng.in.Space.NumAttrs()), slab: sr.scr.slab[:0]}
+	for a, card := range eng.in.Space.Cards {
+		for v := 0; v < card; v++ {
+			if cn.stopped() {
+				return nil
 			}
+			m := matchSet{all: eng.ix.Postings(a, int32(v))}
+			w.p[a] = int32(v)
+			if w.visit(len(m.all), b.score(m, k)) {
+				w.children(m, a+1)
+			}
+			w.p[a] = pattern.Unbound
 		}
-		if descend {
-			ss.expanded()
-			q.expand(&u, p)
+	}
+	if cn.halted {
+		return nil
+	}
+	groups := detach(r.groups(w.candidates(), ss))
+	sr.scr.slab = w.slab
+	return groups
+}
+
+// children visits the search-tree children of the node at w.p, whose
+// match set is m; they bind an attribute from `from` on.
+func (w *walk) children(m matchSet, from int) {
+	cards := w.sr.in.Space.Cards
+	for a := from; a < len(cards); a++ {
+		mk := w.sr.mark()
+		cs := w.sr.childStats(m, a, cards[a], w.k, w.b.weights)
+		for v := 0; v < cards[a]; v++ {
+			if w.cn.stopped() {
+				return
+			}
+			w.p[a] = int32(v)
+			if w.visit(cs.size(v), w.b.childScore(&cs, v)) {
+				w.children(cs.at(v), a+1)
+			}
+			w.p[a] = pattern.Unbound
+		}
+		w.sr.release(mk)
+	}
+}
+
+// visit examines the node at w.p, of size sD and score score: it records
+// a candidate and reports whether the walk descends below the node.
+func (w *walk) visit(sD int, score float64) bool {
+	w.stats.NodesExamined++
+	minSize := w.b.spec.MinSize
+	if sD < minSize {
+		w.ss.prunedSize()
+		return false
+	}
+	candidate := w.b.stops(sD, score, w.k) != w.b.upper()
+	if candidate {
+		w.slab = append(w.slab, w.p...)
+	}
+	descend := !candidate || w.r == reportSpecific
+	if w.b.upper() {
+		descend = descend && !w.b.stops(minSize, score, w.k)
+	}
+	if descend {
+		w.ss.expanded()
+	} else {
+		w.ss.prunedBound()
+	}
+	return descend
+}
+
+// candidates cuts the slab into the candidates' patterns.
+func (w *walk) candidates() []Pattern {
+	n := len(w.p)
+	out := w.sr.scr.cands[:0]
+	for i := 0; i < len(w.slab); i += n {
+		out = append(out, Pattern(w.slab[i:i+n:i+n]))
+	}
+	w.sr.scr.cands = out
+	return out
+}
+
+// detach copies groups into a slab of their own, so the reported groups
+// leave the walk's slab free for the next k.
+func detach(groups []Pattern) []Pattern {
+	if len(groups) == 0 {
+		return groups
+	}
+	n := len(groups[0])
+	slab := make([]int32, len(groups)*n)
+	for i, p := range groups {
+		groups[i] = Pattern(slab[i*n : (i+1)*n : (i+1)*n])
+		copy(groups[i], p)
+	}
+	return groups
+}
+
+// groups reduces one per-k search's candidates to r's groups, counting
+// each admission at its level and each dominated candidate.
+func (r report) groups(cands []Pattern, ss *SearchStats) []Pattern {
+	var rule perKRule
+	if r == reportGeneral {
+		slices.SortStableFunc(cands, func(p, q Pattern) int { return p.NumAttrs() - q.NumAttrs() })
+		rule = newSubsetFilter()
+	} else {
+		rule = newSpecificSet()
+	}
+	for _, p := range cands {
+		if rule.admit(p) {
+			ss.frontier(p)
 		} else {
-			ss.prunedBound()
+			ss.addDominated(1)
 		}
 	}
 	return rule.groups()
 }
 
-// subsetFilter is the most general candidates of a lower bound, admitted
-// in FIFO order so every more general candidate precedes p: p joins Res
-// unless a member is a proper subset of it. An attribute-bitmask prefilter
-// compares one uint64 per member and only falls through to ProperSubsetOf
-// when the attribute sets can nest.
+// subsetFilter is the most general candidates, admitted in generality
+// order so every more general candidate precedes p: p joins Res unless a
+// member is a proper subset of it. An attribute-bitmask prefilter compares
+// one uint64 per member and only falls through to ProperSubsetOf when the
+// attribute sets can nest.
 type subsetFilter struct {
 	res   []Pattern
 	masks []uint64
@@ -176,27 +264,24 @@ func (f *subsetFilter) admit(p Pattern) bool {
 
 func (f *subsetFilter) groups() []Pattern { return f.res }
 
-// filtered collects every candidate and reduces them with keep at the end.
-type filtered struct {
-	cands []Pattern
-	keep  func([]Pattern) []Pattern
-}
-
-func (f *filtered) admit(p Pattern) bool { f.cands = append(f.cands, p); return true }
-
-func (f *filtered) groups() []Pattern { return f.keep(f.cands) }
-
-// specificSet is the most specific members of a candidate set that holds
-// every substantial pattern-graph parent of a candidate: each admitted
-// candidate marks its graph parents, and a candidate is most specific iff
-// it is unmarked. Marks only accumulate, so the set does not depend on the
-// admission order. It serves the global-upper and lower-specific ITERTD
-// rows and, as the output rule of the incremental global upper-bound
-// search, one segment of constant U_k (counts only grow within it, so
-// candidates only join; a rebuild starts a new set).
+// specificSet is the most specific members of a candidate set: every
+// admitted candidate marks its proper subsets, and a candidate is most
+// specific iff it is unmarked. Admitting p marks p's graph parents, and
+// the parents of each parent that was neither marked nor admitted, and so
+// on up; the subsets of a marked or admitted key are marked already, so
+// the marking stops there. Marks only accumulate, so the set is the same
+// for every admission order, and it needs no candidate's graph parents to
+// be candidates. It serves the most-specific ITERTD rows and, as the
+// output rule of the incremental global upper-bound search, one segment
+// of constant U_k (counts only grow within it, so candidates only join; a
+// rebuild starts a new set).
 type specificSet struct {
 	marked  map[string]bool
 	maximal map[string]Pattern
+	// key and sub are scratch: a key under construction and the subset
+	// whose parents mark walks.
+	key []byte
+	sub Pattern
 }
 
 func newSpecificSet() *specificSet {
@@ -204,15 +289,34 @@ func newSpecificSet() *specificSet {
 }
 
 func (s *specificSet) admit(p Pattern) bool {
-	for _, parent := range p.GraphParents() {
-		key := parent.Key()
-		s.marked[key] = true
-		delete(s.maximal, key)
-	}
-	if key := p.Key(); !s.marked[key] {
-		s.maximal[key] = p
+	s.sub = append(s.sub[:0], p...)
+	s.mark()
+	if s.key = p.AppendKey(s.key[:0]); !s.marked[string(s.key)] {
+		s.maximal[string(s.key)] = p
 	}
 	return true
+}
+
+// mark marks the graph parents of s.sub, unbinding one attribute at a
+// time in place, and recurses into each parent that was neither marked nor
+// admitted.
+func (s *specificSet) mark() {
+	for a, v := range s.sub {
+		if v == pattern.Unbound {
+			continue
+		}
+		s.sub[a] = pattern.Unbound
+		if s.key = s.sub.AppendKey(s.key[:0]); !s.marked[string(s.key)] {
+			key := string(s.key)
+			s.marked[key] = true
+			if _, ok := s.maximal[key]; ok {
+				delete(s.maximal, key)
+			} else {
+				s.mark()
+			}
+		}
+		s.sub[a] = v
+	}
 }
 
 func (s *specificSet) groups() []Pattern {

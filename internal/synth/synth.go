@@ -4,8 +4,9 @@
 // German Credit) that are not redistributable here, so this package
 // generates synthetic datasets with the same schema, cardinalities, row
 // counts and correlation structure, so the detection algorithms see search
-// spaces and top-k compositions of the same shape. It also provides the paper's running example (Figure 1) and the
-// worst-case construction of Theorem 3.3 (Figure 2) verbatim.
+// spaces and top-k compositions of the same shape. It also provides the
+// paper's running example (Figure 1) and the worst-case construction of
+// Theorem 3.3 (Figure 2) verbatim.
 package synth
 
 import (

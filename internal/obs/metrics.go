@@ -1,18 +1,24 @@
 // Package obs is the dependency-free observability core shared by the
-// serving layer: a metrics registry rendering the Prometheus text
-// exposition format (counters, gauges, fixed-bucket histograms, labeled
-// variants), lightweight phase spans carried on context.Context with a
-// bounded in-memory trace ring, and runtime gauges. Everything is built on
-// the standard library only — sync/atomic counters, a CAS loop for the
-// histogram's float sum — so the package can be imported from any layer
-// without pulling a client library into the module.
+// serving layer: a metrics registry (counters, gauges, fixed-bucket
+// histograms and their one-label vectors), lightweight phase spans carried
+// on context.Context with a bounded in-memory trace ring, runtime gauges,
+// and an OTLP/HTTP exporter. Every metric family reads its state into one
+// structured snapshot (Registry.Snapshot); the Prometheus 0.0.4 scrape,
+// the OpenMetrics 1.0 scrape and the OTLP metrics export all render from
+// it. Everything is built on the standard library only — sync/atomic
+// counters, a CAS loop for the histogram's float sum — so the package can
+// be imported from any layer without pulling a client library into the
+// module.
 package obs
 
 import (
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -21,23 +27,21 @@ import (
 // sub-millisecond cache hits to multi-second cold lattice searches.
 var DefBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-// Registry holds metric families in registration order and renders them as
-// Prometheus text exposition format 0.0.4. Registration happens at service
-// construction; rendering and metric updates are safe concurrently.
+// Registry holds metric families in registration order. Registration
+// happens at service construction; snapshots, scrapes and metric updates
+// are safe concurrently.
 type Registry struct {
 	mu     sync.Mutex
 	fams   []*family
 	byName map[string]bool
 }
 
-// family is one registered metric family: fixed name/help/type plus a
-// render hook appending its Prometheus 0.0.4 sample lines (without
-// HELP/TYPE headers) and a snap hook producing the structured snapshot
-// the OpenMetrics renderer and the OTLP exporter share.
+// family is one registered metric family: fixed name, help, type and
+// label name (empty unless the family is a vector), plus the hook that
+// reads its current points.
 type family struct {
-	name, help, typ string
-	render          func(b []byte) []byte
-	snap            func() FamilySnapshot
+	name, help, typ, label string
+	points                 func() []MetricPoint
 }
 
 // NewRegistry returns an empty registry.
@@ -45,14 +49,14 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]bool)}
 }
 
-func (r *Registry) register(name, help, typ string, render func(b []byte) []byte, snap func() FamilySnapshot) {
+func (r *Registry) register(name, help, typ, label string, points func() []MetricPoint) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.byName[name] {
 		panic("obs: duplicate metric registration: " + name)
 	}
 	r.byName[name] = true
-	r.fams = append(r.fams, &family{name: name, help: help, typ: typ, render: render, snap: snap})
+	r.fams = append(r.fams, &family{name: name, help: help, typ: typ, label: label, points: points})
 }
 
 // Exemplar ties one observation to the trace that produced it: the
@@ -71,7 +75,7 @@ type Exemplar struct {
 // per-bucket exemplars.
 type MetricPoint struct {
 	Label     string // label value; "" when the family is unlabeled
-	Value     float64
+	Value     int64
 	Bounds    []float64
 	Buckets   []int64
 	Count     int64
@@ -88,44 +92,130 @@ type FamilySnapshot struct {
 }
 
 // Snapshot captures every family's current state in registration order —
-// the shared source for the OpenMetrics renderer and the OTLP metrics
-// export, so the two wire formats can never disagree about a value's
-// identity.
+// the one source both text expositions and the OTLP metrics export render
+// from, so no two of them can disagree about a value.
 func (r *Registry) Snapshot() []FamilySnapshot {
 	r.mu.Lock()
-	fams := make([]*family, len(r.fams))
-	copy(fams, r.fams)
+	fams := slices.Clone(r.fams)
 	r.mu.Unlock()
 	out := make([]FamilySnapshot, len(fams))
 	for i, f := range fams {
-		out[i] = f.snap()
-		out[i].Name, out[i].Help, out[i].Typ = f.name, f.help, f.typ
+		out[i] = FamilySnapshot{Name: f.name, Help: f.help, Typ: f.typ, Label: f.label, Points: f.points()}
 	}
 	return out
 }
 
-// WriteTo renders every family in registration order: HELP (escaped per
-// the exposition format), TYPE, then the family's samples.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	r.mu.Lock()
-	fams := make([]*family, len(r.fams))
-	copy(fams, r.fams)
-	r.mu.Unlock()
+// WriteTo renders every family in registration order as Prometheus text
+// exposition format 0.0.4.
+func (r *Registry) WriteTo(w io.Writer) (int64, error) { return r.write(w, false) }
+
+// WriteOpenMetrics renders every family in registration order as
+// OpenMetrics 1.0 text, exemplars included, terminated by `# EOF`.
+func (r *Registry) WriteOpenMetrics(w io.Writer) (int64, error) { return r.write(w, true) }
+
+// write renders one snapshot in either text format. The formats differ
+// only in four places, all behind om:
+//   - OpenMetrics puts TYPE before HELP, 0.0.4 HELP before TYPE;
+//   - OpenMetrics counter *family* names drop the _total suffix while
+//     their samples carry it (`# TYPE foo counter` / `foo_total 5`);
+//   - OpenMetrics histogram _bucket lines carry `# {trace_id="..."} value`
+//     exemplar suffixes pointing at the last trace to land in the bucket;
+//   - the OpenMetrics body ends with `# EOF`.
+func (r *Registry) write(w io.Writer, om bool) (int64, error) {
 	b := make([]byte, 0, 4096)
-	for _, f := range fams {
-		b = append(b, "# HELP "...)
-		b = append(b, f.name...)
-		b = append(b, ' ')
-		b = appendEscapedHelp(b, f.help)
-		b = append(b, "\n# TYPE "...)
-		b = append(b, f.name...)
-		b = append(b, ' ')
-		b = append(b, f.typ...)
-		b = append(b, '\n')
-		b = f.render(b)
+	for _, f := range r.Snapshot() {
+		fam, sample := f.Name, f.Name
+		if om && f.Typ == "counter" {
+			fam = strings.TrimSuffix(fam, "_total")
+			sample = fam + "_total"
+		}
+		if om {
+			b = appendMeta(b, "TYPE", fam, f.Typ)
+		}
+		b = appendMeta(b, "HELP", fam, f.Help)
+		if !om {
+			b = appendMeta(b, "TYPE", fam, f.Typ)
+		}
+		for _, p := range f.Points {
+			if f.Typ == "histogram" {
+				b = appendHistogram(b, sample, f.Label, p, om)
+				continue
+			}
+			b = appendSeries(b, sample, "", f.Label, p.Label, nil)
+			b = append(strconv.AppendInt(b, p.Value, 10), '\n')
+		}
+	}
+	if om {
+		b = append(b, "# EOF\n"...)
 	}
 	n, err := w.Write(b)
 	return int64(n), err
+}
+
+// appendMeta writes one `# KIND family text` metadata line, escaping text
+// as a HELP docstring (a no-op for type names).
+func appendMeta(b []byte, kind, fam, text string) []byte {
+	b = append(b, "# "...)
+	b = append(b, kind...)
+	b = append(b, ' ')
+	b = append(b, fam...)
+	b = append(b, ' ')
+	return append(appendEscapedHelp(b, text), '\n')
+}
+
+// appendSeries writes a sample's name (name+suffix) and label block — the
+// family's label pair when it has one, then le for a bucket — followed by
+// the space before the value.
+func appendSeries(b []byte, name, suffix, label, value string, le []byte) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	if label == "" && le == nil {
+		return append(b, ' ')
+	}
+	b = append(b, '{')
+	if label != "" {
+		b = append(b, label...)
+		b = append(b, `="`...)
+		b = appendEscapedLabel(b, value)
+		b = append(b, '"')
+		if le != nil {
+			b = append(b, ',')
+		}
+	}
+	if le != nil {
+		b = append(b, `le="`...)
+		b = append(b, le...)
+		b = append(b, '"')
+	}
+	return append(b, "} "...)
+}
+
+// appendHistogram renders one histogram point: cumulative bucket lines
+// ending in +Inf (with exemplar suffixes when om), then _sum and _count.
+func appendHistogram(b []byte, name, label string, p MetricPoint, om bool) []byte {
+	le := make([]byte, 0, 24)
+	cum := int64(0)
+	for i, n := range p.Buckets {
+		cum += n
+		if i < len(p.Bounds) {
+			le = appendFloat(le[:0], p.Bounds[i])
+		} else {
+			le = append(le[:0], "+Inf"...)
+		}
+		b = appendSeries(b, name, "_bucket", label, p.Label, le)
+		b = strconv.AppendInt(b, cum, 10)
+		if ex := p.Exemplars[i]; om && ex != nil {
+			b = append(b, ` # {trace_id="`...)
+			b = appendEscapedLabel(b, ex.TraceID)
+			b = append(b, `"} `...)
+			b = appendFloat(b, ex.Value)
+		}
+		b = append(b, '\n')
+	}
+	b = appendSeries(b, name, "_sum", label, p.Label, nil)
+	b = append(appendFloat(b, p.Sum), '\n')
+	b = appendSeries(b, name, "_count", label, p.Label, nil)
+	return append(strconv.AppendInt(b, p.Count, 10), '\n')
 }
 
 // appendEscapedHelp escapes a HELP docstring: backslash and newline, per
@@ -162,10 +252,17 @@ func appendEscapedLabel(b []byte, s string) []byte {
 	return b
 }
 
-// appendFloat renders a sample value; integral floats render without an
-// exponent ("1", "0.005", "2.5").
+// appendFloat renders a float sample (bucket bound, histogram sum,
+// exemplar value); integral floats render without a fraction ("1",
+// "0.005", "2.5").
 func appendFloat(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
+}
+
+// valuePoints is the points hook of an unlabeled counter or gauge: one
+// point whose value is read at snapshot time.
+func valuePoints(fn func() int64) func() []MetricPoint {
+	return func() []MetricPoint { return []MetricPoint{{Value: fn()}} }
 }
 
 // Counter is a monotonically increasing atomic counter.
@@ -180,23 +277,14 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// singleValueSnap builds the snap hook shared by every unlabeled
-// counter/gauge family: one point whose value is read at snapshot time.
-func singleValueSnap(fn func() int64) func() FamilySnapshot {
-	return func() FamilySnapshot {
-		return FamilySnapshot{Points: []MetricPoint{{Value: float64(fn())}}}
-	}
+func (c *Counter) point(label string) MetricPoint {
+	return MetricPoint{Label: label, Value: c.Value()}
 }
 
 // NewCounter registers and returns a counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
 	c := &Counter{}
-	r.register(name, help, "counter", func(b []byte) []byte {
-		b = append(b, name...)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, c.Value(), 10)
-		return append(b, '\n')
-	}, singleValueSnap(c.Value))
+	r.NewCounterFunc(name, help, c.Value)
 	return c
 }
 
@@ -204,23 +292,13 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 // time — the bridge for counters owned by another subsystem (job manager,
 // caches) that already maintains them under its own lock.
 func (r *Registry) NewCounterFunc(name, help string, fn func() int64) {
-	r.register(name, help, "counter", func(b []byte) []byte {
-		b = append(b, name...)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, fn(), 10)
-		return append(b, '\n')
-	}, singleValueSnap(fn))
+	r.register(name, help, "counter", "", valuePoints(fn))
 }
 
 // NewGaugeFunc registers a gauge whose value is read from fn at scrape
 // time. Values are integral (entry counts, bytes, goroutines).
 func (r *Registry) NewGaugeFunc(name, help string, fn func() int64) {
-	r.register(name, help, "gauge", func(b []byte) []byte {
-		b = append(b, name...)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, fn(), 10)
-		return append(b, '\n')
-	}, singleValueSnap(fn))
+	r.register(name, help, "gauge", "", valuePoints(fn))
 }
 
 // Gauge is a settable level (inflight requests, queue depths) owned by
@@ -242,142 +320,82 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
+func (g *Gauge) point(label string) MetricPoint {
+	return MetricPoint{Label: label, Value: g.Value()}
+}
+
 // NewGauge registers and returns a settable gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
 	g := &Gauge{}
-	r.register(name, help, "gauge", func(b []byte) []byte {
-		b = append(b, name...)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, g.Value(), 10)
-		return append(b, '\n')
-	}, singleValueSnap(g.Value))
+	r.NewGaugeFunc(name, help, g.Value)
 	return g
 }
 
-// GaugeVec is a family of gauges keyed by one label's value, created
-// lazily on first With. Rendering sorts by label value so scrapes are
+// vec is a family of metrics keyed by one label's value, each created
+// lazily on first With. Snapshots sort by label value so scrapes are
 // deterministic.
-type GaugeVec struct {
-	name, label string
-	mu          sync.Mutex
-	vals        map[string]*Gauge
+type vec[T any] struct {
+	mu    sync.Mutex
+	vals  map[string]*T
+	fresh func() *T
 }
 
-// With returns the gauge for one label value, creating it on first use.
-func (v *GaugeVec) With(value string) *Gauge {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g, ok := v.vals[value]
-	if !ok {
-		g = &Gauge{}
-		v.vals[value] = g
-	}
-	return g
-}
+// CounterVec is a family of counters keyed by one label's value.
+type CounterVec = vec[Counter]
 
-func (v *GaugeVec) snapshot() ([]string, []*Gauge) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	keys := make([]string, 0, len(v.vals))
-	for k := range v.vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	gs := make([]*Gauge, len(keys))
-	for i, k := range keys {
-		gs[i] = v.vals[k]
-	}
-	return keys, gs
-}
+// GaugeVec is a family of gauges keyed by one label's value.
+type GaugeVec = vec[Gauge]
 
-// NewGaugeVec registers and returns a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help, label string) *GaugeVec {
-	v := &GaugeVec{name: name, label: label, vals: make(map[string]*Gauge)}
-	r.register(name, help, "gauge", func(b []byte) []byte {
-		keys, gs := v.snapshot()
-		for i, k := range keys {
-			b = append(b, name...)
-			b = append(b, '{')
-			b = append(b, v.label...)
-			b = append(b, '=', '"')
-			b = appendEscapedLabel(b, k)
-			b = append(b, '"', '}', ' ')
-			b = strconv.AppendInt(b, gs[i].Value(), 10)
-			b = append(b, '\n')
-		}
-		return b
-	}, func() FamilySnapshot {
-		keys, gs := v.snapshot()
+// HistogramVec is a family of histograms keyed by one label's value (e.g.
+// per-endpoint request latency).
+type HistogramVec = vec[Histogram]
+
+// newVec registers a vector family whose points are read by point.
+func newVec[T any](r *Registry, name, help, typ, label string, fresh func() *T, point func(*T, string) MetricPoint) *vec[T] {
+	v := &vec[T]{vals: make(map[string]*T), fresh: fresh}
+	r.register(name, help, typ, label, func() []MetricPoint {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		keys := slices.Sorted(maps.Keys(v.vals))
 		points := make([]MetricPoint, len(keys))
 		for i, k := range keys {
-			points[i] = MetricPoint{Label: k, Value: float64(gs[i].Value())}
+			points[i] = point(v.vals[k], k)
 		}
-		return FamilySnapshot{Label: v.label, Points: points}
+		return points
 	})
 	return v
 }
 
-// CounterVec is a family of counters keyed by one label's value, created
-// lazily on first With. Rendering sorts by label value so scrapes are
-// deterministic.
-type CounterVec struct {
-	name, label string
-	mu          sync.Mutex
-	vals        map[string]*Counter
-}
-
-// With returns the counter for one label value, creating it on first use.
-func (v *CounterVec) With(value string) *Counter {
+// With returns the metric for one label value, creating it on first use.
+func (v *vec[T]) With(value string) *T {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	c, ok := v.vals[value]
+	m, ok := v.vals[value]
 	if !ok {
-		c = &Counter{}
-		v.vals[value] = c
+		m = v.fresh()
+		v.vals[value] = m
 	}
-	return c
-}
-
-func (v *CounterVec) snapshot() ([]string, []*Counter) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	keys := make([]string, 0, len(v.vals))
-	for k := range v.vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	cs := make([]*Counter, len(keys))
-	for i, k := range keys {
-		cs[i] = v.vals[k]
-	}
-	return keys, cs
+	return m
 }
 
 // NewCounterVec registers and returns a labeled counter family.
 func (r *Registry) NewCounterVec(name, help, label string) *CounterVec {
-	v := &CounterVec{name: name, label: label, vals: make(map[string]*Counter)}
-	r.register(name, help, "counter", func(b []byte) []byte {
-		keys, cs := v.snapshot()
-		for i, k := range keys {
-			b = append(b, name...)
-			b = append(b, '{')
-			b = append(b, label...)
-			b = append(b, '=', '"')
-			b = appendEscapedLabel(b, k)
-			b = append(b, '"', '}', ' ')
-			b = strconv.AppendInt(b, cs[i].Value(), 10)
-			b = append(b, '\n')
-		}
-		return b
-	}, func() FamilySnapshot {
-		keys, cs := v.snapshot()
-		points := make([]MetricPoint, len(keys))
-		for i, k := range keys {
-			points[i] = MetricPoint{Label: k, Value: float64(cs[i].Value())}
-		}
-		return FamilySnapshot{Label: label, Points: points}
-	})
-	return v
+	return newVec(r, name, help, "counter", label, func() *Counter { return &Counter{} }, (*Counter).point)
+}
+
+// NewGaugeVec registers and returns a labeled gauge family.
+func (r *Registry) NewGaugeVec(name, help, label string) *GaugeVec {
+	return newVec(r, name, help, "gauge", label, func() *Gauge { return &Gauge{} }, (*Gauge).point)
+}
+
+// NewHistogramVec registers and returns a labeled histogram family. Nil
+// bounds select DefBuckets.
+func (r *Registry) NewHistogramVec(name, help, label string, bounds []float64) *HistogramVec {
+	if bounds == nil {
+		bounds = DefBuckets
+	}
+	bs := slices.Clone(bounds)
+	return newVec(r, name, help, "histogram", label, func() *Histogram { return newHistogram(bs) }, (*Histogram).point)
 }
 
 // Histogram is a fixed-bucket latency histogram: per-bucket atomic counts,
@@ -404,8 +422,7 @@ func newHistogram(bounds []float64) *Histogram {
 			panic("obs: histogram bounds must be strictly ascending")
 		}
 	}
-	bs := make([]float64, len(bounds))
-	copy(bs, bounds)
+	bs := slices.Clone(bounds)
 	return &Histogram{
 		bounds: bs,
 		counts: make([]atomic.Int64, len(bs)+1),
@@ -444,8 +461,8 @@ func (h *Histogram) observe(v float64) int {
 	}
 }
 
-// snapshotPoint captures the histogram as one MetricPoint.
-func (h *Histogram) snapshotPoint(label string) MetricPoint {
+// point captures the histogram as one MetricPoint.
+func (h *Histogram) point(label string) MetricPoint {
 	p := MetricPoint{
 		Label:     label,
 		Bounds:    h.bounds,
@@ -498,52 +515,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// renderInto appends the bucket/sum/count sample lines. extraLabels is
-// either empty or a pre-rendered `name="value",` prefix for the le label
-// and a `{name="value"}` block on _sum/_count.
-func (h *Histogram) renderInto(b []byte, name, labelPrefix string) []byte {
-	cum := int64(0)
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		b = append(b, name...)
-		b = append(b, "_bucket{"...)
-		b = append(b, labelPrefix...)
-		b = append(b, `le="`...)
-		b = appendFloat(b, bound)
-		b = append(b, `"} `...)
-		b = strconv.AppendInt(b, cum, 10)
-		b = append(b, '\n')
-	}
-	b = append(b, name...)
-	b = append(b, "_bucket{"...)
-	b = append(b, labelPrefix...)
-	b = append(b, `le="+Inf"} `...)
-	b = strconv.AppendInt(b, h.Count(), 10)
-	b = append(b, '\n')
-	b = append(b, name...)
-	b = append(b, "_sum"...)
-	b = appendLabelBlock(b, labelPrefix)
-	b = append(b, ' ')
-	b = appendFloat(b, h.Sum())
-	b = append(b, '\n')
-	b = append(b, name...)
-	b = append(b, "_count"...)
-	b = appendLabelBlock(b, labelPrefix)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, h.Count(), 10)
-	return append(b, '\n')
-}
-
-// appendLabelBlock renders `{labels}` from a `labels,` prefix, or nothing.
-func appendLabelBlock(b []byte, labelPrefix string) []byte {
-	if labelPrefix == "" {
-		return b
-	}
-	b = append(b, '{')
-	b = append(b, labelPrefix[:len(labelPrefix)-1]...) // drop trailing comma
-	return append(b, '}')
-}
-
 // NewHistogram registers and returns a histogram. Nil bounds select
 // DefBuckets.
 func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
@@ -551,81 +522,6 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 		bounds = DefBuckets
 	}
 	h := newHistogram(bounds)
-	r.register(name, help, "histogram", func(b []byte) []byte {
-		return h.renderInto(b, name, "")
-	}, func() FamilySnapshot {
-		return FamilySnapshot{Points: []MetricPoint{h.snapshotPoint("")}}
-	})
+	r.register(name, help, "histogram", "", func() []MetricPoint { return []MetricPoint{h.point("")} })
 	return h
-}
-
-// HistogramVec is a family of histograms keyed by one label's value (e.g.
-// per-endpoint request latency), created lazily on first With.
-type HistogramVec struct {
-	name, label string
-	bounds      []float64
-	mu          sync.Mutex
-	vals        map[string]*Histogram
-}
-
-// With returns the histogram for one label value, creating it on first use.
-func (v *HistogramVec) With(value string) *Histogram {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h, ok := v.vals[value]
-	if !ok {
-		h = newHistogram(v.bounds)
-		v.vals[value] = h
-	}
-	return h
-}
-
-// NewHistogramVec registers and returns a labeled histogram family. Nil
-// bounds select DefBuckets.
-func (r *Registry) NewHistogramVec(name, help, label string, bounds []float64) *HistogramVec {
-	if bounds == nil {
-		bounds = DefBuckets
-	}
-	v := &HistogramVec{name: name, label: label, bounds: cloneBounds(bounds), vals: make(map[string]*Histogram)}
-	r.register(name, help, "histogram", func(b []byte) []byte {
-		keys, hs := v.snapshot()
-		for i, k := range keys {
-			prefix := make([]byte, 0, len(v.label)+len(k)+4)
-			prefix = append(prefix, v.label...)
-			prefix = append(prefix, '=', '"')
-			prefix = appendEscapedLabel(prefix, k)
-			prefix = append(prefix, '"', ',')
-			b = hs[i].renderInto(b, name, string(prefix))
-		}
-		return b
-	}, func() FamilySnapshot {
-		keys, hs := v.snapshot()
-		points := make([]MetricPoint, len(keys))
-		for i, k := range keys {
-			points[i] = hs[i].snapshotPoint(k)
-		}
-		return FamilySnapshot{Label: label, Points: points}
-	})
-	return v
-}
-
-func (v *HistogramVec) snapshot() ([]string, []*Histogram) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	keys := make([]string, 0, len(v.vals))
-	for k := range v.vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	hs := make([]*Histogram, len(keys))
-	for i, k := range keys {
-		hs[i] = v.vals[k]
-	}
-	return keys, hs
-}
-
-func cloneBounds(bounds []float64) []float64 {
-	bs := make([]float64, len(bounds))
-	copy(bs, bounds)
-	return bs
 }

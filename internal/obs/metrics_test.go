@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -230,5 +231,136 @@ func TestHistogramQuantile(t *testing.T) {
 	h.Observe(100)
 	if q := h.Quantile(1); q != 8 {
 		t.Fatalf("p100 with +Inf observation = %v, want top finite bound 8", q)
+	}
+}
+
+// goldenRegistry registers one family per constructor, in the state the
+// exposition golden tests pin: values at and beyond 1e6, a counter
+// without the _total suffix, a label value that needs escaping, an
+// untouched vec and histograms with and without exemplars.
+func goldenRegistry() *Registry {
+	r := NewRegistry()
+	r.NewCounter("jobs_total", "Jobs.").Add(1234567)
+	r.NewCounterFunc("uploads", "Uploads; no _total suffix.", func() int64 { return 3 })
+	r.NewGaugeFunc("heap_bytes", "Heap.\nSecond line, back\\slash.", func() int64 { return 2500000 })
+	r.NewGauge("depth", "Depth.").Set(-2)
+	cv := r.NewCounterVec("errs_total", "Errors by class.", "class")
+	cv.With("5xx").Add(2)
+	cv.With("odd\"cl\\ass\n").Inc()
+	gv := r.NewGaugeVec("inflight", "Inflight by class.", "class")
+	gv.With("read").Set(1000000)
+	gv.With("audit").Set(1)
+	r.NewCounterVec("empty_total", "Never touched.", "class")
+	h := r.NewHistogram("lat_seconds", "Latency.", []float64{0.5, 1})
+	h.ObserveExemplar(0.25, "4bf92f3577b34da6a3ce929d0e0e4736")
+	h.Observe(0.75)
+	h.Observe(2.5)
+	hv := r.NewHistogramVec("req_seconds", "Request latency.", "route", []float64{0.001, 2.5e6})
+	hv.With("GET /x").Observe(0.0005)
+	hv.With(`a"b`).ObserveExemplar(3e6, "4bf92f3577b34da6a3ce929d0e0e4736")
+	return r
+}
+
+// TestExpositionGolden pins the 0.0.4 scrape of goldenRegistry byte for
+// byte: HELP before TYPE, counter family names kept whole (with or without
+// _total), integers printed in full, label values escaped, no samples for
+// an untouched vec, cumulative histogram buckets with float bounds and
+// sums, and no exemplars.
+func TestExpositionGolden(t *testing.T) {
+	want := `# HELP jobs_total Jobs.
+# TYPE jobs_total counter
+jobs_total 1234567
+# HELP uploads Uploads; no _total suffix.
+# TYPE uploads counter
+uploads 3
+# HELP heap_bytes Heap.\nSecond line, back\\slash.
+# TYPE heap_bytes gauge
+heap_bytes 2500000
+# HELP depth Depth.
+# TYPE depth gauge
+depth -2
+# HELP errs_total Errors by class.
+# TYPE errs_total counter
+errs_total{class="5xx"} 2
+errs_total{class="odd\"cl\\ass\n"} 1
+# HELP inflight Inflight by class.
+# TYPE inflight gauge
+inflight{class="audit"} 1
+inflight{class="read"} 1000000
+# HELP empty_total Never touched.
+# TYPE empty_total counter
+# HELP lat_seconds Latency.
+# TYPE lat_seconds histogram
+lat_seconds_bucket{le="0.5"} 1
+lat_seconds_bucket{le="1"} 2
+lat_seconds_bucket{le="+Inf"} 3
+lat_seconds_sum 3.5
+lat_seconds_count 3
+# HELP req_seconds Request latency.
+# TYPE req_seconds histogram
+req_seconds_bucket{route="GET /x",le="0.001"} 1
+req_seconds_bucket{route="GET /x",le="2.5e+06"} 1
+req_seconds_bucket{route="GET /x",le="+Inf"} 1
+req_seconds_sum{route="GET /x"} 0.0005
+req_seconds_count{route="GET /x"} 1
+req_seconds_bucket{route="a\"b",le="0.001"} 0
+req_seconds_bucket{route="a\"b",le="2.5e+06"} 0
+req_seconds_bucket{route="a\"b",le="+Inf"} 1
+req_seconds_sum{route="a\"b"} 3e+06
+req_seconds_count{route="a\"b"} 1
+`
+	if got := render(t, goldenRegistry()); got != want {
+		t.Fatalf("0.0.4 render mismatch:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestVecConcurrentWithScrape creates new label values on every vector
+// kind while another goroutine scrapes both text formats; under -race it
+// is the data-race check for the shared vec and the snapshot path. Every
+// scrape must stay well-formed, and the final one must list every value.
+func TestVecConcurrentWithScrape(t *testing.T) {
+	r := NewRegistry()
+	cv := r.NewCounterVec("c_total", "C.", "k")
+	gv := r.NewGaugeVec("g", "G.", "k")
+	hv := r.NewHistogramVec("h_seconds", "H.", "k", []float64{1})
+	const values = 200
+	started, done := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		close(started)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			var b004, bom bytes.Buffer
+			r.WriteTo(&b004)
+			r.WriteOpenMetrics(&bom)
+			if err := ValidateOpenMetrics(bom.Bytes()); err != nil {
+				t.Errorf("concurrent OpenMetrics scrape invalid: %v", err)
+				return
+			}
+		}
+	}()
+	<-started
+	for i := 0; i < values; i++ {
+		k := strconv.Itoa(i)
+		cv.With(k).Inc()
+		gv.With(k).Set(int64(i))
+		hv.With(k).ObserveExemplar(0.5, "4bf92f3577b34da6a3ce929d0e0e4736")
+	}
+	close(done)
+	wg.Wait()
+	out := render(t, r)
+	for _, want := range []string{`c_total{k="199"} 1`, `g{k="199"} 199`, `h_seconds_count{k="199"} 1`} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("final scrape lacks %q", want)
+		}
+	}
+	if n := strings.Count(out, "\nc_total{"); n != values {
+		t.Errorf("final scrape has %d counter series, want %d", n, values)
 	}
 }

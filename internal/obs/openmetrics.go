@@ -2,127 +2,19 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// OpenMetrics 1.0 rendering (https://openmetrics.io). The renderer reads
-// the same Registry.Snapshot the OTLP exporter consumes, so the two
-// formats can never disagree; the legacy 0.0.4 path keeps its own
-// byte-stable render closures and never sees exemplars.
-//
-// Differences from the 0.0.4 exposition this registry also serves:
-//   - counter *family* names drop the _total suffix while sample lines
-//     keep it (`# TYPE foo counter` / `foo_total 5`);
-//   - histogram _bucket lines may carry `# {trace_id="..."} value`
-//     exemplar suffixes pointing at the last trace to land in the bucket;
-//   - the body terminates with `# EOF`.
+// OpenMetrics 1.0 (https://openmetrics.io) support: the scrape's content
+// type and the strict validator cmd/omlint and the tests run over it. The
+// exposition itself is rendered by Registry.WriteOpenMetrics from the same
+// snapshot as the 0.0.4 scrape and the OTLP export.
 
 // ContentTypeOpenMetrics is the Content-Type for OpenMetrics 1.0 scrapes.
 const ContentTypeOpenMetrics = "application/openmetrics-text; version=1.0.0; charset=utf-8"
-
-// WriteOpenMetrics renders every family in registration order as
-// OpenMetrics 1.0 text, exemplars included, terminated by `# EOF`.
-func (r *Registry) WriteOpenMetrics(w io.Writer) (int64, error) {
-	b := make([]byte, 0, 4096)
-	for _, f := range r.Snapshot() {
-		b = appendOpenMetricsFamily(b, f)
-	}
-	b = append(b, "# EOF\n"...)
-	n, err := w.Write(b)
-	return int64(n), err
-}
-
-func appendOpenMetricsFamily(b []byte, f FamilySnapshot) []byte {
-	fam := f.Name
-	if f.Typ == "counter" {
-		fam = strings.TrimSuffix(fam, "_total")
-	}
-	b = append(b, "# TYPE "...)
-	b = append(b, fam...)
-	b = append(b, ' ')
-	b = append(b, f.Typ...)
-	b = append(b, "\n# HELP "...)
-	b = append(b, fam...)
-	b = append(b, ' ')
-	b = appendEscapedHelp(b, f.Help)
-	b = append(b, '\n')
-	for _, p := range f.Points {
-		switch f.Typ {
-		case "counter":
-			b = appendOMSample(b, fam+"_total", f.Label, p.Label, p.Value)
-		case "gauge":
-			b = appendOMSample(b, fam, f.Label, p.Label, p.Value)
-		case "histogram":
-			b = appendOMHistogram(b, fam, f.Label, p)
-		}
-	}
-	return b
-}
-
-// appendOMSample renders one `name{label="value"} v` line.
-func appendOMSample(b []byte, name, labelName, labelValue string, v float64) []byte {
-	b = append(b, name...)
-	if labelName != "" {
-		b = append(b, '{')
-		b = append(b, labelName...)
-		b = append(b, '=', '"')
-		b = appendEscapedLabel(b, labelValue)
-		b = append(b, '"', '}')
-	}
-	b = append(b, ' ')
-	b = appendFloat(b, v)
-	return append(b, '\n')
-}
-
-// appendOMHistogram renders the cumulative bucket lines (with exemplar
-// suffixes where a bucket has one), then _sum and _count.
-func appendOMHistogram(b []byte, fam, labelName string, p MetricPoint) []byte {
-	var prefix []byte
-	if labelName != "" {
-		prefix = append(prefix, labelName...)
-		prefix = append(prefix, '=', '"')
-		prefix = appendEscapedLabel(prefix, p.Label)
-		prefix = append(prefix, '"', ',')
-	}
-	cum := int64(0)
-	for i := 0; i < len(p.Buckets); i++ {
-		cum += p.Buckets[i]
-		b = append(b, fam...)
-		b = append(b, "_bucket{"...)
-		b = append(b, prefix...)
-		b = append(b, `le="`...)
-		if i < len(p.Bounds) {
-			b = appendFloat(b, p.Bounds[i])
-		} else {
-			b = append(b, "+Inf"...)
-		}
-		b = append(b, `"} `...)
-		b = strconv.AppendInt(b, cum, 10)
-		if i < len(p.Exemplars) && p.Exemplars[i] != nil {
-			b = append(b, ` # {trace_id="`...)
-			b = appendEscapedLabel(b, p.Exemplars[i].TraceID)
-			b = append(b, `"} `...)
-			b = appendFloat(b, p.Exemplars[i].Value)
-		}
-		b = append(b, '\n')
-	}
-	b = append(b, fam...)
-	b = append(b, "_sum"...)
-	b = appendLabelBlock(b, string(prefix))
-	b = append(b, ' ')
-	b = appendFloat(b, p.Sum)
-	b = append(b, '\n')
-	b = append(b, fam...)
-	b = append(b, "_count"...)
-	b = appendLabelBlock(b, string(prefix))
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, p.Count, 10)
-	return append(b, '\n')
-}
 
 // ValidateOpenMetrics is a strict structural check over an OpenMetrics
 // 1.0 text body: metadata ordering, name grammar, label escaping,

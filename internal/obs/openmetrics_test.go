@@ -16,14 +16,17 @@ func renderOM(t *testing.T, r *Registry) string {
 }
 
 // TestOpenMetricsGolden pins the exact OM 1.0 rendering: counter family
-// names drop _total while samples keep it, exemplars attach to the
-// landing bucket only, and the body ends in # EOF.
+// names drop _total while samples keep it, counter and gauge values print
+// as integers however large, exemplars attach to the landing bucket only,
+// and the body ends in # EOF.
 func TestOpenMetricsGolden(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("jobs_total", "Jobs.")
 	c.Add(3)
 	g := r.NewGauge("depth", "Depth.")
 	g.Set(2)
+	r.NewCounter("bytes_total", "Bytes.").Add(1234567)
+	r.NewGauge("heap_bytes", "Heap.").Set(2500000)
 	h := r.NewHistogram("lat_seconds", "Latency.", []float64{0.5, 1})
 	h.ObserveExemplar(0.25, "4bf92f3577b34da6a3ce929d0e0e4736")
 	h.Observe(0.75)
@@ -34,6 +37,12 @@ jobs_total 3
 # TYPE depth gauge
 # HELP depth Depth.
 depth 2
+# TYPE bytes counter
+# HELP bytes Bytes.
+bytes_total 1234567
+# TYPE heap_bytes gauge
+# HELP heap_bytes Heap.
+heap_bytes 2500000
 # TYPE lat_seconds histogram
 # HELP lat_seconds Latency.
 lat_seconds_bucket{le="0.5"} 1 # {trace_id="4bf92f3577b34da6a3ce929d0e0e4736"} 0.25
@@ -114,7 +123,7 @@ func TestExemplarLastWriteWins(t *testing.T) {
 	h.ObserveExemplar(0.5, "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa")
 	h.ObserveExemplar(0.7, "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb")
 	h.ObserveExemplar(0.9, "") // counts, but must not clobber the exemplar
-	p := h.snapshotPoint("")
+	p := h.point("")
 	if p.Count != 3 {
 		t.Fatalf("Count = %d, want 3", p.Count)
 	}

@@ -467,7 +467,7 @@ func OTLPMetricsRequest(service string, snaps []FamilySnapshot, start, now time.
 					Attributes:    pointAttrs(f.Label, p.Label),
 					StartUnixNano: startNano,
 					TimeUnixNano:  nowNano,
-					AsDouble:      p.Value,
+					AsDouble:      float64(p.Value),
 				})
 			}
 			m.Sum = sum
@@ -477,7 +477,7 @@ func OTLPMetricsRequest(service string, snaps []FamilySnapshot, start, now time.
 				g.DataPoints = append(g.DataPoints, otlpNumberPoint{
 					Attributes:   pointAttrs(f.Label, p.Label),
 					TimeUnixNano: nowNano,
-					AsDouble:     p.Value,
+					AsDouble:     float64(p.Value),
 				})
 			}
 			m.Gauge = g

@@ -173,14 +173,14 @@ func (s *Service) AppendRows(id, contentType string, data []byte) (*AppendRespon
 		return nil, &NotFoundError{Resource: "dataset", ID: id}
 	}
 
-	s.metrics.streamAppends.Add(1)
-	s.metrics.streamRows.Add(int64(batch.Rows()))
+	s.obs.streamAppends.Inc()
+	s.obs.streamRows.Add(int64(batch.Rows()))
 	if mode == stream.ModeIncremental {
-		s.metrics.streamIncremental.Add(1)
+		s.obs.streamIncremental.Inc()
 	} else {
-		s.metrics.streamRebuilds.Add(1)
+		s.obs.streamRebuilds.Inc()
 	}
-	s.metrics.streamPromoted.Add(int64(promoted))
+	s.obs.streamPromoted.Add(int64(promoted))
 
 	return &AppendResponse{
 		Dataset:          info,

@@ -354,22 +354,30 @@ func (m *Manager) execute(j *Job) {
 		hook()
 	}
 	m.mu.Lock()
-	if j.status == JobCanceled || ctx.Err() != nil {
-		switch {
-		case j.status == JobCanceled:
-			// Counted by Cancel already.
-		case errors.Is(ctx.Err(), context.DeadlineExceeded):
-			// The queue wait consumed the whole budget: shed without
-			// running — late work would only push the queue further behind.
-			j.status = JobFailed
-			j.errCode = CodeShed
-			j.err = fmt.Sprintf("shed before running: queue wait exceeded the %v budget", j.budget)
-			m.shed++
-			m.failed++
-		default:
-			j.status = JobCanceled
-			m.canceled++
-		}
+	// A job can end before it runs: canceled while queued, or shed because
+	// its queue wait consumed its own budget or, for a budget-less job,
+	// exceeded the CoDel-style bound (a wait that long means the queue is
+	// persistently behind; late work would only push it further behind).
+	shed := ""
+	switch wait := m.clock().Sub(j.created); {
+	case j.status == JobCanceled:
+		// Counted by Cancel already.
+	case errors.Is(ctx.Err(), context.DeadlineExceeded):
+		shed = fmt.Sprintf("shed before running: queue wait exceeded the %v budget", j.budget)
+	case ctx.Err() != nil:
+		j.status = JobCanceled
+		m.canceled++
+	case m.queueBudget > 0 && j.budget == 0 && wait > m.queueBudget:
+		shed = fmt.Sprintf("shed before running: queue wait %v exceeded the %v bound", wait.Round(time.Millisecond), m.queueBudget)
+	default:
+		j.status = JobRunning
+	}
+	if shed != "" {
+		j.status, j.errCode, j.err = JobFailed, CodeShed, shed
+		m.shed++
+		m.failed++
+	}
+	if j.status != JobRunning {
 		j.finished = m.clock()
 		j.run = nil
 		ob := m.observer
@@ -380,24 +388,6 @@ func (m *Manager) execute(j *Job) {
 		m.afterTerminal(ob, j, tr, outcome, false, nil)
 		return
 	}
-	if wait := m.clock().Sub(j.created); m.queueBudget > 0 && j.budget == 0 && wait > m.queueBudget {
-		// CoDel-style bound for budget-less jobs: a wait this long means
-		// the queue is persistently behind, so shed rather than serve stale.
-		j.status = JobFailed
-		j.errCode = CodeShed
-		j.err = fmt.Sprintf("shed before running: queue wait %v exceeded the %v bound", wait.Round(time.Millisecond), m.queueBudget)
-		m.shed++
-		m.failed++
-		j.finished = m.clock()
-		j.run = nil
-		ob := m.observer
-		tr := finishTraceLocked(ob, j, "shed")
-		m.mu.Unlock()
-		j.cancel()
-		m.afterTerminal(ob, j, tr, "shed", false, nil)
-		return
-	}
-	j.status = JobRunning
 	j.started = m.clock()
 	m.running++
 	ob := m.observer

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rankfair"
+	"rankfair/internal/obs"
 )
 
 func testParams() rankfair.AuditParams {
@@ -260,5 +263,68 @@ func TestManagerShutdownCancelsRunning(t *testing.T) {
 	final, ok := m.Get(view.ID)
 	if !ok || final.Status != JobCanceled {
 		t.Errorf("after shutdown job = %+v, want canceled", final)
+	}
+}
+
+// TestManagerQueueWaitBound drives the CoDel-style queue-wait bound with
+// the manager's clock: every dequeue advances it by one second, past the
+// 100ms bound. A budget-less job is shed at dequeue; a job carrying its
+// own budget answers to that budget only and runs.
+func TestManagerQueueWaitBound(t *testing.T) {
+	m := NewManager(1, 4)
+	defer m.Shutdown(context.Background())
+	base := time.Now()
+	var elapsed atomic.Int64
+	m.clock = func() time.Time { return base.Add(time.Duration(elapsed.Load())) }
+	m.beforeRun = func() { elapsed.Add(int64(time.Second)) }
+	m.SetQueueWaitBudget(100 * time.Millisecond)
+	traces := obs.NewTraceStore(8)
+	m.SetObserver(&JobObserver{Traces: traces})
+	ran := false
+	run := func(ctx context.Context) (*AuditResult, bool, error) {
+		ran = true
+		return &AuditResult{}, false, nil
+	}
+
+	view, err := m.Submit("ds", testParams(), run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := m.Wait(waitCtx(t), view.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != JobFailed || final.ErrorCode != CodeShed {
+		t.Fatalf("budget-less job ended %s/%s, want failed/shed", final.Status, final.ErrorCode)
+	}
+	if !strings.Contains(final.Error, "exceeded the 100ms bound") {
+		t.Errorf("shed error %q does not name the bound", final.Error)
+	}
+	if ran {
+		t.Error("shed job ran")
+	}
+	if st := m.Stats(); st.Shed != 1 || st.Failed != 1 {
+		t.Errorf("stats after shed = %+v, want shed 1, failed 1", st)
+	}
+	tr, ok := traces.Get(view.ID)
+	if !ok {
+		t.Fatal("shed job has no trace in the ring")
+	}
+	if got := tr.Tree().Root.Attrs; len(got) == 0 || got[0].Key != "outcome" || got[0].Value != "shed" {
+		t.Errorf("shed root span attrs = %v, want outcome=shed", got)
+	}
+
+	view, err = m.Submit("ds", testParams(), run, WithBudget(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err = m.Wait(waitCtx(t), view.ID); err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != JobDone || !ran {
+		t.Errorf("budgeted job ended %s (ran %v), want done", final.Status, ran)
+	}
+	if st := m.Stats(); st.Shed != 1 || st.Failed != 1 || st.Completed != 1 {
+		t.Errorf("stats after budgeted job = %+v, want shed 1, failed 1, completed 1", st)
 	}
 }

@@ -186,9 +186,9 @@ func (s *Service) loadFromStore(id string) bool {
 		return false
 	}
 	s.registry.Restore(admitted, table, raw, opts)
-	s.metrics.storeLoads.Add(1)
-	s.metrics.storeReplayed.Add(int64(replayed))
-	s.metrics.storeRebuilds.Add(int64(rebuilds))
+	s.obs.storeLoads.Inc()
+	s.obs.storeReplayed.Add(int64(replayed))
+	s.obs.storeRebuilds.Add(int64(rebuilds))
 	s.logger.Debug("dataset paged in",
 		"dataset", id, "version", admitted.Version, "rows", admitted.Rows,
 		"replayed", replayed, "rebuilds", rebuilds,
@@ -264,7 +264,7 @@ func (s *Service) persistResult(key string, res *AuditResult) {
 		}
 		return
 	}
-	s.metrics.storeCachePersisted.Add(1)
+	s.obs.storeCachePersisted.Inc()
 }
 
 // loadPersistedResults registers every persisted result key in the result
@@ -275,7 +275,7 @@ func (s *Service) persistResult(key string, res *AuditResult) {
 func (s *Service) loadPersistedResults() {
 	for _, key := range s.store.CacheKeys() {
 		s.cache.Put(key, &persistedResult{key: key})
-		s.metrics.storeCacheLoaded.Add(1)
+		s.obs.storeCacheLoaded.Inc()
 	}
 }
 

@@ -86,13 +86,13 @@ func TestPersistRestartWarm(t *testing.T) {
 	if !bytes.Equal(report1, report2) {
 		t.Fatalf("post-restart report differs:\n%s\nvs\n%s", report1, report2)
 	}
-	if loads := svc2.metrics.storeLoads.Load(); loads < 1 {
+	if loads := svc2.obs.storeLoads.Value(); loads < 1 {
 		t.Errorf("storeLoads = %d, want >= 1", loads)
 	}
-	if replayed := svc2.metrics.storeReplayed.Load(); replayed != 2 {
+	if replayed := svc2.obs.storeReplayed.Value(); replayed != 2 {
 		t.Errorf("storeReplayed = %d, want 2", replayed)
 	}
-	if rebuilds := svc2.metrics.storeRebuilds.Load(); rebuilds != 0 {
+	if rebuilds := svc2.obs.storeRebuilds.Value(); rebuilds != 0 {
 		t.Errorf("storeRebuilds = %d, want 0", rebuilds)
 	}
 
@@ -166,7 +166,7 @@ func TestPersistPageInAfterLRUEviction(t *testing.T) {
 	if code != http.StatusOK || got.Hash != a.Hash {
 		t.Fatalf("paged-in GET: status %d, %+v", code, got)
 	}
-	if loads := svc.metrics.storeLoads.Load(); loads < 1 {
+	if loads := svc.obs.storeLoads.Value(); loads < 1 {
 		t.Errorf("storeLoads = %d, want >= 1", loads)
 	}
 	// Both datasets remain listable regardless of which is resident.
@@ -225,7 +225,7 @@ func TestPersistResultCacheReload(t *testing.T) {
 	stop1()
 
 	svc2, ts2, _ := persistServer(t, dir, true)
-	if loaded := svc2.metrics.storeCacheLoaded.Load(); loaded < 1 {
+	if loaded := svc2.obs.storeCacheLoaded.Value(); loaded < 1 {
 		t.Fatalf("storeCacheLoaded = %d, want >= 1", loaded)
 	}
 	var view JobView
@@ -242,8 +242,8 @@ func TestPersistResultCacheReload(t *testing.T) {
 	if !bytes.Equal(raw1, raw2) {
 		t.Fatalf("cached report differs after restart:\n%s\nvs\n%s", raw1, raw2)
 	}
-	if svc2.metrics.storeRebuilds.Load() != 0 {
-		t.Errorf("storeRebuilds = %d, want 0", svc2.metrics.storeRebuilds.Load())
+	if svc2.obs.storeRebuilds.Value() != 0 {
+		t.Errorf("storeRebuilds = %d, want 0", svc2.obs.storeRebuilds.Value())
 	}
 }
 
@@ -371,8 +371,8 @@ func TestPersistCrashConsistentPrefix(t *testing.T) {
 					got.Version, got.Hash[:12], tc.wantVersion, HashCSV(tc.wantRaw)[:12])
 			}
 			recovered := runAuditReport(t, ts, info.ID)
-			if svc.metrics.storeRebuilds.Load() != 0 {
-				t.Errorf("recovery used %d rebuilds, want pure replay", svc.metrics.storeRebuilds.Load())
+			if svc.obs.storeRebuilds.Value() != 0 {
+				t.Errorf("recovery used %d rebuilds, want pure replay", svc.obs.storeRebuilds.Value())
 			}
 
 			// Byte-identity against a fresh upload of the recovered prefix.

@@ -147,7 +147,7 @@ func TestPersistLazyResultLoad(t *testing.T) {
 	if reads := svc2.store.Stats().BlobReads; reads != 0 {
 		t.Fatalf("boot read %d blobs, want 0", reads)
 	}
-	if loaded := svc2.metrics.storeCacheLoaded.Load(); loaded != int64(len(audits)) {
+	if loaded := svc2.obs.storeCacheLoaded.Value(); loaded != int64(len(audits)) {
 		t.Errorf("storeCacheLoaded = %d, want %d", loaded, len(audits))
 	}
 	// Page the dataset in first, so the counts below are result reads only.

@@ -18,34 +18,6 @@ import (
 	"rankfair/internal/obs"
 )
 
-// metrics holds the request-level counters; job and cache counters live
-// with their subsystems and are gathered at scrape time. Error counting
-// moved to obsState.requestErrors, which splits by status class.
-type metrics struct {
-	requests atomic.Int64
-	uploads  atomic.Int64
-
-	// Streaming append counters: accepted batches, rows they carried, the
-	// incremental-vs-rebuild path split, and cached analysts warm-promoted
-	// across generations instead of invalidated.
-	streamAppends     atomic.Int64
-	streamRows        atomic.Int64
-	streamIncremental atomic.Int64
-	streamRebuilds    atomic.Int64
-	streamPromoted    atomic.Int64
-
-	// Durable-store counters: datasets paged in from disk, generations
-	// replayed through the incremental append path vs rebuilt by
-	// re-decode, and persisted-result-cache traffic. The replayed/rebuilt
-	// split is the restart-warm proof: a healthy warm restart shows
-	// replays > 0 with rebuilds == 0.
-	storeLoads          atomic.Int64
-	storeReplayed       atomic.Int64
-	storeRebuilds       atomic.Int64
-	storeCachePersisted atomic.Int64
-	storeCacheLoaded    atomic.Int64
-}
-
 // obsState bundles the observability core wired through the service: the
 // metrics registry behind /metrics, per-phase latency histograms, the
 // aggregated lattice-search counters fed by recordSearch, and the trace
@@ -56,6 +28,20 @@ type obsState struct {
 	reg    *obs.Registry
 	traces *obs.TraceStore
 	reqSeq atomic.Int64 // X-Request-ID generator
+
+	requests, uploads *obs.Counter
+
+	// Streaming append counters: accepted batches, rows they carried, the
+	// incremental-vs-rebuild path split, and cached analysts warm-promoted
+	// across generations instead of invalidated.
+	streamAppends, streamRows, streamIncremental, streamRebuilds, streamPromoted *obs.Counter
+
+	// Durable-store counters: datasets paged in from disk, generations
+	// replayed through the incremental append path vs rebuilt by
+	// re-decode, and persisted-result-cache traffic. The replayed/rebuilt
+	// split is the restart-warm proof: a healthy warm restart shows
+	// replays > 0 with rebuilds == 0.
+	storeLoads, storeReplayed, storeRebuilds, storeCachePersisted, storeCacheLoaded *obs.Counter
 
 	requestErrors *obs.CounterVec   // by status class: 4xx, 5xx, canceled
 	reqLatency    *obs.HistogramVec // by route pattern
@@ -85,29 +71,28 @@ type obsState struct {
 	searchExpanded      *obs.Counter
 	searchPruned        *obs.CounterVec // by reason: size, bound, dominated
 	searchIntersections *obs.Counter
-	searchBitmapPasses  *obs.Counter
-	searchSlicePasses   *obs.Counter
 	searchCountOnly     *obs.Counter
 	searchLazy          *obs.Counter
 }
 
 // newObsState builds the registry. Families registered earliest are the
-// pre-existing scrape series, in their historical order, bridged to the
-// counters their subsystems already maintain; the histogram and search
-// families follow, then the runtime gauges.
+// pre-existing scrape series, in their historical order; the registry owns
+// the service's own counters, and the Func families read values another
+// subsystem (jobs, caches, store, dataset registry, breaker) keeps under
+// its own lock. The histogram and search families follow, then the
+// runtime gauges.
 func newObsState(s *Service, traceEntries int) *obsState {
 	o := &obsState{reg: obs.NewRegistry(), traces: obs.NewTraceStore(traceEntries)}
 	r := o.reg
-	m := s.metrics
-	r.NewCounterFunc("rankfaird_requests_total", "HTTP requests served.", m.requests.Load)
+	o.requests = r.NewCounter("rankfaird_requests_total", "HTTP requests served.")
 	o.requestErrors = r.NewCounterVec("rankfaird_request_errors_total", "HTTP responses with status >= 400, by status class.", "class")
-	r.NewCounterFunc("rankfaird_dataset_uploads_total", "Accepted dataset uploads.", m.uploads.Load)
+	o.uploads = r.NewCounter("rankfaird_dataset_uploads_total", "Accepted dataset uploads.")
 	r.NewGaugeFunc("rankfaird_datasets", "Datasets currently registered.", func() int64 { return int64(s.registry.Len()) })
-	r.NewCounterFunc("rankfaird_stream_appends_total", "Accepted streaming append batches.", m.streamAppends.Load)
-	r.NewCounterFunc("rankfaird_stream_rows_total", "Rows ingested through streaming appends.", m.streamRows.Load)
-	r.NewCounterFunc("rankfaird_stream_incremental_total", "Append batches applied incrementally (ranking merge-insert, copy-on-write posting maintenance).", m.streamIncremental.Load)
-	r.NewCounterFunc("rankfaird_stream_rebuild_total", "Append batches applied by full re-decode and rebuild (cost model or schema drift).", m.streamRebuilds.Load)
-	r.NewCounterFunc("rankfaird_stream_promoted_analysts_total", "Cached analysts warm-promoted to a new dataset generation.", m.streamPromoted.Load)
+	o.streamAppends = r.NewCounter("rankfaird_stream_appends_total", "Accepted streaming append batches.")
+	o.streamRows = r.NewCounter("rankfaird_stream_rows_total", "Rows ingested through streaming appends.")
+	o.streamIncremental = r.NewCounter("rankfaird_stream_incremental_total", "Append batches applied incrementally (ranking merge-insert, copy-on-write posting maintenance).")
+	o.streamRebuilds = r.NewCounter("rankfaird_stream_rebuild_total", "Append batches applied by full re-decode and rebuild (cost model or schema drift).")
+	o.streamPromoted = r.NewCounter("rankfaird_stream_promoted_analysts_total", "Cached analysts warm-promoted to a new dataset generation.")
 	r.NewGaugeFunc("rankfaird_store_datasets", "Dataset generation chains resident in the durable store (0 when no -data-dir).", func() int64 {
 		if s.store == nil {
 			return 0
@@ -118,11 +103,11 @@ func newObsState(s *Service, traceEntries int) *obsState {
 	r.NewCounterFunc("rankfaird_store_blob_write_bytes_total", "Bytes written into durable content blobs.", func() int64 { return s.storeStats().BlobWriteBytes })
 	r.NewCounterFunc("rankfaird_store_blob_reads_total", "Content blobs read and hash-verified from the durable store.", func() int64 { return s.storeStats().BlobReads })
 	r.NewCounterFunc("rankfaird_store_blob_read_bytes_total", "Bytes read from durable content blobs.", func() int64 { return s.storeStats().BlobReadBytes })
-	r.NewCounterFunc("rankfaird_store_dataset_loads_total", "Datasets paged in from the durable store (restart warm-up and post-LRU page-ins).", m.storeLoads.Load)
-	r.NewCounterFunc("rankfaird_store_replayed_generations_total", "Persisted generations replayed through the incremental append path during page-in.", m.storeReplayed.Load)
-	r.NewCounterFunc("rankfaird_store_replay_rebuilds_total", "Persisted generations applied by full re-decode during page-in (schema drift or undecodable batch).", m.storeRebuilds.Load)
-	r.NewCounterFunc("rankfaird_store_cache_persisted_total", "Computed audit results written through to the durable store.", m.storeCachePersisted.Load)
-	r.NewCounterFunc("rankfaird_store_cache_loaded_total", "Persisted audit results registered in the result cache at boot; bodies are read on first use.", m.storeCacheLoaded.Load)
+	o.storeLoads = r.NewCounter("rankfaird_store_dataset_loads_total", "Datasets paged in from the durable store (restart warm-up and post-LRU page-ins).")
+	o.storeReplayed = r.NewCounter("rankfaird_store_replayed_generations_total", "Persisted generations replayed through the incremental append path during page-in.")
+	o.storeRebuilds = r.NewCounter("rankfaird_store_replay_rebuilds_total", "Persisted generations applied by full re-decode during page-in (schema drift or undecodable batch).")
+	o.storeCachePersisted = r.NewCounter("rankfaird_store_cache_persisted_total", "Computed audit results written through to the durable store.")
+	o.storeCacheLoaded = r.NewCounter("rankfaird_store_cache_loaded_total", "Persisted audit results registered in the result cache at boot; bodies are read on first use.")
 	r.NewCounterFunc("rankfaird_store_recovery_records_total", "Manifest records applied while recovering the durable store at boot.", func() int64 { return s.storeStats().RecoveredRecords })
 	r.NewCounterFunc("rankfaird_store_recovery_dropped_total", "Manifest records discarded during recovery (torn tail, missing blob, broken chain).", func() int64 { return s.storeStats().DroppedRecords })
 	o.storeRetries = r.NewCounter("rankfaird_store_retries_total", "Transient durable-store errors retried in place with jittered backoff.")
@@ -170,8 +155,6 @@ func newObsState(s *Service, traceEntries int) *obsState {
 	o.searchExpanded = r.NewCounter("rankfaird_search_nodes_expanded_total", "Lattice nodes expanded across all searches.")
 	o.searchPruned = r.NewCounterVec("rankfaird_search_pruned_total", "Lattice nodes pruned without expansion, by reason.", "reason")
 	o.searchIntersections = r.NewCounter("rankfaird_search_posting_intersections_total", "Bound attributes verified beyond the probed posting list when searches re-materialize match sets.")
-	o.searchBitmapPasses = r.NewCounter("rankfaird_search_bitmap_passes_total", "Re-materialization passes carried by word-wise bitmap AND; searches no longer take this arm, so it stays 0.")
-	o.searchSlicePasses = r.NewCounter("rankfaird_search_slice_passes_total", "Re-materialization passes carried by rank-column verify passes, one per verified bound attribute.")
 	o.searchCountOnly = r.NewCounter("rankfaird_search_count_only_passes_total", "Count-only posting passes that avoided materializing a match list.")
 	o.searchLazy = r.NewCounter("rankfaird_search_lazy_scatters_total", "Lazy rank-partition scatters performed on first touch.")
 	r.NewGaugeFunc("rankfaird_analyst_index_bytes", "Estimated heap bytes held by cached analysts' counting indexes.", func() int64 {
@@ -268,7 +251,7 @@ func traceIdentityFrom(ctx context.Context) traceIdentity {
 func (s *Service) count(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.metrics.requests.Add(1)
+		s.obs.requests.Inc()
 		reqID := r.Header.Get("X-Request-ID")
 		if reqID == "" {
 			reqID = fmt.Sprintf("req-%06d", s.obs.reqSeq.Add(1))
@@ -504,7 +487,7 @@ func (s *Service) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.metrics.uploads.Add(1)
+	s.obs.uploads.Inc()
 	writeJSON(w, http.StatusCreated, info)
 }
 

@@ -183,7 +183,6 @@ type Service struct {
 	cache    *Cache
 	analysts *Cache // nil when Config.AnalystCacheEntries < 0
 	jobs     *Manager
-	metrics  *metrics
 	obs      *obsState
 	logger   *slog.Logger
 
@@ -214,7 +213,6 @@ func New(cfg Config) (*Service, error) {
 		registry: NewRegistry(cfg.MaxDatasets),
 		cache:    NewCache(cfg.CacheEntries),
 		jobs:     NewManager(cfg.Workers, cfg.QueueDepth),
-		metrics:  &metrics{},
 		loads:    make(map[string]*loadFlight),
 	}
 	if cfg.AnalystCacheEntries > 0 {
@@ -721,8 +719,6 @@ func (s *Service) recordSearch(st *rankfair.SearchStatsJSON) {
 	o.searchPruned.With("bound").Add(st.PrunedBound)
 	o.searchPruned.With("dominated").Add(st.PrunedDominated)
 	o.searchIntersections.Add(st.PostingIntersections)
-	o.searchBitmapPasses.Add(st.BitmapPasses)
-	o.searchSlicePasses.Add(st.SlicePasses)
 	o.searchCountOnly.Add(st.CountOnlyPasses)
 	o.searchLazy.Add(st.LazyScatters)
 }

@@ -71,6 +71,16 @@ func wideCases() []goldenCase {
 	return out
 }
 
+// compasCases are the Section VI defaults on a COMPAS-shaped dataset:
+// wideCases plus a staircase L_k for the global measure. Its frontier
+// nodes bind several attributes when a step frees them, so these cases
+// pin the match sets that step-time resumption builds below them.
+func compasCases() []goldenCase {
+	global := goldenCase{"global", rankfair.AuditParams{Measure: rankfair.MeasureGlobal, Lower: rankfair.StaircaseBounds(10, 49, 4, 4, 12)}}
+	global.params.MinSize, global.params.KMin, global.params.KMax = 50, 10, 49
+	return append(wideCases(), global)
+}
+
 // goldenDigests pins the SHA-256 of Report.WriteJSON — groups, counts,
 // bounds and the "stats" object — per dataset and case. A change to any
 // served byte of these audits, including a search counter, fails here;
@@ -118,6 +128,9 @@ var goldenDigests = map[string]string{
 	"german/upper-general":          "932a3a4ffb963bcbd16f3eecef315ebe67b91332e532b874fa7f5cdfaa1334e9",
 	"student-all/prop-0.8":          "794077fa990f9a00d3bcec8d622eb781e9d8c361ab58ed99aa088927234f4b6d",
 	"student-all/exposure":          "9bc1691e5c7492d7983f069b7411cd38c1332ddc2bcd49ffa4779441fb929a74",
+	"compas/prop-0.8":               "8a83989d245e4ca44854bb61035f9f0ff3e9f45dd44218b4158b61076ca0e8c4",
+	"compas/exposure":               "59d50d671836430b5c4cccd0fe7ff398e2536efd68c1f054896885e3f4c52e71",
+	"compas/global":                 "75c3fd65dcc5debb0e690f3543c8958ca7991189c3c5d85df80564be536de0ea",
 }
 
 // TestGoldenReportDigests runs every golden case serially and at three
@@ -133,6 +146,7 @@ func TestGoldenReportDigests(t *testing.T) {
 		{"student", synth.Students(395, 2), 7, goldenCases(15, 10, 80, 4, 4, 12)},
 		{"german", synth.GermanCredit(400, 3), 7, goldenCases(15, 10, 80, 4, 4, 12)},
 		{"student-all", synth.Students(395, 1), -1, wideCases()},
+		{"compas", synth.COMPAS(2000, 1), -1, compasCases()},
 	}
 	seen := 0
 	for _, fx := range fixtures {

@@ -28,8 +28,9 @@ import (
 // domination settle, whose cost follows the flips and Res rather than
 // the frontier. The prop-compas and exposure-compas series run the same
 // defaults on synthetic COMPAS (6889 rows), the two heaviest classes of
-// the rankbench search workload, where re-materializing resumed frontier
-// nodes dominates. The global-upper series runs the incremental upper-bound
+// the rankbench search workload, whose steps resume thousands of
+// multi-attribute frontier nodes and rebuild their match sets by column
+// filters along the tree paths. The global-upper series runs the incremental upper-bound
 // search on the same COMPAS input (τs 50, k 10–49, constant U 5), where
 // groups keep crossing the bound as k grows and resume the search below
 // them. The prop-upper series runs one ITERTD row, the per-k walk with

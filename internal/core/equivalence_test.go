@@ -8,7 +8,9 @@ import (
 	"testing/quick"
 
 	"rankfair/internal/core"
+	"rankfair/internal/count"
 	"rankfair/internal/pattern"
+	"rankfair/internal/synth"
 )
 
 // randomInput builds a random dataset + ranking small enough for the
@@ -355,5 +357,59 @@ func TestQuickOptimizedExaminesFewerNodes(t *testing.T) {
 	}
 	if err := quick.Check(prop, quickCfg(19)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResumedSubtreesMatchBaseline holds the incremental prop and exposure
+// searches to their ITERTD baselines on a COMPAS-shaped input, where each
+// step frees frontier nodes binding several attributes and resumes the
+// search below them from match sets built along their tree paths. At
+// workers 1, 2 and 3 the incremental search reports the baseline's groups
+// at every k, and its Stats and SearchStats match its serial run's. The
+// baseline runs once: its per-k fan-out never resumes a node.
+func TestResumedSubtreesMatchBaseline(t *testing.T) {
+	in, err := synth.COMPAS(2000, 1).Input()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Index = count.Build(in.Rows, in.Space, in.Ranking)
+	for _, spec := range []core.Spec{
+		{Measure: core.MeasureProp, MinSize: 50, KMin: 10, KMax: 49, Alpha: 0.8},
+		{Measure: core.MeasureExposure, MinSize: 50, KMin: 10, KMax: 49, Alpha: 0.8},
+	} {
+		base, err := core.Search(bg, in, baseline(spec))
+		if err != nil {
+			t.Fatalf("%s baseline: %v", spec.Measure, err)
+		}
+		var serial *core.Result
+		for _, w := range []int{1, 2, 3} {
+			res, err := core.Search(bg, in, workers(spec, w))
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", spec.Measure, w, err)
+			}
+			for k := spec.KMin; k <= spec.KMax; k++ {
+				if !sameGroups(res.At(k), base.At(k)) {
+					t.Fatalf("%s workers=%d k=%d: incremental %v, baseline %v", spec.Measure, w, k, res.At(k), base.At(k))
+				}
+			}
+			if w == 1 {
+				if res.Search.PostingIntersections == 0 {
+					t.Fatalf("%s: no step resumed a node binding two or more attributes", spec.Measure)
+				}
+				serial = res
+				continue
+			}
+			if res.Stats != serial.Stats {
+				t.Errorf("%s workers=%d: stats %+v, serial %+v", spec.Measure, w, res.Stats, serial.Stats)
+			}
+			got, want := *res.Search, *serial.Search
+			got.Workers, want.Workers = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s workers=%d: search stats %+v, serial %+v", spec.Measure, w, got, want)
+			}
+			if !reflect.DeepEqual(res.Groups, serial.Groups) {
+				t.Errorf("%s workers=%d: groups diverge from the serial run", spec.Measure, w)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"rankfair/internal/count"
@@ -262,6 +263,9 @@ type incState struct {
 	// fan-out jobs, all reused across steps.
 	ser   sink
 	sinks []sink
+	// runs holds a step's resumed nodes split by root, one fan-out job
+	// each, reused across steps.
+	runs [][]*node
 	// out is the output set. Under a lower bound it is the biased frontier
 	// (Res ∪ DRes of the paper) with its Res/DRes split maintained
 	// incrementally; under the upper bound it holds the candidates. A full
@@ -570,10 +574,11 @@ func (s *incState) step(k int) bool {
 	s.buckets[k] = nil
 
 	// Phase 3 (searchFromNode): resume the search below frontier nodes
-	// that were freed and had no explored children yet. Those
-	// subtrees are disjoint, so they expand on the worker pool, one sink
-	// each; the node's match set is re-materialized from the index rather
-	// than re-scanned.
+	// that were freed and had no explored children yet. Those subtrees are
+	// disjoint, so they expand on the worker pool. Phase 1 freed them in
+	// pre-order, so the nodes below one root are consecutive: each such
+	// run is one job, whose sink builds the run's match sets in one walk
+	// (resume) and merges in the same node order as the serial path.
 	var resumed []*node
 	for _, nd := range freed {
 		if !nd.expanded {
@@ -586,12 +591,79 @@ func (s *incState) step(k int) bool {
 	if ser.cn.halted {
 		return false
 	}
-	return s.fan(len(resumed), func(i int, sk *sink) {
-		nd := resumed[i]
-		mk := sk.sr.mark()
-		s.buildChildren(nd, sk.sr.materialize(nd.p), k, sk)
-		sk.sr.release(mk)
+	s.runs = rootRuns(s.runs[:0], resumed)
+	return s.fan(len(s.runs), func(i int, sk *sink) {
+		s.resume(s.runs[i], k, sk)
 	})
+}
+
+// rootRuns appends to runs the maximal runs of consecutive nodes under one
+// root.
+func rootRuns(runs [][]*node, nodes []*node) [][]*node {
+	start := 0
+	for i := 1; i <= len(nodes); i++ {
+		if i == len(nodes) || nodes[i].root() != nodes[i-1].root() {
+			runs = append(runs, nodes[start:i])
+			start = i
+		}
+	}
+	return runs
+}
+
+// root returns the root of nd's search tree.
+func (nd *node) root() *node {
+	for nd.parent != nil {
+		nd = nd.parent
+	}
+	return nd
+}
+
+// resume builds the subtrees below run, resumed nodes under one root in
+// pre-order. A resumed node is unexpanded, so it is a leaf, and its match
+// set is its tree path's filters from the root posting list. A stack holds
+// the sets of the current path: each node pops back to the deepest
+// ancestor it shares with the node before it, then filters down one level
+// at a time to itself, so a run builds every set on its paths once.
+func (s *incState) resume(run []*node, k int, sk *sink) {
+	type level struct {
+		nd *node
+		m  matchSet
+		mk arenaMark
+	}
+	// Paths binding up to 16 attributes stay off the heap; longer ones
+	// grow the slices.
+	var stackBuf [16]level
+	var pathBuf [16]*node
+	stack := stackBuf[:0]
+	for _, nd := range run {
+		path := pathBuf[:0]
+		for a := nd; a != nil; a = a.parent {
+			path = append(path, a)
+		}
+		slices.Reverse(path)
+		j := 0
+		for j < len(stack) && j < len(path) && stack[j].nd == path[j] {
+			j++
+		}
+		if j < len(stack) {
+			sk.sr.release(stack[j].mk)
+			stack = stack[:j]
+		}
+		for _, a := range path[j:] {
+			l := level{nd: a, mk: sk.sr.mark()}
+			if len(stack) == 0 {
+				l.m = matchSet{all: s.eng.ix.Postings(int(a.attr), a.val)}
+			} else {
+				l.m = sk.sr.filter(stack[len(stack)-1].m, int(a.attr), a.val)
+			}
+			stack = append(stack, l)
+		}
+		sk.sr.ss.pathFilters(len(path) - 1)
+		s.buildChildren(nd, stack[len(stack)-1].m, k, sk)
+		if sk.cn.halted {
+			return
+		}
+	}
 }
 
 // snapshot returns the reported groups of the output set. Under a lower

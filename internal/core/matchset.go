@@ -17,14 +17,15 @@ import (
 // intersection of its bound attributes' posting lists. s_D(p) is the list
 // length, the count at any k is one binary search (count.PrefixCount), root
 // nodes alias the posting lists outright (a warm index starts a search with
-// zero setup scans), and step-time re-materialization is a posting-list
-// probe instead of a dataset scan. Child generation partitions one
-// list, and the partitions live in per-worker scratch arenas instead of
-// per-node allocations.
+// zero setup scans), and every other set is its search-tree parent's set
+// filtered on one column. Child generation partitions one list, and the
+// partitions live in per-worker scratch arenas instead of per-node
+// allocations.
 //
-// A re-materialization probes the shortest bound posting list once and
-// verifies the other bound attributes against the index's rank columns
-// (count.Index.MatchRanksInto), straight into the worker's arena.
+// Step-time resumption rebuilds the sets of resumed frontier nodes the same
+// way: a walk from the root posting list down the tree path, one column
+// filter per level (searcher.filter), straight into the worker's arena.
+// Resumed nodes that share a path prefix share its filters.
 
 // matchSet is one node's match representation: all holds the ascending
 // rank positions matching the pattern.
@@ -200,14 +201,20 @@ func (sr searcher) release(mk arenaMark) {
 
 type arenaMark struct{ i, f arenaPos }
 
-// materialize rebuilds a node's match set from scratch — the step-time
-// re-derivation when an unexplored frontier node resumes its subtree — as
-// one probe-and-verify over the index into the worker's arena (the
+// filter returns the entries of m whose row binds v at attribute a: one
+// branch-free pass over a's rank column into the worker's arena (the
 // caller's mark/release owns the result's lifetime).
-func (sr searcher) materialize(p pattern.Pattern) matchSet {
-	sr.ss.verifyPasses(p.NumAttrs() - 1)
-	n := sr.ix.MatchBound(p)
-	return matchSet{all: sr.ix.MatchRanksInto(sr.scr.ints.alloc(n)[:0:n], p)}
+func (sr searcher) filter(m matchSet, a int, v int32) matchSet {
+	col := sr.ix.Column(a)
+	out := sr.scr.ints.alloc(len(m.all))
+	n := 0
+	for _, r := range m.all {
+		out[n] = r
+		// Codes are non-negative, so col[r]^v is 0 on a match and
+		// positive otherwise: uint32(x-1)>>31 is the match flag.
+		n += int(uint32((col[r]^v)-1) >> 31)
+	}
+	return matchSet{all: out[:n]}
 }
 
 // scratch is the per-worker allocation pool: scatter cursors, the

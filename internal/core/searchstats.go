@@ -5,8 +5,8 @@ import "rankfair/internal/pattern"
 // SearchStats records per-run observability counters of the lattice
 // search: how much of the lattice was expanded versus pruned and by which
 // rule, how often the engine's count-only and lazy-scatter shortcuts
-// fired, how many bound attributes re-materialization verified and how
-// wide the fan-out ran. Unlike Stats — whose NodesExamined/FullSearches
+// fired, how many column filters step-time resumption ran and how wide
+// the fan-out ran. Unlike Stats — whose NodesExamined/FullSearches
 // are part of the byte-identity contract across index conditions and
 // worker counts — SearchStats records engine internals and lives in a
 // separate Result field, excluded from every equivalence comparison.
@@ -36,9 +36,10 @@ type SearchStats struct {
 	// domination filter (per normalization pass, so a node re-checked at
 	// several k values counts each time).
 	PrunedDominated int64
-	// PostingIntersections counts the bound attributes step-time
-	// re-materialization verified beyond the posting list it probed: a
-	// node binding b attributes adds b-1, one column pass each.
+	// PostingIntersections counts the column filters on the tree paths
+	// from the root posting lists to the nodes step-time resumption
+	// expands: a resumed node binding b attributes adds b-1, whether or
+	// not the node before it in the walk already ran those filters.
 	PostingIntersections int64
 	// CountOnlyPasses counts child-statistics computations served by
 	// count-only tallies over the parent's rank list without
@@ -49,8 +50,8 @@ type SearchStats struct {
 	// descended into at least one child.
 	LazyScatters int64
 	// BitmapPasses and SlicePasses split PostingIntersections by
-	// representation. Searches verify every bound attribute against a
-	// rank column, so SlicePasses equals PostingIntersections and
+	// representation. Searches filter every bound attribute on a rank
+	// column, so SlicePasses equals PostingIntersections and
 	// BitmapPasses stays 0; both remain for the served stats format,
 	// where audit documents persisted by older releases carry word-wise
 	// bitmap AND passes in BitmapPasses.
@@ -91,9 +92,9 @@ func (s *SearchStats) addDominated(n int64) {
 	}
 }
 
-// verifyPasses records one re-materialization that verified n bound
-// attributes beyond the probed posting list.
-func (s *SearchStats) verifyPasses(n int) {
+// pathFilters records the n column filters on one resumed node's tree
+// path.
+func (s *SearchStats) pathFilters(n int) {
 	if s != nil && n > 0 {
 		s.PostingIntersections += int64(n)
 		s.SlicePasses += int64(n)

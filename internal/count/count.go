@@ -248,21 +248,6 @@ func (ix *Index) MatchRanks(p pattern.Pattern) []int32 {
 	return ix.MatchRanksInto(nil, p)
 }
 
-// MatchBound returns the length of the posting list MatchRanksInto probes
-// for p — an upper bound on its match count, and the spare capacity dst
-// needs for MatchRanksInto not to grow it: n when p binds nothing, 0 when
-// it binds a value outside its attribute's domain.
-func (ix *Index) MatchBound(p pattern.Pattern) int {
-	probe, empty, ok := ix.shortestBound(p)
-	switch {
-	case !ok:
-		return len(ix.rows)
-	case empty:
-		return 0
-	}
-	return len(ix.postings[probe][p[probe]])
-}
-
 // MatchRanksInto appends the ascending rank positions of every row matching
 // p onto dst and returns the extended slice; the result never aliases the
 // index, and dst must not alias a list the index returned. It probes the

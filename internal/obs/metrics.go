@@ -38,10 +38,10 @@ type Registry struct {
 
 // family is one registered metric family: fixed name, help, type and
 // label name (empty unless the family is a vector), plus the hook that
-// reads its current points.
+// appends its current points to dst and returns the extended slice.
 type family struct {
 	name, help, typ, label string
-	points                 func() []MetricPoint
+	points                 func(dst []MetricPoint) []MetricPoint
 }
 
 // NewRegistry returns an empty registry.
@@ -49,7 +49,7 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]bool)}
 }
 
-func (r *Registry) register(name, help, typ, label string, points func() []MetricPoint) {
+func (r *Registry) register(name, help, typ, label string, points func([]MetricPoint) []MetricPoint) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.byName[name] {
@@ -93,14 +93,27 @@ type FamilySnapshot struct {
 
 // Snapshot captures every family's current state in registration order —
 // the one source both text expositions and the OTLP metrics export render
-// from, so no two of them can disagree about a value.
+// from, so no two of them can disagree about a value. Every family's
+// points share one slice, allocated per call, so concurrent snapshots
+// never share it.
 func (r *Registry) Snapshot() []FamilySnapshot {
 	r.mu.Lock()
 	fams := slices.Clone(r.fams)
 	r.mu.Unlock()
 	out := make([]FamilySnapshot, len(fams))
+	points := make([]MetricPoint, 0, len(fams))
 	for i, f := range fams {
-		out[i] = FamilySnapshot{Name: f.name, Help: f.help, Typ: f.typ, Label: f.label, Points: f.points()}
+		start := len(points)
+		points = f.points(points)
+		out[i] = FamilySnapshot{Name: f.name, Help: f.help, Typ: f.typ, Label: f.label, Points: points[start:]}
+	}
+	// Point every family into the final slice: appends may have moved it
+	// after earlier families were sliced.
+	start := 0
+	for i := range out {
+		end := start + len(out[i].Points)
+		out[i].Points = points[start:end:end]
+		start = end
 	}
 	return out
 }
@@ -261,8 +274,8 @@ func appendFloat(b []byte, v float64) []byte {
 
 // valuePoints is the points hook of an unlabeled counter or gauge: one
 // point whose value is read at snapshot time.
-func valuePoints(fn func() int64) func() []MetricPoint {
-	return func() []MetricPoint { return []MetricPoint{{Value: fn()}} }
+func valuePoints(fn func() int64) func([]MetricPoint) []MetricPoint {
+	return func(dst []MetricPoint) []MetricPoint { return append(dst, MetricPoint{Value: fn()}) }
 }
 
 // Counter is a monotonically increasing atomic counter.
@@ -353,15 +366,13 @@ type HistogramVec = vec[Histogram]
 // newVec registers a vector family whose points are read by point.
 func newVec[T any](r *Registry, name, help, typ, label string, fresh func() *T, point func(*T, string) MetricPoint) *vec[T] {
 	v := &vec[T]{vals: make(map[string]*T), fresh: fresh}
-	r.register(name, help, typ, label, func() []MetricPoint {
+	r.register(name, help, typ, label, func(dst []MetricPoint) []MetricPoint {
 		v.mu.Lock()
 		defer v.mu.Unlock()
-		keys := slices.Sorted(maps.Keys(v.vals))
-		points := make([]MetricPoint, len(keys))
-		for i, k := range keys {
-			points[i] = point(v.vals[k], k)
+		for _, k := range slices.Sorted(maps.Keys(v.vals)) {
+			dst = append(dst, point(v.vals[k], k))
 		}
-		return points
+		return dst
 	})
 	return v
 }
@@ -461,19 +472,22 @@ func (h *Histogram) observe(v float64) int {
 	}
 }
 
-// point captures the histogram as one MetricPoint.
+// point captures the histogram as one MetricPoint. Its Count is the sum
+// of the bucket counts it read, not the observation counter: observe
+// bumps a bucket before the counter, so a snapshot racing an observation
+// would otherwise render a _count below its +Inf bucket.
 func (h *Histogram) point(label string) MetricPoint {
 	p := MetricPoint{
 		Label:     label,
 		Bounds:    h.bounds,
 		Buckets:   make([]int64, len(h.counts)),
-		Count:     h.Count(),
 		Sum:       h.Sum(),
 		Exemplars: make([]*Exemplar, len(h.counts)),
 	}
 	for i := range h.counts {
 		p.Buckets[i] = h.counts[i].Load()
 		p.Exemplars[i] = h.ex[i].Load()
+		p.Count += p.Buckets[i]
 	}
 	return p
 }
@@ -522,6 +536,6 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 		bounds = DefBuckets
 	}
 	h := newHistogram(bounds)
-	r.register(name, help, "histogram", "", func() []MetricPoint { return []MetricPoint{h.point("")} })
+	r.register(name, help, "histogram", "", func(dst []MetricPoint) []MetricPoint { return append(dst, h.point("")) })
 	return h
 }

@@ -247,3 +247,17 @@ func TestSlowAuditLogging(t *testing.T) {
 		t.Errorf("slow-audit record carries no span tree:\n%s", out)
 	}
 }
+
+// BenchmarkMetricsScrape renders the service registry as one 0.0.4 scrape
+// body, the work behind GET /metrics, and reports its allocations.
+func BenchmarkMetricsScrape(b *testing.B) {
+	quiet := slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError}))
+	svc := mustNew(b, Config{Workers: 1, Logger: quiet})
+	defer svc.Shutdown(context.Background())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := svc.obs.reg.WriteTo(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

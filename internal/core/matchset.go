@@ -18,9 +18,11 @@ import (
 // length, the count at any k is one binary search (count.PrefixCount), root
 // nodes alias the posting lists outright (a warm index starts a search with
 // zero setup scans), and every other set is its search-tree parent's set
-// filtered on one column. Child generation partitions one list, and the
-// partitions live in per-worker scratch arenas instead of per-node
-// allocations.
+// filtered on one column. Child generation tallies a split's per-value
+// sizes and counts in one count-only pass over the parent's list, and a
+// child's list is filtered from the parent's only when the search enters
+// that child; the lists live in per-worker scratch arenas instead of
+// per-node allocations.
 //
 // Step-time resumption rebuilds the sets of resumed frontier nodes the same
 // way: a walk from the root posting list down the tree path, one column
@@ -113,28 +115,28 @@ func (sr searcher) close() { putScratch(sr.scr) }
 // childStats is one attribute's per-value child statistics. The sizes,
 // counts and exposures come from count-only passes over the parent's rank
 // list — s_D per value from the full list, the top-k quantities from its
-// length-≤k prefix — and the actual child rank lists are scattered lazily,
-// only when the search descends into at least one child. Fully pruned or
-// all-frontier levels (the common case under a size threshold) never
-// materialize a single child list.
+// length-≤k prefix. A child's rank list is filtered from the parent's only
+// when the search enters that child, which it does for about one child
+// per split; fully pruned or all-frontier levels (the common case under a
+// size threshold) never materialize a single child list.
 type childStats struct {
-	sr      searcher
-	m       matchSet
-	a, card int
+	sr searcher
+	m  matchSet
+	a  int
 	// Per-value tallies (arena-backed).
 	sD   []int32
 	cnt  []int32
 	wsum []float64
-	// Child rank lists, scattered on the first at() call: child v's match
-	// set is the offs[v]:offs[v+1] window of flat.
-	flat, offs []int32
+	// entered records the first at() call, which counts the split as a
+	// lazy scatter.
+	entered bool
 }
 
 // childStats computes the per-value statistics of splitting m at attribute
 // a. A non-nil w (the exposure weight of each rank position) additionally
 // accumulates per-value exposure over the top-k prefix, in rank order.
 func (sr searcher) childStats(m matchSet, a, card, k int, w []float64) childStats {
-	cs := childStats{sr: sr, m: m, a: a, card: card}
+	cs := childStats{sr: sr, m: m, a: a}
 	sr.ss.countOnlyPass()
 	col := sr.ix.Column(a)
 	cs.sD = sr.scr.ints.allocZero(card)
@@ -161,31 +163,15 @@ func (sr searcher) childStats(m matchSet, a, card, k int, w []float64) childStat
 // size returns s_D of child v.
 func (cs *childStats) size(v int) int { return int(cs.sD[v]) }
 
-// at returns child v's match set, scattering the parent into all child
-// lists on first use; the scatter reuses the already computed per-value
-// sizes as offsets.
+// at returns child v's match set, filtered from the parent's into the
+// worker's arena; it lives until the caller releases the mark it took
+// before childStats, so it outlasts the child's subtree.
 func (cs *childStats) at(v int) matchSet {
-	if cs.offs == nil {
+	if !cs.entered {
+		cs.entered = true
 		cs.sr.ss.lazyScatter()
-		offs := cs.sr.scr.ints.alloc(cs.card + 1)
-		off := int32(0)
-		for w := 0; w < cs.card; w++ {
-			offs[w] = off
-			off += cs.sD[w]
-		}
-		offs[cs.card] = off
-		flat := cs.sr.scr.ints.alloc(len(cs.m.all))
-		cur := cs.sr.scr.cursors(cs.card)
-		copy(cur, offs[:cs.card])
-		col := cs.sr.ix.Column(cs.a)
-		for _, r := range cs.m.all {
-			val := col[r]
-			flat[cur[val]] = r
-			cur[val]++
-		}
-		cs.flat, cs.offs = flat, offs
 	}
-	return matchSet{all: cs.flat[cs.offs[v]:cs.offs[v+1]]}
+	return cs.sr.filter(cs.m, cs.a, int32(v))
 }
 
 // mark/release bracket a node's arena allocations; release at subtree exit
@@ -203,7 +189,8 @@ type arenaMark struct{ i, f arenaPos }
 
 // filter returns the entries of m whose row binds v at attribute a: one
 // branch-free pass over a's rank column into the worker's arena (the
-// caller's mark/release owns the result's lifetime).
+// caller's mark/release owns the result's lifetime). The pass writes up to
+// len(m.all) entries; the unused tail goes back to the arena.
 func (sr searcher) filter(m matchSet, a int, v int32) matchSet {
 	col := sr.ix.Column(a)
 	out := sr.scr.ints.alloc(len(m.all))
@@ -214,25 +201,17 @@ func (sr searcher) filter(m matchSet, a int, v int32) matchSet {
 		// positive otherwise: uint32(x-1)>>31 is the match flag.
 		n += int(uint32((col[r]^v)-1) >> 31)
 	}
-	return matchSet{all: out[:n]}
+	sr.scr.ints.trim(len(m.all) - n)
+	return matchSet{all: out[:n:n]}
 }
 
-// scratch is the per-worker allocation pool: scatter cursors, the
-// partition arenas, and the per-k walk's candidate slab and headers.
+// scratch is the per-worker allocation pool: the match-set and tally
+// arenas, and the per-k walk's candidate slab and headers.
 type scratch struct {
-	cur    []int32
 	ints   arena[int32]
 	floats arena[float64]
 	slab   []int32
 	cands  []pattern.Pattern
-}
-
-// cursors returns an uninitialized cursor buffer of the given width.
-func (s *scratch) cursors(card int) []int32 {
-	if cap(s.cur) < card {
-		s.cur = make([]int32, card)
-	}
-	return s.cur[:card]
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
@@ -269,6 +248,9 @@ func (ar *arena[T]) mark() arenaPos { return arenaPos{bi: ar.bi, off: ar.off} }
 func (ar *arena[T]) release(mk arenaPos) { ar.bi, ar.off = mk.bi, mk.off }
 
 func (ar *arena[T]) reset() { ar.bi, ar.off = 0, 0 }
+
+// trim returns the last n elements of the latest allocation to the arena.
+func (ar *arena[T]) trim(n int) { ar.off -= n }
 
 func (ar *arena[T]) alloc(n int) []T {
 	for {

@@ -45,9 +45,9 @@ type SearchStats struct {
 	// count-only tallies over the parent's rank list without
 	// materializing any child list.
 	CountOnlyPasses int64
-	// LazyScatters counts the count-only passes that later had to
-	// scatter the parent's rank list after all, because the search
-	// descended into at least one child.
+	// LazyScatters counts the child splits that materialized at least
+	// one child: the count-only passes after which the search entered a
+	// child and filtered its rank list from the parent's.
 	LazyScatters int64
 	// BitmapPasses and SlicePasses split PostingIntersections by
 	// representation. Searches filter every bound attribute on a rank

@@ -39,7 +39,9 @@ func downwardClosure(ps []Pattern) []Pattern {
 // pattern.MostSpecific's. Each trial draws a downward-closed set, the
 // shape of the global upper bound's candidates, and a random subset of
 // it, which need not hold a candidate's graph parents (the proportional
-// upper bound's candidates, whose bound shrinks with s_D).
+// upper bound's candidates, whose bound shrinks with s_D). Codes step by
+// 1, 128 or 16384 with the trial, so keys hold one-, two- and three-byte
+// values.
 func TestSpecificSetOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -49,7 +51,7 @@ func TestSpecificSetOrderIndependent(t *testing.T) {
 			p := pattern.Empty(nAttrs)
 			for a := range p {
 				if rng.Intn(2) == 0 {
-					p[a] = int32(rng.Intn(3))
+					p[a] = int32(rng.Intn(3)) << (7 * (trial % 3))
 				}
 			}
 			if p.NumAttrs() == 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"slices"
 
 	"rankfair/internal/pattern"
@@ -35,10 +36,10 @@ import (
 // Both rules are pure functions of the candidate set, so the traversal is
 // free to visit the lattice depth-first. It walks the search tree of
 // Definition 4.1 on the engine's child split (childStats): the roots alias
-// the posting lists, a node's children are tallied per attribute and
-// scattered only when the walk descends into one of them, and the arena
-// is marked and released per attribute, so the walk's scratch is one
-// root-to-leaf path deep.
+// the posting lists, a node's children are tallied per attribute, a
+// child's list is filtered from its parent's only when the walk enters
+// that child, and the arena is marked and released per attribute, so the
+// walk's scratch is one root-to-leaf path deep.
 //
 // The descent follows from count monotonicity (specializing a pattern never
 // increases its count):
@@ -284,6 +285,16 @@ type specificSet struct {
 	sub Pattern
 }
 
+// setKey sets s.key to p's map key: one uvarint of v+1 per attribute, so
+// one byte per attribute under 127 values. Uvarints are prefix-free, so
+// the key is injective.
+func (s *specificSet) setKey(p Pattern) {
+	s.key = s.key[:0]
+	for _, v := range p {
+		s.key = binary.AppendUvarint(s.key, uint64(v+1))
+	}
+}
+
 func newSpecificSet() *specificSet {
 	return &specificSet{marked: make(map[string]bool), maximal: make(map[string]Pattern)}
 }
@@ -291,7 +302,7 @@ func newSpecificSet() *specificSet {
 func (s *specificSet) admit(p Pattern) bool {
 	s.sub = append(s.sub[:0], p...)
 	s.mark()
-	if s.key = p.AppendKey(s.key[:0]); !s.marked[string(s.key)] {
+	if s.setKey(p); !s.marked[string(s.key)] {
 		s.maximal[string(s.key)] = p
 	}
 	return true
@@ -306,7 +317,7 @@ func (s *specificSet) mark() {
 			continue
 		}
 		s.sub[a] = pattern.Unbound
-		if s.key = s.sub.AppendKey(s.key[:0]); !s.marked[string(s.key)] {
+		if s.setKey(s.sub); !s.marked[string(s.key)] {
 			key := string(s.key)
 			s.marked[key] = true
 			if _, ok := s.maximal[key]; ok {

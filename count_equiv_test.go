@@ -118,25 +118,94 @@ func TestInfoAtByteIdentical(t *testing.T) {
 }
 
 // TestAnalystCountsMatchNaive checks the public Count/CountTopK facade
-// against the naive scans on random patterns over a real schema.
+// against the naive scans on random patterns over a real schema. The large
+// fixture also draws patterns that bind only frequent values, so the
+// shortest bound posting list and its top-k prefix, the lists a count
+// probes, run to thousands of entries.
 func TestAnalystCountsMatchNaive(t *testing.T) {
-	a := equivAnalyst(t, synth.Students(395, 5), 8)
-	in := a.Input()
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 200; trial++ {
-		p := a.EmptyPattern()
-		for attr := 0; attr < in.Space.NumAttrs(); attr++ {
-			if rng.Float64() < 0.4 {
-				p[attr] = int32(rng.Intn(in.Space.Cards[attr]))
+	for _, tc := range []struct {
+		name   string
+		bundle *synth.Bundle
+	}{
+		{"students-395", synth.Students(395, 5)},
+		{"students-20000", synth.Students(20000, 5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := equivAnalyst(t, tc.bundle, 8)
+			in := a.Input()
+			n := len(in.Rows)
+			check := func(p Pattern, k int) {
+				t.Helper()
+				if got, want := a.Count(p), p.Count(in.Rows); got != want {
+					t.Fatalf("Count(%v) = %d, naive %d", p, got, want)
+				}
+				if got, want := a.CountTopK(p, k), p.CountTopK(in.Rows, in.Ranking, k); got != want {
+					t.Fatalf("CountTopK(%v, %d) = %d, naive %d", p, k, got, want)
+				}
 			}
-		}
-		if got, want := a.Count(p), p.Count(in.Rows); got != want {
-			t.Fatalf("Count(%v) = %d, naive %d", p, got, want)
-		}
-		k := 1 + rng.Intn(len(in.Rows))
-		if got, want := a.CountTopK(p, k), p.CountTopK(in.Rows, in.Ranking, k); got != want {
-			t.Fatalf("CountTopK(%v, %d) = %d, naive %d", p, k, got, want)
-		}
+			rng := rand.New(rand.NewSource(17))
+			for trial := 0; trial < 200; trial++ {
+				p := a.EmptyPattern()
+				for attr := 0; attr < in.Space.NumAttrs(); attr++ {
+					if rng.Float64() < 0.4 {
+						p[attr] = int32(rng.Intn(in.Space.Cards[attr]))
+					}
+				}
+				check(p, 1+rng.Intn(n))
+			}
+
+			// Frequent values: held by at least a quarter of the rows.
+			const longList = 4096
+			if n/4 < longList {
+				return
+			}
+			type value struct {
+				attr int
+				val  int32
+			}
+			var frequent []value
+			for attr := 0; attr < in.Space.NumAttrs(); attr++ {
+				for v := 0; v < in.Space.Cards[attr]; v++ {
+					if a.EmptyPattern().With(attr, int32(v)).Count(in.Rows) >= n/4 {
+						frequent = append(frequent, value{attr, int32(v)})
+					}
+				}
+			}
+			attrs := map[int]bool{}
+			for _, fv := range frequent {
+				attrs[fv.attr] = true
+			}
+			if len(attrs) < 3 {
+				t.Fatalf("frequent values span %d attributes, want 3", len(attrs))
+			}
+			long := 0
+			for trial := 0; trial < 100; trial++ {
+				p := a.EmptyPattern()
+				for bound := 2 + rng.Intn(2); p.NumAttrs() < bound; {
+					fv := frequent[rng.Intn(len(frequent))]
+					p[fv.attr] = fv.val
+				}
+				k := n/2 + rng.Intn(n/2+1)
+				check(p, k)
+				// The probe list is the shortest bound posting list.
+				shortest, prefix := n, n
+				for attr, v := range p {
+					if v == Unbound {
+						continue
+					}
+					single := a.EmptyPattern().With(attr, v)
+					if c := single.Count(in.Rows); c < shortest {
+						shortest, prefix = c, single.CountTopK(in.Rows, in.Ranking, k)
+					}
+				}
+				if shortest >= longList && prefix >= longList {
+					long++
+				}
+			}
+			if long < 20 {
+				t.Fatalf("only %d of 100 frequent-value patterns probe lists of %d+ entries", long, longList)
+			}
+		})
 	}
 }
 

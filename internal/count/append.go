@@ -22,8 +22,10 @@ import (
 // existing entries remapped through the monotone old-rank → new-rank map.
 // A batch that lands at the bottom of the ranking (the common streaming
 // shape: new arrivals scoring below the incumbents) therefore shares almost
-// every posting list with its parent, and the whole derivation costs
-// O(n + b·attrs) instead of Build's O(n·attrs) scatter on top of an
+// every posting list with its parent. The rank columns are never shared:
+// each is a fresh array that copies its parent's codes in blocks between
+// insertion positions. The derivation costs O(n + b·attrs) list work plus
+// those block copies, instead of Build's O(n·attrs) scatter on top of an
 // O(n log n) re-rank.
 func (ix *Index) Extend(rows [][]int32, space *pattern.Space, ranking []int) *Index {
 	n := len(ix.rows)
@@ -35,7 +37,6 @@ func (ix *Index) Extend(rows [][]int32, space *pattern.Space, ranking []int) *In
 		rankOf:   make([]int32, total),
 		cols:     newColumns(space.NumAttrs(), total),
 		postings: make([][][]int32, space.NumAttrs()),
-		bitmaps:  make([][]*Bitmap, space.NumAttrs()),
 	}
 	// One pass over the new ranking: the rank map, the monotone old-rank →
 	// new-rank map, and the appended rows' insertion positions (ascending
@@ -76,12 +77,9 @@ func (ix *Index) Extend(rows [][]int32, space *pattern.Space, ranking []int) *In
 	for a := 0; a < space.NumAttrs(); a++ {
 		card := space.Cards[a]
 		out.postings[a] = make([][]int32, card)
-		out.bitmaps[a] = make([]*Bitmap, card)
 		var oldLists [][]int32
-		var oldBms []*Bitmap
 		if a < len(ix.postings) {
 			oldLists = ix.postings[a]
-			oldBms = ix.bitmaps[a]
 		}
 		newPer := make([][]int32, card)
 		for _, rank := range inserted {
@@ -96,9 +94,6 @@ func (ix *Index) Extend(rows [][]int32, space *pattern.Space, ranking []int) *In
 			add := newPer[v]
 			if len(add) == 0 && (len(old) == 0 || int(old[len(old)-1]) < minIns) {
 				out.postings[a][v] = old // untouched: alias, copy-on-write
-				if v < len(oldBms) {
-					out.bitmaps[a][v] = oldBms[v] // bitmap shares the list's fate
-				}
 				continue
 			}
 			merged := make([]int32, 0, len(old)+len(add))
@@ -118,9 +113,6 @@ func (ix *Index) Extend(rows [][]int32, space *pattern.Space, ranking []int) *In
 			}
 			merged = append(merged, add[j:]...)
 			out.postings[a][v] = merged
-			if len(merged) >= bitmapMinLen {
-				out.bitmaps[a][v] = BitmapFromRanks(merged)
-			}
 		}
 	}
 	return out

@@ -12,9 +12,13 @@
 //   - s_D(p) for a single-attribute pattern is a list length;
 //   - s_{R_k(D)}(p) for a single-attribute pattern is a binary search
 //     (entries with rank < k form a prefix of the sorted list);
-//   - multi-attribute patterns probe the shortest bound posting list and
-//     verify the remaining bound attributes per candidate, O(shortest·attrs)
-//     instead of O(n·attrs) — in practice a tiny fraction of the dataset.
+//   - multi-attribute patterns probe the shortest bound posting list (for
+//     s_{R_k(D)}, its length-k prefix) and verify the remaining bound
+//     attributes against their rank columns, O(shortest·attrs) instead of
+//     O(n·attrs) — in practice a tiny fraction of the dataset.
+//
+// Posting lists and rank columns are the whole of the counting state: every
+// count, match set and lattice-search split reads one or both.
 //
 // CountsOver and ExposuresOver are the per-report materialization
 // primitives: one pass over a pattern's match ranks yields its full per-k
@@ -31,9 +35,11 @@ import (
 )
 
 // Index is the rank-ordered posting-list index over one (rows, ranking)
-// pair. It is immutable after Build and safe for concurrent readers, which
-// is what lets one index hang off a cached Analyst and serve every report,
-// repair, explanation and divergence query against that dataset.
+// pair: a posting list of ranks per (attribute, value) and a rank column
+// per attribute. It is immutable after Build and safe for concurrent
+// readers, which is what lets one index hang off a cached Analyst and
+// serve every report, repair, explanation and divergence query against
+// that dataset.
 type Index struct {
 	rows    [][]int32
 	ranking []int
@@ -48,11 +54,6 @@ type Index struct {
 	// postings[a][v] holds the rank positions of rows with row[a] == v,
 	// ascending. The per-(a,v) lists partition [0, n).
 	postings [][][]int32
-	// bitmaps[a][v] is the roaring-style bitmap form of postings[a][v],
-	// built for lists at or above the bitmapMinLen cost-model cut and nil
-	// below it. Bitmaps are derived data: always in sync with the posting
-	// lists, shared copy-on-write by Extend exactly when the list is.
-	bitmaps [][]*Bitmap
 }
 
 // Build constructs the index in one O(n·attrs) pass. ranking must be a
@@ -91,7 +92,6 @@ func Build(rows [][]int32, space *pattern.Space, ranking []int) *Index {
 			ix.postings[a][v] = append(ix.postings[a][v], int32(rank))
 		}
 	}
-	ix.bitmaps = buildBitmaps(ix.postings)
 	return ix
 }
 
@@ -122,11 +122,11 @@ func (ix *Index) Column(attr int) []int32 { return ix.cols[attr] }
 func (ix *Index) Postings(attr int, val int32) []int32 { return ix.postings[attr][val] }
 
 // SizeBytes estimates the heap footprint of the index's owned structures:
-// the rank map, the rank columns, the posting lists (counting capacity,
-// since extended indexes share list backing arrays copy-on-write) and
-// their bitmap mirrors. Rows and ranking are excluded — the index aliases
-// the caller's slices. The estimate feeds observability gauges; it is not
-// an exact allocator accounting.
+// the rank map, the rank columns and the posting lists (counting capacity,
+// since extended indexes share list backing arrays copy-on-write). Rows and
+// ranking are excluded — the index aliases the caller's slices. The
+// estimate feeds observability gauges; it is not an exact allocator
+// accounting.
 func (ix *Index) SizeBytes() int64 {
 	const sliceHeader = 24
 	size := int64(len(ix.rankOf))*4 + int64(len(ix.cols))*sliceHeader
@@ -137,14 +137,6 @@ func (ix *Index) SizeBytes() int64 {
 		size += int64(len(lists)) * sliceHeader
 		for _, l := range lists {
 			size += int64(cap(l)) * 4
-		}
-	}
-	for _, bms := range ix.bitmaps {
-		size += int64(len(bms)) * sliceHeader
-		for _, bm := range bms {
-			if bm != nil {
-				size += bm.SizeBytes()
-			}
 		}
 	}
 	return size
@@ -201,11 +193,6 @@ func (ix *Index) Count(p pattern.Pattern) int {
 	if p.NumAttrs() == 1 {
 		return len(list)
 	}
-	if len(list) >= bitmapProbeMin {
-		if bms, ok := ix.patternBitmaps(p); ok {
-			return andCardinalityAll(bms, -1)
-		}
-	}
 	return ix.countVerified(list, p, probe)
 }
 
@@ -229,11 +216,6 @@ func (ix *Index) CountTopK(p pattern.Pattern, k int) int {
 	cut := upperBound(list, k)
 	if p.NumAttrs() == 1 {
 		return cut
-	}
-	if cut >= bitmapProbeMin {
-		if bms, ok := ix.patternBitmaps(p); ok {
-			return andCardinalityAll(bms, k)
-		}
 	}
 	return ix.countVerified(list[:cut], p, probe)
 }

@@ -58,11 +58,8 @@ func FuzzIndexedCounts(f *testing.F) {
 		ix := Build(rows, space, ranking)
 
 		// Check the rank columns, then derive patterns of every arity from
-		// the data tail and compare. checkIndex also drives the bitmap
-		// counting chain directly — the Count/CountTopK cost model only
-		// routes through bitmaps for lists past bitmapProbeMin, far larger
-		// than any fuzz dataset, so the bitmap arm is asserted at the
-		// andCardinalityAll level instead.
+		// the data tail and compare Count and CountTopK, whose column probe
+		// reads those columns, against the naive scans.
 		checkIndex := func(ix *Index, rows [][]int32, ranking []int) {
 			nRows := len(rows)
 			for a := 0; a < nAttrs; a++ {
@@ -92,27 +89,13 @@ func FuzzIndexedCounts(f *testing.F) {
 						t.Fatalf("CountTopK(%v, %d) = %d, naive %d", p, k, got, want)
 					}
 				}
-				if bms, ok := ix.patternBitmaps(p); ok && len(bms) >= 2 {
-					if got, want := andCardinalityAll(bms, -1), p.Count(rows); got != want {
-						t.Fatalf("andCardinalityAll(%v, -1) = %d, naive %d", p, got, want)
-					}
-					for _, k := range []int{1, nRows / 2, nRows} {
-						if k < 1 {
-							continue
-						}
-						bms, _ := ix.patternBitmaps(p)
-						if got, want := andCardinalityAll(bms, k), p.CountTopK(rows, ranking, k); got != want {
-							t.Fatalf("andCardinalityAll(%v, %d) = %d, naive %d", p, k, got, want)
-						}
-					}
-				}
 			}
 		}
 		checkIndex(ix, rows, ranking)
 
 		// Append-then-count: extend the index with a derived batch (the
-		// streaming path, which aliases untouched bitmaps and rebuilds
-		// perturbed ones, and keeps the column prefix above the first
+		// streaming path, which aliases untouched posting lists and merges
+		// perturbed ones, and keeps the column prefix below the first
 		// insertion) and re-assert the columns and every count on the
 		// grown dataset.
 		nExtra := 1 + int(data[len(data)-1]%4)
@@ -134,149 +117,6 @@ func FuzzIndexedCounts(f *testing.F) {
 			ranking2[pos] = nRows + e
 		}
 		checkIndex(ix.Extend(rows2, space, ranking2), rows2, ranking2)
-	})
-}
-
-// fuzzRankList decodes bytes into an ascending, duplicate-free rank list.
-// The mode byte picks the shape: dense emits consecutive runs (up to 64 per
-// byte, so a couple hundred high bytes push one container past arrayMaxCard
-// into the word form), sparse strides far enough per byte to cross 1<<16
-// container boundaries, and mixed stays within the array form.
-func fuzzRankList(bs []byte, mode byte) []int32 {
-	out := make([]int32, 0, len(bs))
-	cur := int32(mode % 7)
-	for _, b := range bs {
-		switch mode % 3 {
-		case 0: // dense runs
-			run := 1 + int32(b&63)
-			for r := int32(0); r < run; r++ {
-				out = append(out, cur)
-				cur++
-			}
-			cur += 1 + int32(b>>6)
-		case 1: // sparse, container-crossing
-			cur += 1 + int32(b)*521
-			out = append(out, cur)
-		default: // mixed small gaps
-			cur += 1 + int32(b&15)
-			out = append(out, cur)
-		}
-	}
-	return out
-}
-
-// FuzzBitmapIntersect is the bitmap-vs-slice differential: it decodes two
-// rank lists spanning all three container shapes (sorted array, word bitmap,
-// multi-container), builds Bitmaps, and asserts every bitmap operation —
-// round trip, CountBelow, AndCardinality(Below), materialized And — against
-// the posting-list oracles, including the append-then-count arm that mirrors
-// Extend's merged-list bitmap rebuild.
-func FuzzBitmapIntersect(f *testing.F) {
-	f.Add([]byte{0, 1, 9, 1, 2, 3, 4, 200, 100, 50, 25, 12, 6, 3})
-	f.Add([]byte{1, 0, 4, 255, 255, 0, 0, 128, 7, 7, 7})
-	f.Add(append([]byte{0, 0, 120}, make([]byte, 90)...))
-	// 89 dense bytes for list a: ~5.7k consecutive-run ranks land in one
-	// container, past arrayMaxCard, so the seed corpus already covers the
-	// word-container form.
-	dense := []byte{0, 2, 89}
-	for i := 0; i < 90; i++ {
-		dense = append(dense, 0xff)
-	}
-	f.Add(dense)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
-			t.Skip()
-		}
-		modeA, modeB := data[0], data[1]
-		split := 3 + int(data[2])%(len(data)-3)
-		a := fuzzRankList(data[3:split], modeA)
-		b := fuzzRankList(data[split:], modeB)
-		bmA, bmB := BitmapFromRanks(a), BitmapFromRanks(b)
-
-		equal := func(got, want []int32) bool {
-			if len(got) != len(want) {
-				return false
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-			return true
-		}
-		// Round trip and cardinality.
-		if got := bmA.AppendRanks(nil); !equal(got, a) {
-			t.Fatalf("AppendRanks round trip = %v, want %v", got, a)
-		}
-		if bmA.Cardinality() != len(a) {
-			t.Fatalf("Cardinality = %d, want %d", bmA.Cardinality(), len(a))
-		}
-		// AppendRanks must extend dst in place, leaving the prefix intact.
-		pre := []int32{-3, -2, -1}
-		ext := bmA.AppendRanks(pre)
-		if !equal(ext[:3], pre[:3]) || !equal(ext[3:], a) {
-			t.Fatalf("AppendRanks(dst) = %v, want prefix %v then %v", ext, pre[:3], a)
-		}
-
-		// Cut points: edges, a mid element, container boundaries.
-		cuts := []int{0, 1, containerSpan, containerSpan + 1}
-		if len(a) > 0 {
-			cuts = append(cuts, int(a[len(a)/2]), int(a[len(a)-1]), int(a[len(a)-1])+1)
-		}
-		countBelow := func(xs []int32, k int) int {
-			n := 0
-			for _, x := range xs {
-				if int(x) < k {
-					n++
-				}
-			}
-			return n
-		}
-		for _, k := range cuts {
-			if got, want := bmA.CountBelow(k), countBelow(a, k); got != want {
-				t.Fatalf("CountBelow(%d) = %d, want %d", k, got, want)
-			}
-		}
-
-		// Intersection: the slice engine is the oracle.
-		want := IntersectInto(nil, a, b)
-		if got := bmA.AndCardinality(bmB); got != len(want) {
-			t.Fatalf("AndCardinality = %d, want %d", got, len(want))
-		}
-		if got := bmA.And(bmB).AppendRanks(nil); !equal(got, want) {
-			t.Fatalf("And().AppendRanks = %v, want %v", got, want)
-		}
-		for _, k := range cuts {
-			if got, wantK := bmA.AndCardinalityBelow(bmB, k), countBelow(want, k); got != wantK {
-				t.Fatalf("AndCardinalityBelow(%d) = %d, want %d", k, got, wantK)
-			}
-		}
-
-		// Append-then-count: merge b's ranks shifted past a's maximum (the
-		// shape Extend produces when a batch lands mid-ranking rebuilds the
-		// list, when it lands at the bottom it appends) and require the
-		// rebuilt bitmap to agree with slice counts on the merged list.
-		shift := int32(1)
-		if len(a) > 0 {
-			shift = a[len(a)-1] + 1 + int32(modeB%5)
-		}
-		merged := append(make([]int32, 0, len(a)+len(b)), a...)
-		for _, x := range b {
-			merged = append(merged, x+shift)
-		}
-		bmM := BitmapFromRanks(merged)
-		if bmM.Cardinality() != len(merged) {
-			t.Fatalf("merged Cardinality = %d, want %d", bmM.Cardinality(), len(merged))
-		}
-		for _, k := range cuts {
-			if got, wantK := bmM.CountBelow(k), countBelow(merged, k); got != wantK {
-				t.Fatalf("merged CountBelow(%d) = %d, want %d", k, got, wantK)
-			}
-		}
-		// a is a prefix subset of merged, so the intersection is a itself.
-		if got := bmM.And(bmA).AppendRanks(nil); !equal(got, a) {
-			t.Fatalf("merged And(a) = %v, want %v", got, a)
-		}
 	})
 }
 

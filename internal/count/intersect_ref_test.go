@@ -9,8 +9,8 @@ import (
 // This file holds the posting-list intersection references: a pattern's
 // match set is the intersection of its bound attributes' posting lists,
 // all ascending rank lists. The lattice search rebuilds match sets with
-// the column probe of MatchRanksInto; the tests and benchmarks of that
-// probe and of the bitmap containers compare against these merges.
+// the column probe of MatchRanksInto; the tests of that probe compare
+// against these merges.
 
 // gallopRatio is the length ratio between the two input lists beyond which
 // IntersectInto abandons the linear merge for galloping search: probing the

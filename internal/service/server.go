@@ -155,7 +155,7 @@ func newObsState(s *Service, traceEntries int) *obsState {
 	o.searchExpanded = r.NewCounter("rankfaird_search_nodes_expanded_total", "Lattice nodes expanded across all searches.")
 	o.searchPruned = r.NewCounterVec("rankfaird_search_pruned_total", "Lattice nodes pruned without expansion, by reason.", "reason")
 	o.searchIntersections = r.NewCounter("rankfaird_search_posting_intersections_total", "Column filters on the tree paths from the root posting lists to resumed frontier nodes: one per bound attribute beyond the first.")
-	o.searchCountOnly = r.NewCounter("rankfaird_search_count_only_passes_total", "Count-only posting passes that avoided materializing a match list.")
+	o.searchCountOnly = r.NewCounter("rankfaird_search_count_only_passes_total", "Child splits tallied by a count-only pass over the parent's rank list: every split, including those that then enter a child.")
 	o.searchLazy = r.NewCounter("rankfaird_search_lazy_scatters_total", "Child splits in which a search entered at least one child, filtering its match list from the parent's.")
 	r.NewGaugeFunc("rankfaird_analyst_index_bytes", "Estimated heap bytes held by cached analysts' counting indexes.", func() int64 {
 		if s.analysts == nil {
